@@ -100,7 +100,9 @@ def _load_code(path):
 
 
 def cmd_lattice(args):
+    from .intmat import int_det
     from .lattices import short_vectors
+    from .linalg import det
     try:
         lat = _load_lattice(args.which)
     except (ValueError, KeyError, IndexError) as exc:
@@ -108,8 +110,8 @@ def cmd_lattice(args):
         return 2
     rep = Report("lattice-%s" % (lat.name or args.which))
     rep.add("rank", "rank", "input", lat.rank, lat.rank)
-    rep.add("det", "determinant", "exact integer elimination",
-            lat.det(), lat.det())
+    rep.add("det", "determinant", "integer Bareiss elimination against "
+            "elimination over Q", int_det(lat.gram), det(lat.gram))
     rep.add("even", "even lattice", "Gram parity", fmt(lat.is_even()),
             fmt(lat.is_even()))
     if args.short_vectors:
@@ -149,7 +151,8 @@ def cmd_code(args):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     rep = Report("code")
-    rep.add("size", "word count", "enumeration", len(code), len(code))
+    rep.add("size", "word count", "3^dimension", 3 ** code.dimension(),
+            len(code))
     rep.add("min-weight", "minimum weight", "enumeration",
             code.minimum_weight(), code.minimum_weight())
     rep.add("self-dual", "self-duality", "dual check",
@@ -175,11 +178,9 @@ def _suite_cmd(names):
 
 
 def _export_scan(outdir):
-    from .commutants import nine_orbit_algebra
-    from .involutions import transposition_scan
     from .report import scan_to_json
-    fd12, _side, _chars, orbit = nine_orbit_algebra()
-    orders, violations, _maps = transposition_scan(fd12, orbit, "tau_ising")
+    from .suites import nine_orbit_scan
+    _fd12, orders, violations, _maps = nine_orbit_scan()
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "scan-e8-orbit.json"), "w") as f:
         f.write(scan_to_json(orders, violations))

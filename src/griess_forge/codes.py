@@ -68,9 +68,18 @@ class TernaryCode:
         return _mod3(w) in set(self.words())
 
     def dimension(self):
-        k, n = 0, len(self)
-        while n > 1:
-            n //= 3
+        """Rank of the generator rows over F_3, by elimination."""
+        rows = [list(g) for g in self.generators]
+        k = 0
+        for c in range(self.length):
+            p = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+            if p is None:
+                continue
+            rows[k], rows[p] = rows[p], rows[k]
+            for i in range(k + 1, len(rows)):
+                # the pivot is 1 or 2 = -1, each its own inverse mod 3
+                f = rows[i][c] * rows[k][c]
+                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], rows[k])]
             k += 1
         return k
 

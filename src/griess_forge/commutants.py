@@ -701,6 +701,9 @@ def u3a_griess(source="table"):
     return fd
 
 
+_NINE_ORBIT = []
+
+
 def nine_orbit_algebra():
     """Closure of the full 3^2-character orbit of the special Ising vector.
 
@@ -708,8 +711,15 @@ def nine_orbit_algebra():
     lattice-verified) 3A-node commutant and their span is closed there in
     coordinates; the result is the whole 12-dimensional algebra, so the
     lattice-level closure of the orbit is exactly that commutant.
-    Returns (FDAlgebra, side, (chi1, chi2), orbit_coords).
+    Returns (FDAlgebra, side, (chi1, chi2), orbit_coords); computed once
+    per process, like e8_side.
     """
+    if not _NINE_ORBIT:
+        _NINE_ORBIT.append(_nine_orbit_algebra())
+    return _NINE_ORBIT[0]
+
+
+def _nine_orbit_algebra():
     side = e8_side()
     alg = side.alg
     k_rows = side.ltilde_rows("3A")

@@ -182,9 +182,8 @@ def snf_with_transform(a):
 
 def int_inverse_unimodular(a):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
-    from fractions import Fraction
     from .linalg import inverse as q_inverse
-    inv = q_inverse([[Fraction(x) for x in row] for row in a])
+    inv = q_inverse(a)
     out = []
     for row in inv:
         irow = []

@@ -84,8 +84,7 @@ class Sublattice:
         self.basis = [list(map(int, row)) for row in basis_rows]
         if self.basis:
             from .linalg import rank as qrank
-            rows = [[Fraction(x) for x in row] for row in self.basis]
-            if qrank(rows) != len(self.basis):
+            if qrank(self.basis) != len(self.basis):
                 raise ValueError("sublattice basis rows are linearly dependent")
 
     @property
@@ -108,17 +107,17 @@ class Sublattice:
 
     def contains(self, v):
         from .linalg import solve
-        a = [[Fraction(self.basis[i][j]) for i in range(self.rank)]
+        a = [[self.basis[i][j] for i in range(self.rank)]
              for j in range(self.ambient.rank)]
-        x = solve(a, [Fraction(t) for t in v])
+        x = solve(a, v)
         return x is not None and all(c.denominator == 1 for c in x)
 
     def coords_of(self, v):
         """Integer coordinates of v in the sublattice basis, or None."""
         from .linalg import solve
-        a = [[Fraction(self.basis[i][j]) for i in range(self.rank)]
+        a = [[self.basis[i][j] for i in range(self.rank)]
              for j in range(self.ambient.rank)]
-        x = solve(a, [Fraction(t) for t in v])
+        x = solve(a, v)
         if x is None or any(c.denominator != 1 for c in x):
             return None
         return [c.numerator for c in x]

@@ -1,22 +1,44 @@
 """Dense exact linear algebra over Q or Q(z).
 
-Matrices are lists of rows; entries are Fraction or CycNum, mixed freely
-(the operators promote).  Everything here is plain field Gaussian
-elimination with a mild "sparsest pivot" preference; the matrices in this
-package stay below a few hundred rows, so no fraction-free or modular
-tricks are used.
+Matrices are lists of rows; entries are int, Fraction or CycNum, mixed
+freely (the operators promote).
+
+Every elimination (kernel, rank, solve, inverse, det) runs through one
+fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
+clears above the pivots where a basis, solution or inverse is asked for.
+Each row is scaled by the lcm of its denominators into integers: plain
+ints when every entry is rational, and elements of Z[z] (4-tuples in the
+basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1) otherwise.  A step clears
+column c of row i against the pivot row r by cross-multiplication,
+p * row_i - f * row_r, and then divides row_i by the gcd of its integer
+coefficients (Bareiss, Math. Comp. 22, 1968, with the row content in
+place of the fixed divisor).  Over Z[z] a pivot row is first multiplied
+by the other three Galois conjugates of its pivot, so every pivot is a
+rational integer and a step scales rows by integers only.  Only at the
+end is each pivot row divided by its pivot.
+
+Each integer row stays a nonzero multiple of the row that field
+Gauss-Jordan elimination with the same pivots would hold, so the result
+is the reduced row echelon form.  That form is unique, so kernel bases,
+solutions and inverses do not depend on which pivot rows are chosen.
+All arithmetic is exact: Python ints, Fraction and CycNum, with no
+floating-point, modular or probabilistic step.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .exact import CycNum
 
 __all__ = [
-    "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_add",
-    "mat_sub", "mat_scale", "mat_eq", "solve", "solve_matrix", "kernel",
-    "rank", "inverse", "det", "mat_pow", "row_span_coords",
+    "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
+    "solve", "solve_matrix", "kernel", "rank", "inverse", "det", "mat_pow",
+    "row_span_coords",
 ]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_C0 = CycNum()
 
 
 def identity(n):
@@ -44,18 +66,6 @@ def mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v) if x and y), _F0) for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_eq(a, b):
     if len(a) != len(b):
         return False
@@ -74,51 +84,202 @@ def mat_pow(a, n):
     return out
 
 
-def _row_weight(row):
-    return sum(1 for x in row if x)
+# -- integer rows ---------------------------------------------------------------
+#
+# A row over Z is a list of ints.  A row over Z[z] is a list whose entries
+# are 0 or a nonzero 4-tuple of ints (a, b, c, d) = a + bz + cz^2 + dz^3.
+
+def _is_cyclotomic(rows):
+    return any(isinstance(x, CycNum) and not x.is_rational()
+               for row in rows for x in row)
 
 
-def _echelon(a, b=None):
-    """In-place reduced row echelon form of a (and the same row ops on b).
+def _int_row(row):
+    """(ints, s): the rational row times s, as integers with gcd 1."""
+    row = [x.co[0] if isinstance(x, CycNum) else x for x in row]
+    d = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * d // x.denominator for x in row]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+        return ints, Fraction(d, g)
+    return ints, Fraction(d)
 
-    Returns the list of pivot columns.  Pivot rows are chosen among the
-    candidates by least number of nonzero entries.
+
+def _cyc_row(row):
+    """(ints, s): the row over Q(z) times s, over Z[z] with content 1."""
+    cos = [CycNum._from(x).co for x in row]
+    d = lcm(*[q.denominator for co in cos for q in co])
+    ints = [tuple(q.numerator * d // q.denominator for q in co)
+            if co[0] or co[1] or co[2] or co[3] else 0 for co in cos]
+    ints, g = _cyc_content(ints)
+    return ints, Fraction(d, g)
+
+
+def _cyc_content(ints):
+    """(ints / g, g) for g the gcd of the coefficients (1 for a zero row)."""
+    g = gcd(*[t for x in ints if x for t in x])
+    if g > 1:
+        return [tuple(t // g for t in x) if x else 0 for x in ints], g
+    return ints, 1
+
+
+def _zmul(a, b):
+    """Product in Z[z], reduced by z^4 = z^2 - 1 as in CycNum.__mul__."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if not (a1 or a2 or a3):
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+    if not (b1 or b2 or b3):
+        return (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
+    p4 = a1 * b3 + a2 * b2 + a3 * b1
+    p5 = a2 * b3 + a3 * b2
+    return (a0 * b0 - p4 - a3 * b3,
+            a0 * b1 + a1 * b0 - p5,
+            a0 * b2 + a1 * b1 + a2 * b0 + p4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5)
+
+
+def _rationalize(row, c, log):
+    """Multiply a Z[z] row by the conjugates of its entry at c (z -> z^5,
+    z^7, z^11), which makes that entry its norm, a rational integer."""
+    a, b, cc, d = row[c]
+    if not (b or cc or d):
+        return row
+    q = _zmul(_zmul((a + cc, -b, -cc, b + d), (a, -b, cc, -d)),
+              (a + cc, b, -cc, -b - d))
+    out, g = _cyc_content([_zmul(x, q) if x else 0 for x in row])
+    if log is not None:
+        log.append(CycNum(*q) / g)
+    return out
+
+
+def _int_step(row, p, f, prow, log):
+    """p * row - f * prow over Z, divided by its content."""
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    if p == 1:
+        out = [x - f * y if y else x for x, y in zip(row, prow)]
+    else:
+        out = [p * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    if g > 1:
+        out = [x // g for x in out]
+    if log is not None:
+        log.append(Fraction(p, g or 1))
+    return out
+
+
+def _cyc_step(row, p, f, prow, log):
+    """p * row - f * prow over Z[z] (p a rational integer), divided by its
+    content."""
+    g = gcd(p, *f)
+    if g > 1:
+        p //= g
+        f = tuple(t // g for t in f)
+    out = []
+    for x, y in zip(row, prow):
+        if y:
+            w = _zmul(f, y)
+            if x:
+                w = (p * x[0] - w[0], p * x[1] - w[1],
+                     p * x[2] - w[2], p * x[3] - w[3])
+            else:
+                w = (-w[0], -w[1], -w[2], -w[3])
+            out.append(w if w[0] or w[1] or w[2] or w[3] else 0)
+        elif x and p != 1:
+            out.append((p * x[0], p * x[1], p * x[2], p * x[3]))
+        else:
+            out.append(x)
+    out, g = _cyc_content(out)
+    if log is not None:
+        log.append(Fraction(p, g))
+    return out
+
+
+def _echelon(rows, ncols, cyc, log=None):
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Pivots are sought in the first ncols columns; further columns (a
+    right-hand side) ride along.  The pivot row is the sparsest row with
+    a nonzero entry in the column, and the entries below each pivot are
+    cleared, which leaves row echelon form.  Returns the pivot columns.
+    When log is a list, every factor by which a row is scaled is appended
+    to it, and -1 for every swap, so that det can undo them.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    piv_cols = []
+    step = _cyc_step if cyc else _int_step
+    m = len(rows)
+    piv = []
     r = 0
-    for c in range(n):
-        best = None
-        best_w = None
-        for i in range(r, m):
-            if a[i][c]:
-                w = _row_weight(a[i])
-                if best is None or w < best_w:
-                    best, best_w = i, w
-        if best is None:
-            continue
-        if best != r:
-            a[r], a[best] = a[best], a[r]
-            if b is not None:
-                b[r], b[best] = b[best], b[r]
-        p = a[r][c]
-        if p != 1:
-            inv = 1 / p if isinstance(p, Fraction) else p.inverse()
-            a[r] = [x * inv for x in a[r]]
-            if b is not None:
-                b[r] = [x * inv for x in b[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                if b is not None:
-                    b[i] = [x - f * y for x, y in zip(b[i], b[r])]
-        piv_cols.append(c)
-        r += 1
+    for c in range(ncols):
         if r == m:
             break
-    return piv_cols
+        i = None
+        for k in range(r, m):
+            if rows[k][c]:
+                blank = rows[k].count(0)
+                if i is None or blank > most:
+                    i, most = k, blank
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            if log is not None:
+                log.append(-1)
+        if cyc:
+            rows[r] = _rationalize(rows[r], c, log)
+        prow = rows[r]
+        p = _pivot(prow, c, cyc)
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f:
+                rows[i] = step(rows[i], p, f, prow, log)
+        piv.append(c)
+        r += 1
+    return piv
+
+
+def _reduce(rows, piv, cyc):
+    """Clear the entries above the pivots of an echelon form, in place,
+    leaving each pivot row a multiple of its row in the reduced form."""
+    step = _cyc_step if cyc else _int_step
+    for r in range(len(piv) - 1, 0, -1):
+        c = piv[r]
+        prow = rows[r]
+        p = _pivot(prow, c, cyc)
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = step(rows[i], p, f, prow, None)
+
+
+def _pivot(row, c, cyc):
+    return row[c][0] if cyc else row[c]
+
+
+def _prepare(a, rhs=None, log=None):
+    """Integer rows of [a | rhs], converted one at a time, and whether
+    they are over Z[z]."""
+    cyc = _is_cyclotomic(a) or (rhs is not None and _is_cyclotomic(rhs))
+    conv = _cyc_row if cyc else _int_row
+    rows = []
+    for i, row in enumerate(a):
+        ints, s = conv(row if rhs is None else list(row) + list(rhs[i]))
+        rows.append(ints)
+        if log is not None:
+            log.append(s)
+    return rows, cyc
+
+
+def _quotients(row, p, cyc):
+    """The entries of an integer row divided by the integer p."""
+    if not cyc:
+        return [Fraction(x, p) for x in row]
+    return [CycNum._raw((Fraction(x[0], p), Fraction(x[1], p),
+                         Fraction(x[2], p), Fraction(x[3], p))) if x else _C0
+            for x in row]
 
 
 def solve_matrix(a, rhs):
@@ -133,18 +294,17 @@ def solve_matrix(a, rhs):
                          % (m, len(rhs)))
     if any(len(row) != n for row in a):
         raise ValueError("ragged coefficient matrix")
-    aug = [row[:] for row in a]
-    r = [row[:] for row in rhs]
-    piv = _echelon(aug, r)
-    k = len(rhs[0]) if rhs else 0
-    # after rref every row past the pivots is zero, so a nonzero rhs there
-    # means the system is inconsistent
+    rows, cyc = _prepare(a, rhs)
+    piv = _echelon(rows, n, cyc)
+    # every row past the pivots is zero on the left, so a nonzero
+    # right-hand side there means the system is inconsistent
     for i in range(len(piv), m):
-        if any(r[i][t] for t in range(k)):
+        if any(rows[i][n:]):
             return None
-    x = zeros(n, k)
-    for i, c in enumerate(piv):
-        x[c] = r[i][:]
+    _reduce(rows, piv, cyc)
+    x = zeros(n, len(rhs[0]) if rhs else 0)
+    for row, c in zip(rows, piv):
+        x[c] = _quotients(row[n:], _pivot(row, c, cyc), cyc)
     return x
 
 
@@ -160,57 +320,55 @@ def kernel(a):
     """Basis of the right kernel of A, as a list of vectors."""
     m = len(a)
     n = len(a[0]) if m else 0
-    red = [row[:] for row in a]
-    piv = _echelon(red)
+    rows, cyc = _prepare(a)
+    piv = _echelon(rows, n, cyc)
     piv_set = set(piv)
     free = [c for c in range(n) if c not in piv_set]
+    if not free:
+        return []
+    _reduce(rows, piv, cyc)
+    # the free columns of each pivot row, over its pivot
+    cols = [_quotients([row[fc] for fc in free], _pivot(row, c, cyc), cyc)
+            for row, c in zip(rows, piv)]
     basis = []
-    for fc in free:
+    for j, fc in enumerate(free):
         v = [_F0] * n
         v[fc] = _F1
-        for i, c in enumerate(piv):
-            v[c] = -red[i][fc]
+        for col, c in zip(cols, piv):
+            v[c] = -col[j]
         basis.append(v)
     return basis
 
 
 def rank(a):
-    red = [row[:] for row in a]
-    return len(_echelon(red))
+    n = len(a[0]) if a else 0
+    rows, cyc = _prepare(a)
+    return len(_echelon(rows, n, cyc))
 
 
 def inverse(a):
     n = len(a)
-    red = [row[:] for row in a]
-    inv = identity(n)
-    piv = _echelon(red, inv)
+    rows, cyc = _prepare(a, identity(n))
+    piv = _echelon(rows, n, cyc)
     if len(piv) != n:
         raise ValueError("matrix is singular")
-    return inv
+    _reduce(rows, piv, cyc)
+    return [_quotients(row[n:], _pivot(row, c, cyc), cyc)
+            for row, c in zip(rows, piv)]
 
 
 def det(a):
     n = len(a)
-    m = [row[:] for row in a]
+    log = []
+    rows, cyc = _prepare(a, log=log)
+    if len(_echelon(rows, n, cyc, log)) != n:
+        return _F0
+    # the product of the integer pivots is det(a) times every logged factor
     d = _F1
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if m[i][c]:
-                p = i
-                break
-        if p is None:
-            return _F0 * d
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            d = -d
-        pv = m[c][c]
-        d = d * pv
-        inv = 1 / pv if isinstance(pv, Fraction) else pv.inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    for i, row in enumerate(rows):
+        d *= _pivot(row, i, cyc)
+    for s in log:
+        d /= s
     return d
 
 

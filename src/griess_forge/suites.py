@@ -16,7 +16,7 @@ from . import minimal
 
 F = Fraction
 
-__all__ = ["SUITES", "run_suite", "suite_names"]
+__all__ = ["SUITES", "run_suite", "suite_names", "nine_orbit_scan"]
 
 
 def _timed(fn):
@@ -207,15 +207,29 @@ def suite_involutions(node):
     return rep
 
 
+_NINE_ORBIT_SCAN = []
+
+
+def nine_orbit_scan():
+    """The closure algebra of the nine twisted Ising vectors and the tau
+    scan over them, (algebra, orders, violations, maps); computed once per
+    process."""
+    if not _NINE_ORBIT_SCAN:
+        from .commutants import nine_orbit_algebra
+        from .involutions import transposition_scan
+        fd12, _side, _chars, orbit = nine_orbit_algebra()
+        _NINE_ORBIT_SCAN.append(
+            (fd12,) + tuple(transposition_scan(fd12, orbit, "tau_ising")))
+    return _NINE_ORBIT_SCAN[0]
+
+
 @_timed
 def suite_e8_orbit():
-    from .commutants import nine_orbit_algebra
-    from .involutions import transposition_scan, group_closure
+    from .involutions import group_closure
     rep = Report("involutions-e8-orbit")
-    fd12, side, chars, orbit = nine_orbit_algebra()
+    fd12, orders, violations, maps = nine_orbit_scan()
     rep.add("orbit-dim", "closure dimension of the nine twisted Ising vectors",
             "span closure in the 3A commutant", 12, fd12.dim)
-    orders, violations, maps = transposition_scan(fd12, orbit, "tau_ising")
     off = sorted({orders[i][j] for i in range(9) for j in range(9) if i != j})
     rep.add("pairwise-orders", "off-diagonal tau pair orders",
             "pairwise scan", [3], off)

@@ -329,7 +329,7 @@ class W2Algebra:
 
 def conformal_vector(alg):
     """The Heisenberg conformal vector; acts as 2 on the whole weight-two space."""
-    ginv = q_inverse([[Fraction(x) for x in row] for row in alg.lattice.gram])
+    ginv = q_inverse(alg.lattice.gram)
     heis = {}
     for i in range(alg.rank):
         for j in range(i, alg.rank):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from griess_forge.exact import CycNum, zeta
 from griess_forge import linalg as la
@@ -88,3 +89,152 @@ def test_snf_random(a):
     for i in range(n - 1):
         assert diag[i + 1] % diag[i] == 0
     assert abs(int_det(u)) == 1 and abs(int_det(v)) == 1
+
+
+# -- the elimination core against a plain field Gauss-Jordan ------------------
+
+def ref_rref(a, ncols):
+    """Field Gauss-Jordan on a copy of a: (rref, pivot columns, det factor).
+
+    The factor is the product of the pivots met and of -1 per swap, which
+    is the determinant when a is square and of full rank.
+    """
+    a = [row[:] for row in a]
+    piv, d, r = [], F(1), 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            d = -d
+        d = d * a[r][c]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv.append(c)
+        r += 1
+    return a, piv, d
+
+
+def ref_kernel(a):
+    n = len(a[0])
+    red, piv, _ = ref_rref(a, n)
+    basis = []
+    for fc in (c for c in range(n) if c not in piv):
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for i, c in enumerate(piv):
+            v[c] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve_matrix(a, rhs):
+    n = len(a[0])
+    red, piv, _ = ref_rref([r + s for r, s in zip(a, rhs)], n)
+    if any(any(row[n:]) for row in red[len(piv):]):
+        return None
+    x = [[F(0)] * len(rhs[0]) for _ in range(n)]
+    for i, c in enumerate(piv):
+        x[c] = red[i][n:]
+    return x
+
+
+def ref_det(a):
+    _, piv, d = ref_rref(a, len(a))
+    return d if len(piv) == len(a) else 0
+
+
+def ref_inverse(a):
+    n = len(a)
+    red, piv, _ = ref_rref([r + e for r, e in zip(a, la.identity(n))], n)
+    return [row[n:] for row in red] if len(piv) == n else None
+
+
+_rational = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+_cyclotomic = st.one_of(_rational, st.builds(CycNum, _rational, _rational,
+                                             _rational, _rational))
+
+
+@st.composite
+def matrices(draw, entry, max_rows=7, max_cols=7, square=False):
+    """Random m x n matrices: wide and tall, with a dependent row, a zero
+    row or a zero column mixed in."""
+    m = draw(st.integers(1, max_rows))
+    n = m if square else draw(st.integers(1, max_cols))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        c, d = draw(entry), draw(entry)
+        a[i] = [c * x + d * y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, m - 1))] = [F(0)] * n
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = F(0)
+    return a
+
+
+def _check_against_reference(a, rhs):
+    assert la.kernel(a) == ref_kernel(a)
+    assert la.rank(a) == len(ref_rref(a, len(a[0]))[1])
+    assert la.solve_matrix(a, rhs) == ref_solve_matrix(a, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(_rational), st.data())
+def test_core_matches_field_elimination_over_q(a, data):
+    rhs = data.draw(st.lists(st.lists(_rational, min_size=2, max_size=2),
+                             min_size=len(a), max_size=len(a)))
+    _check_against_reference(a, rhs)
+    ints = [[x.numerator for x in row] for row in a]
+    assert la.kernel(ints) == ref_kernel([[F(x) for x in row] for row in ints])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(_cyclotomic, max_rows=4, max_cols=4), st.data())
+def test_core_matches_field_elimination_over_qz(a, data):
+    rhs = data.draw(st.lists(st.lists(_cyclotomic, min_size=2, max_size=2),
+                             min_size=len(a), max_size=len(a)))
+    _check_against_reference(a, rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(_rational, square=True),
+                 matrices(_cyclotomic, max_rows=4, square=True)))
+def test_inverse_and_det_match_field_elimination(a):
+    assert la.det(a) == ref_det(a)
+    want = ref_inverse(a)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            la.inverse(a)
+    else:
+        assert la.inverse(a) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(_rational), matrices(_cyclotomic, max_rows=4, max_cols=4)),
+       st.data())
+def test_inconsistent_system_has_no_solution(a, data):
+    # a zero row with a nonzero right-hand side cannot be satisfied
+    i = data.draw(st.integers(0, len(a) - 1))
+    a[i] = [F(0)] * len(a[0])
+    rhs = [[F(0)] for _ in a]
+    rhs[i] = [data.draw(st.sampled_from([F(1), F(-2, 3), zeta(12)]))]
+    assert ref_solve_matrix(a, rhs) is None
+    assert la.solve_matrix(a, rhs) is None
+    assert la.solve(a, [r[0] for r in rhs]) is None
+
+
+def test_det_over_cyclotomic_field():
+    z = zeta(12)
+    a = [[z, F(1), F(0)], [F(2), z * z, F(1, 3)], [F(0), F(5), z ** 3]]
+    assert la.det(a) == ref_det(a)
+    assert la.det([[z, z], [z, z]]) == 0

@@ -112,6 +112,30 @@ def test_cli_code_file(tmp_path):
     assert by_id["min-weight"]["computed"] == "3"
 
 
+def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkeypatch):
+    # det is integer Bareiss elimination against elimination over Q, and the
+    # code size is the word count against 3^(rank of the generators mod 3)
+    from griess_forge import codes, intmat, linalg
+    spec = tmp_path / "code.txt"
+    spec.write_text("name: tetra\nlength: 4\ngenerators:\n1 1 1 0\n1 -1 0 1\n")
+    argv_lattice = ["--out", str(tmp_path), "lattice", "E8"]
+    argv_code = ["--out", str(tmp_path), "code", str(spec)]
+    assert cli.main(argv_lattice) == 0
+    assert cli.main(argv_code) == 0
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "det", lambda a: F(2))
+        assert cli.main(argv_lattice) == 1
+    with monkeypatch.context() as m:
+        m.setattr(intmat, "int_det", lambda a: 2)
+        assert cli.main(argv_lattice) == 1
+    with monkeypatch.context() as m:
+        m.setattr(codes.TernaryCode, "dimension", lambda self: 3)
+        assert cli.main(argv_code) == 1
+    with monkeypatch.context() as m:
+        m.setattr(codes.TernaryCode, "__len__", lambda self: 27)
+        assert cli.main(argv_code) == 1
+
+
 def test_cli_commutant_exports_tables(tmp_path):
     r = _cli("--out", str(tmp_path), "--md", "commutant", "2A", "--export-tables")
     assert r.returncode == 0
@@ -159,3 +183,26 @@ def test_cli_scan_export(tmp_path):
     assert len(data["pairs"]) == 36
     assert all(p["order"] == 3 for p in data["pairs"])
     assert data["violations"] == []
+
+
+def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
+    # the suite and the scan export share one orbit closure and one tau scan
+    from griess_forge import commutants, involutions
+    calls = {"closure": 0, "scan": 0}
+    closure, scan = commutants.nine_orbit_algebra, involutions.transposition_scan
+
+    def counted_closure():
+        calls["closure"] += 1
+        return closure()
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(commutants, "_NINE_ORBIT", [])
+    monkeypatch.setattr(suites, "_NINE_ORBIT_SCAN", [])
+    monkeypatch.setattr(commutants, "nine_orbit_algebra", counted_closure)
+    monkeypatch.setattr(involutions, "transposition_scan", counted_scan)
+    assert cli.main(["--out", str(tmp_path), "involutions", "e8-orbit"]) == 0
+    assert (tmp_path / "scan-e8-orbit.json").exists()
+    assert calls == {"closure": 1, "scan": 1}
