@@ -213,14 +213,13 @@ def fd_from_elements(alg, elems, names, frame_size=None):
         for j in range(i, dim):
             products[(i, j)] = alg.product(elems[i], elems[j])
     # one batched solve: columns are the products expressed over the span
-    a = [[rows[i][t] for i in range(dim)] for t in range(len(rows[0]))]
+    a = [list(col) for col in zip(*rows)]
     keys = sorted(products)
-    rhs = [[alg.signed_coords(products[k])[t] for k in keys]
-           for t in range(len(rows[0]))]
-    x = solve_matrix(a, rhs)
+    cols = [alg.signed_coords(products[k]) for k in keys]
+    x = solve_matrix(a, [list(row) for row in zip(*cols)])
     if x is None:
-        for (i, j) in keys:
-            if row_span_coords(rows, alg.signed_coords(products[(i, j)])) is None:
+        for (i, j), col in zip(keys, cols):
+            if row_span_coords(rows, col) is None:
                 raise ValueError("product %s . %s leaves the span"
                                  % (names[i], names[j]))
         raise ValueError("products leave the span")
@@ -662,8 +661,9 @@ def u3a_griess(source="table"):
     Orbit mode closes span{e, chi e, chi^2 e} for the special Ising vector
     e of sqrt(2)E8 and the order-3 character chi of E8/(A2 + E6), checks
     the closure is four-dimensional, and returns the algebra on the basis
-    (w1, w2, X+, X-) recovered from the orbit; the structure constants are
-    asserted equal to the table.
+    (w1, w2, X+, X-) recovered from the orbit.  Its structure constants are
+    computed, not compared: the u3a-orbit suite checks them against the
+    table.
     """
     if source == "table":
         return u3a_table()
@@ -694,11 +694,7 @@ def u3a_griess(source="table"):
     if alg.product(xp, xp) != xm.scale(F(20)):
         xp, xm = xm, xp
     elems = [w1, w2, xp, xm]
-    fd = fd_from_elements(alg, elems, ["w1", "w2", "Xp", "Xm"])
-    ref = u3a_table()
-    if fd.mult != ref.mult or fd.gram != ref.gram:
-        raise AssertionError("orbit algebra does not match the reference table")
-    return fd
+    return fd_from_elements(alg, elems, ["w1", "w2", "Xp", "Xm"])
 
 
 _NINE_ORBIT = []

@@ -11,6 +11,7 @@ rationals and only promote where a root of unity actually enters.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["CycNum", "zeta", "sqrt3", "cyc", "rational_str", "coeff_str"]
 
@@ -240,3 +241,55 @@ def coeff_str(x):
             continue
         parts.append(rational_str(q) if not name else "%s*%s" % (rational_str(q), name))
     return " + ".join(parts) if parts else "0"
+
+
+# -- integer rows over Z[z] ------------------------------------------------------
+#
+# An element of Z[z] is a 4-tuple of ints (a, b, c, d) = a + bz + cz^2 + dz^3,
+# multiplied by _zmul with the reduction z^4 = z^2 - 1 of CycNum.__mul__.  A
+# row is a list whose entries are 0 or a nonzero 4-tuple.  linalg eliminates
+# on such rows and w2 multiplies weight-two vectors in them.
+
+def _cyc_row(row):
+    """(ints, s): the row over Q(z) times s, over Z[z] with content 1."""
+    cos = [CycNum._from(x).co for x in row]
+    d = lcm(*[q.denominator for co in cos for q in co])
+    ints = [tuple(q.numerator * d // q.denominator for q in co)
+            if co[0] or co[1] or co[2] or co[3] else 0 for co in cos]
+    ints, g = _cyc_content(ints)
+    return ints, Fraction(d, g)
+
+
+def _cyc_content(ints):
+    """(ints / g, g) for g the gcd of the coefficients (1 for a zero row)."""
+    g = gcd(*[t for x in ints if x for t in x])
+    if g > 1:
+        return [tuple(t // g for t in x) if x else 0 for x in ints], g
+    return ints, 1
+
+
+def _zmul(a, b):
+    """Product in Z[z], reduced by z^4 = z^2 - 1 as in CycNum.__mul__."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if not (a1 or a2 or a3):
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+    if not (b1 or b2 or b3):
+        return (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
+    p4 = a1 * b3 + a2 * b2 + a3 * b1
+    p5 = a2 * b3 + a3 * b2
+    return (a0 * b0 - p4 - a3 * b3,
+            a0 * b1 + a1 * b0 - p5,
+            a0 * b2 + a1 * b1 + a2 * b0 + p4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5)
+
+
+def _zdiv(x, s):
+    """The Z[z] element x over the positive rational s: a Fraction when x is
+    rational, a CycNum otherwise."""
+    n, d = s.denominator, s.numerator
+    a, b, c, e = x
+    if not (b or c or e):
+        return Fraction(a * n, d)
+    return CycNum._raw((Fraction(a * n, d), Fraction(b * n, d),
+                        Fraction(c * n, d), Fraction(e * n, d)))

@@ -15,7 +15,9 @@ coefficients (Bareiss, Math. Comp. 22, 1968, with the row content in
 place of the fixed divisor).  Over Z[z] a pivot row is first multiplied
 by the other three Galois conjugates of its pivot, so every pivot is a
 rational integer and a step scales rows by integers only.  Only at the
-end is each pivot row divided by its pivot.
+end is each pivot row divided by its pivot.  The Z[z] row format and its
+helpers (``_cyc_row``, ``_zmul``) live in ``exact``, which owns the format
+for this module and for the weight-two product in ``w2``.
 
 Each integer row stays a nonzero multiple of the row that field
 Gauss-Jordan elimination with the same pivots would hold, so the result
@@ -28,7 +30,7 @@ floating-point, modular or probabilistic step.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import CycNum
+from .exact import CycNum, _cyc_content, _cyc_row, _zmul
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
@@ -104,40 +106,6 @@ def _int_row(row):
         ints = [x // g for x in ints]
         return ints, Fraction(d, g)
     return ints, Fraction(d)
-
-
-def _cyc_row(row):
-    """(ints, s): the row over Q(z) times s, over Z[z] with content 1."""
-    cos = [CycNum._from(x).co for x in row]
-    d = lcm(*[q.denominator for co in cos for q in co])
-    ints = [tuple(q.numerator * d // q.denominator for q in co)
-            if co[0] or co[1] or co[2] or co[3] else 0 for co in cos]
-    ints, g = _cyc_content(ints)
-    return ints, Fraction(d, g)
-
-
-def _cyc_content(ints):
-    """(ints / g, g) for g the gcd of the coefficients (1 for a zero row)."""
-    g = gcd(*[t for x in ints if x for t in x])
-    if g > 1:
-        return [tuple(t // g for t in x) if x else 0 for x in ints], g
-    return ints, 1
-
-
-def _zmul(a, b):
-    """Product in Z[z], reduced by z^4 = z^2 - 1 as in CycNum.__mul__."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    if not (a1 or a2 or a3):
-        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-    if not (b1 or b2 or b3):
-        return (b0 * a0, b0 * a1, b0 * a2, b0 * a3)
-    p4 = a1 * b3 + a2 * b2 + a3 * b1
-    p5 = a2 * b3 + a3 * b2
-    return (a0 * b0 - p4 - a3 * b3,
-            a0 * b1 + a1 * b0 - p5,
-            a0 * b2 + a1 * b1 + a2 * b0 + p4,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5)
 
 
 def _rationalize(row, c, log):

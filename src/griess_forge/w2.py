@@ -29,10 +29,27 @@ pair by <e^beta, e^gamma> = delta_{beta+gamma,0}, mixed pairs vanish,
 <b(-2), c(-2)> = 2 <b,c>.  The d2 cases follow from sliding the degree
 shift through the translation operator; the conformal vector acting as 2
 on b(-2) pins them down.
+
+The product is an integer kernel.  Each operand's coefficients (int,
+Fraction or CycNum) are scaled by one rational into elements of Z[z], the
+4-tuples of ``exact``; the case table is summed in int-tuple arithmetic at
+twice its value, so the 1/2 of e^beta . e^-beta stays integral; and each
+output entry is divided once at the end, to a Fraction when it is rational
+and a CycNum otherwise.  Z[z] is a ring and each scale is one exact
+rational, so the result equals the term-by-term sum over Q(z).  The
+exponential-exponential case walks a neighbour table built on the first
+such product: for each norm-4 beta, its negative and the gamma with
+<beta, gamma> = -2 next to beta + gamma (56 of them for sqrt(2)E8), all
+as the tuples of ``vectors4``.  The walk runs over the smaller operand's
+exponentials and looks each neighbour up in the other, so pairs with
+<beta, gamma> >= 0, which contribute nothing, are never visited.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 
+from .exact import _cyc_row, _zdiv, _zmul
 from .lattices import short_vectors, Sublattice, quotient_structure
 from .linalg import inverse as q_inverse
 
@@ -132,6 +149,38 @@ def _acc(d, k, v):
             del d[k]
 
 
+def _zacc(d, k, c, x):
+    """d[k] += c * x for an int c and a Z[z] element x."""
+    if c:
+        w = d.get(k)
+        if w is None:
+            d[k] = (c * x[0], c * x[1], c * x[2], c * x[3])
+        else:
+            d[k] = (w[0] + c * x[0], w[1] + c * x[1],
+                    w[2] + c * x[2], w[3] + c * x[3])
+
+
+def _weight(heis, d2, gb):
+    """sum x_ij <b_i,beta><b_j,beta> - sum x_i <b_i,beta> over Z[z], with
+    gb the pairings of beta with the basis."""
+    w0 = w1 = w2 = w3 = 0
+    for (i, j), (x0, x1, x2, x3) in heis.items():
+        m = gb[i] * gb[j]
+        if m:
+            w0 += m * x0
+            w1 += m * x1
+            w2 += m * x2
+            w3 += m * x3
+    for i, (x0, x1, x2, x3) in d2.items():
+        m = gb[i]
+        if m:
+            w0 -= m * x0
+            w1 -= m * x1
+            w2 -= m * x2
+            w3 -= m * x3
+    return (w0, w1, w2, w3)
+
+
 class W2Algebra:
     """The weight-two machinery of one doubly even lattice."""
 
@@ -158,10 +207,12 @@ class W2Algebra:
                            for j in range(i, self.rank)]
         self.heis_index = {p: k for k, p in enumerate(self.heis_pairs)}
         self.dim = len(self.heis_pairs) + len(self.classes)
+        self._pos = {v: i for i, v in enumerate(self.vectors4)}
         self._gv = {}
         for v in self.vectors4:
             self._gv[v] = tuple(sum(g[i][j] * v[j] for j in range(self.rank))
                                 for i in range(self.rank))
+        self._nbrs = None
 
     # -- bases -------------------------------------------------------------
 
@@ -211,7 +262,7 @@ class W2Algebra:
         for k, v in elem.heis.items():
             out[self.heis_index[k]] = v
         nh = len(self.heis_pairs)
-        pos = {v: i for i, v in enumerate(self.vectors4)}
+        pos = self._pos
         for k, v in elem.exps.items():
             out[nh + pos[k]] = v
         base = nh + len(self.vectors4)
@@ -221,75 +272,105 @@ class W2Algebra:
 
     # -- product and form ----------------------------------------------------
 
-    def gvec(self, v):
-        gv = self._gv.get(v)
-        if gv is None:
-            g = self.lattice.gram
-            gv = tuple(sum(g[i][j] * v[j] for j in range(self.rank))
-                       for i in range(self.rank))
-            self._gv[v] = gv
-        return gv
+    def _zform(self, elem):
+        """(heis, exps, d2, s): the coefficients of elem over Z[z], all three
+        parts scaled by one rational s.  Raises on an exponential key that is
+        not a norm-4 vector of the lattice."""
+        for k in elem.exps:
+            if k not in self._pos:
+                raise ValueError("exponential key %r is not a norm-4 vector of %s"
+                                 % (k, self.name or "the lattice"))
+        parts = (elem.heis, elem.exps, elem.d2)
+        ints, s = _cyc_row([v for part in parts for v in part.values()])
+        it = iter(ints)
+        heis, exps, d2 = ({k: x for k, x in zip(part, it) if x} for part in parts)
+        return heis, exps, d2, s
+
+    def _neighbours(self):
+        """For each norm-4 beta, (-beta, (g1, beta+g1, g2, beta+g2, ...)) over
+        the gamma with <beta, gamma> = -2, every entry a tuple of vectors4.
+        Built on the first product of two exponential parts."""
+        if self._nbrs is None:
+            vecs, pos = self.vectors4, self._pos
+            table = {}
+            for beta in vecs:
+                gb = self._gv[beta]
+                neg, flat = None, []
+                for gamma in vecs:
+                    p = sum(map(mul, gb, gamma))
+                    if p == -2:
+                        flat.append(gamma)
+                        flat.append(vecs[pos[tuple(map(add, beta, gamma))]])
+                    elif p == -4:
+                        if gamma != tuple(-t for t in beta):
+                            raise AssertionError("pairing -4 must mean gamma = -beta")
+                        neg = gamma
+                table[beta] = (neg, tuple(flat))
+            self._nbrs = table
+        return self._nbrs
 
     def product(self, a, b):
-        """The weight-two component of the degree-one product a . b."""
+        """The weight-two component of the degree-one product a . b.
+
+        Both operands are scaled to integers over Z[z]; the sum is kept at
+        twice its value, so the 1/2 of e^beta . e^-beta stays integral, and
+        each entry is divided once at the end.
+        """
+        ah, ae, ad2, sa = self._zform(a)
+        bh, be, bd2, sb = self._zform(b)
         g = self.lattice.gram
         out_h, out_e, out_d = {}, {}, {}
-        ah, bh = a.heis, b.heis
-        ae, be = a.exps, b.exps
-        ad2, bd2 = a.d2, b.d2
-        if ad2 or bd2:
-            for dd, hh in ((ad2, bh), (bd2, ah)):
-                for i, x in dd.items():
-                    for (k, l), y in hh.items():
-                        s = 2 * x * y
-                        _acc(out_d, l, g[i][k] * s)
-                        _acc(out_d, k, g[i][l] * s)
-            for dd, ee in ((ad2, be), (bd2, ae)):
-                for i, x in dd.items():
-                    for gamma, y in ee.items():
-                        _acc(out_e, gamma, -self.gvec(gamma)[i] * (x * y))
+        for dd, hh in ((ad2, bh), (bd2, ah)):
+            for i, x in dd.items():
+                gi = g[i]
+                for (k, l), y in hh.items():
+                    s = _zmul(x, y)
+                    _zacc(out_d, l, 4 * gi[k], s)
+                    _zacc(out_d, k, 4 * gi[l], s)
         if ah and bh:
             for (i, j), x in ah.items():
+                gi, gj = g[i], g[j]
                 for (k, l), y in bh.items():
-                    s = x * y
-                    _acc(out_h, (j, l) if j <= l else (l, j), g[i][k] * s)
-                    _acc(out_h, (j, k) if j <= k else (k, j), g[i][l] * s)
-                    _acc(out_h, (i, l) if i <= l else (l, i), g[j][k] * s)
-                    _acc(out_h, (i, k) if i <= k else (k, i), g[j][l] * s)
-        if ah and be:
-            for (i, j), x in ah.items():
-                for beta, y in be.items():
-                    gb = self.gvec(beta)
-                    _acc(out_e, beta, gb[i] * gb[j] * x * y)
-        if ae and bh:
-            for (k, l), y in bh.items():
-                for beta, x in ae.items():
-                    gb = self.gvec(beta)
-                    _acc(out_e, beta, gb[k] * gb[l] * x * y)
+                    s = _zmul(x, y)
+                    _zacc(out_h, (j, l) if j <= l else (l, j), 2 * gi[k], s)
+                    _zacc(out_h, (j, k) if j <= k else (k, j), 2 * gi[l], s)
+                    _zacc(out_h, (i, l) if i <= l else (l, i), 2 * gj[k], s)
+                    _zacc(out_h, (i, k) if i <= k else (k, i), 2 * gj[l], s)
+        # (b b') . e^beta and c(-2) . e^beta are e^beta times a weight of beta
+        for hh, dd, ee in ((ah, ad2, be), (bh, bd2, ae)):
+            if ee and (hh or dd):
+                for beta, y in ee.items():
+                    w = _weight(hh, dd, self._gv[beta])
+                    if w[0] or w[1] or w[2] or w[3]:
+                        _zacc(out_e, beta, 2, _zmul(w, y))
         if ae and be:
-            for beta, x in ae.items():
-                gb = self.gvec(beta)
-                nb = tuple(-t for t in beta)
-                for gamma, y in be.items():
-                    p = sum(gb[i] * gamma[i] for i in range(self.rank) if gamma[i])
-                    if p == -2:
-                        _acc(out_e, tuple(beta[i] + gamma[i] for i in range(self.rank)),
-                             x * y)
-                    elif p == -4:
-                        if gamma != nb:
-                            raise AssertionError("pairing -4 must mean gamma = -beta")
-                        s = _HALF * x * y
-                        for i in range(self.rank):
-                            bi = beta[i]
-                            if not bi:
-                                continue
-                            _acc(out_d, i, s * bi)
-                            for j in range(i, self.rank):
-                                bj = beta[j]
-                                if bj:
-                                    _acc(out_h, (i, j),
-                                         s * bi * bj * (2 if i != j else 1))
-        return W2Element(out_h, out_e, out_d)
+            # walk the neighbours of the smaller part; the d2 term of
+            # e^beta . e^-beta is odd in beta, so it flips with the order
+            if len(ae) <= len(be):
+                outer, inner, sign = ae, be, 1
+            else:
+                outer, inner, sign = be, ae, -1
+            nbrs = self._neighbours()
+            for beta, x in outer.items():
+                neg, flat = nbrs[beta]
+                it = iter(flat)
+                for gamma, key in zip(it, it):
+                    y = inner.get(gamma)
+                    if y is not None:
+                        _zacc(out_e, key, 2, _zmul(x, y))
+                y = inner.get(neg)
+                if y is not None:
+                    s = _zmul(x, y)
+                    nz = [(i, t) for i, t in enumerate(beta) if t]
+                    for n, (i, bi) in enumerate(nz):
+                        _zacc(out_d, i, sign * bi, s)
+                        _zacc(out_h, (i, i), bi * bi, s)
+                        for j, bj in nz[n + 1:]:
+                            _zacc(out_h, (i, j), 2 * bi * bj, s)
+        den = 2 * sa * sb
+        return W2Element({k: _zdiv(x, den) for k, x in out_h.items()},
+                         {k: _zdiv(x, den) for k, x in out_e.items()},
+                         {k: _zdiv(x, den) for k, x in out_d.items()})
 
     def form(self, a, b):
         """The normalized invariant bilinear form <a, b>."""
@@ -410,10 +491,7 @@ class CosetCharacter:
         if weights is None:
             weights = tuple(1 for _ in moduli)
         self.weights = tuple(weights)
-        exponent = 1
-        for m in moduli:
-            exponent = exponent * m // _igcd(exponent, m)
-        self.exponent = exponent
+        self.exponent = lcm(*moduli)
 
     def exponent_of(self, beta):
         cls = self.classify(beta)
@@ -427,7 +505,6 @@ class CosetCharacter:
         return zeta(self.exponent, self.exponent_of(beta))
 
     def order(self):
-        from math import gcd
         g = self.exponent
         for w, m in zip(self.weights, self.moduli):
             g = gcd(g, (w * (self.exponent // m)) % self.exponent)
@@ -451,9 +528,3 @@ class CosetCharacter:
         out.weights = tuple(w * k for w in self.weights)
         out.exponent = self.exponent
         return out
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

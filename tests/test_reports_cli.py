@@ -206,3 +206,22 @@ def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
     assert cli.main(["--out", str(tmp_path), "involutions", "e8-orbit"]) == 0
     assert (tmp_path / "scan-e8-orbit.json").exists()
     assert calls == {"closure": 1, "scan": 1}
+
+
+def test_cli_u3a_orbit_reports_mismatch(tmp_path, monkeypatch):
+    # an orbit algebra with one wrong constant is a failed check in a
+    # written report, not a crash
+    from griess_forge import commutants
+
+    def wrong_orbit(source="table"):
+        fd = commutants.u3a_table()
+        xp, xm = fd.index("Xp"), fd.index("Xm")
+        fd.mult[xp][xp] = [F(21) if k == xm else F(0) for k in range(fd.dim)]
+        return fd
+
+    monkeypatch.setattr(commutants, "u3a_griess", wrong_orbit)
+    assert cli.main(["--out", str(tmp_path), "u3a", "--from-orbit"]) == 1
+    data = json.loads((tmp_path / "report-u3a-orbit.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["orbit-match"]["status"] == "fail"
+    assert by_id["orbit-match"]["computed"] == "false"

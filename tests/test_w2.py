@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from griess_forge.exact import CycNum, zeta
 from griess_forge.lattices import build_root_lattice, affine_e6, node_sublattice
 from griess_forge.w2 import (
     W2Algebra, W2Element, conformal_vector, tilde_omega, virasoro_check,
@@ -163,3 +165,147 @@ def test_coset_sum_2a_node_in_e6():
     assert len(x.exps) == 40           # 72 - 32 roots of A1 + A5
     assert alg.form(x, x) == 40
     assert x.is_theta_even()
+
+
+# -- the integer product kernel against the pairwise Fraction/CycNum product
+
+_HALF = F(1, 2)
+
+
+def _acc(d, k, v):
+    if not v:
+        return
+    w = d.get(k)
+    if w is None:
+        d[k] = v
+    else:
+        w = w + v
+        if w:
+            d[k] = w
+        else:
+            del d[k]
+
+
+def reference_product(alg, a, b):
+    """The product as the pairwise scan over Fraction and CycNum
+    coefficients, term by term from the case table in the w2 docstring."""
+    g = alg.lattice.gram
+    rank = alg.rank
+
+    def gvec(v):
+        return tuple(sum(g[i][j] * v[j] for j in range(rank)) for i in range(rank))
+
+    out_h, out_e, out_d = {}, {}, {}
+    ah, bh = a.heis, b.heis
+    ae, be = a.exps, b.exps
+    ad2, bd2 = a.d2, b.d2
+    for dd, hh in ((ad2, bh), (bd2, ah)):
+        for i, x in dd.items():
+            for (k, l), y in hh.items():
+                s = 2 * x * y
+                _acc(out_d, l, g[i][k] * s)
+                _acc(out_d, k, g[i][l] * s)
+    for dd, ee in ((ad2, be), (bd2, ae)):
+        for i, x in dd.items():
+            for gamma, y in ee.items():
+                _acc(out_e, gamma, -gvec(gamma)[i] * (x * y))
+    for (i, j), x in ah.items():
+        for (k, l), y in bh.items():
+            s = x * y
+            _acc(out_h, (j, l) if j <= l else (l, j), g[i][k] * s)
+            _acc(out_h, (j, k) if j <= k else (k, j), g[i][l] * s)
+            _acc(out_h, (i, l) if i <= l else (l, i), g[j][k] * s)
+            _acc(out_h, (i, k) if i <= k else (k, i), g[j][l] * s)
+    for (i, j), x in ah.items():
+        for beta, y in be.items():
+            gb = gvec(beta)
+            _acc(out_e, beta, gb[i] * gb[j] * x * y)
+    for (k, l), y in bh.items():
+        for beta, x in ae.items():
+            gb = gvec(beta)
+            _acc(out_e, beta, gb[k] * gb[l] * x * y)
+    for beta, x in ae.items():
+        gb = gvec(beta)
+        for gamma, y in be.items():
+            p = sum(gb[i] * gamma[i] for i in range(rank))
+            if p == -2:
+                _acc(out_e, tuple(beta[i] + gamma[i] for i in range(rank)), x * y)
+            elif p == -4:
+                assert gamma == tuple(-t for t in beta)
+                s = _HALF * x * y
+                for i in range(rank):
+                    if beta[i]:
+                        _acc(out_d, i, s * beta[i])
+                        for j in range(i, rank):
+                            if beta[j]:
+                                _acc(out_h, (i, j),
+                                     s * beta[i] * beta[j] * (2 if i != j else 1))
+    return W2Element(out_h, out_e, out_d)
+
+
+_ALGEBRAS = {}
+
+
+def small_algebra(name):
+    if name not in _ALGEBRAS:
+        _ALGEBRAS[name] = algebra(name[0], int(name[1:]))
+    return _ALGEBRAS[name]
+
+
+_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    _fractions,
+    st.builds(CycNum, _fractions, _fractions, _fractions, _fractions),
+    st.builds(CycNum, _fractions),                          # rational CycNum
+    st.builds(lambda k, c: zeta(12, k) * c, st.integers(0, 11), _fractions),
+)
+
+
+@st.composite
+def elements(draw, alg):
+    """A sparse element: Heisenberg pairs, exponentials (some with their
+    negative, some alone) and a b(-2) part."""
+    heis = draw(st.dictionaries(st.sampled_from(alg.heis_pairs), coefficients,
+                                max_size=6))
+    exps = {}
+    for beta in draw(st.lists(st.sampled_from(alg.vectors4), max_size=16)):
+        exps[beta] = draw(coefficients)
+        if draw(st.booleans()):
+            exps[tuple(-t for t in beta)] = draw(coefficients)
+    d2 = draw(st.dictionaries(st.integers(0, alg.rank - 1), coefficients,
+                              max_size=3))
+    return W2Element(heis, exps, d2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["A2", "D4", "E6"]))
+def test_product_matches_pairwise_reference(data, name):
+    alg = small_algebra(name)
+    a = data.draw(elements(alg))
+    b = data.draw(elements(alg))
+    assert alg.product(a, b) == reference_product(alg, a, b)
+
+
+def test_product_matches_reference_on_the_3a_orbit():
+    # chi e . chi^2 e for the special Ising vector e of sqrt(2)E8 and the
+    # order-3 character of E8/(A2 + E6): two full elements over Q(z12)
+    from griess_forge.commutants import e8_side
+    side = e8_side()
+    alg = side.alg
+    rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
+    chi = side.character(rows, orders=3)
+    e1 = chi.apply(side.ehat)
+    e2 = chi.power(2).apply(side.ehat)
+    assert len(e1.exps) == len(e2.exps) == 240
+    assert alg.product(e1, e2) == reference_product(alg, e1, e2)
+
+
+def test_product_rejects_keys_outside_the_norm4_vectors():
+    alg = small_algebra("A2")
+    good = alg.basis_element(alg.dim - 1)
+    bad = W2Element(exps={(2, 0): F(1)})
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+        alg.product(bad, good)
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+        alg.product(good, bad)
