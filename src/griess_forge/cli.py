@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .report import Report, fmt
 from .suites import SUITES, run_suite
@@ -267,24 +266,10 @@ def _export_tables(outdir, name):
 
 
 def cmd_report_all(args):
-    names = list(_FAST_SUITES) + ["leech"]
-    threads = int(os.environ.get("GRIESS_FORGE_THREADS", "1") or 1)
-    reports = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(run_suite, name,
-                                         **({"skip_slow": args.skip_slow}
-                                            if name == "leech" else {}))
-                       for name in names}
-            for name in names:
-                reports[name] = futures[name].result()
-    else:
-        for name in names:
-            kwargs = {"skip_slow": args.skip_slow} if name == "leech" else {}
-            reports[name] = run_suite(name, **kwargs)
     ok = True
-    for name in names:
-        ok = _write_report(reports[name], args.out, args.md) and ok
+    for name in list(_FAST_SUITES) + ["leech"]:
+        kwargs = {"skip_slow": args.skip_slow} if name == "leech" else {}
+        ok = _write_report(run_suite(name, **kwargs), args.out, args.md) and ok
     return 0 if ok else 1
 
 

@@ -12,19 +12,35 @@ structure-constant algebras and checked for closure on the nose.
 The reference tables (node algebras, the four-dimensional two-generator
 algebra, the eight-dimensional order-6 algebra) are shipped as literal
 data so every computed algebra can be compared entry by entry.
+
+The finite-dimensional layer computes over Z[z12] integers, in the row
+format that ``exact`` owns.  On its first product or form an FDAlgebra
+scales all its structure constants by one rational, and its form by
+another, into Z[z] 4-tuples, and keeps only the nonzero entries.  A
+product or form then scales each operand once (an ``exact._ZRow`` keeps its
+scaled form, so a vector used many times is scaled once), sums int tuples
+and divides each output entry once, to a Fraction when it is rational and
+a CycNum otherwise.  The incremental span behind span_closure and
+fd_from_elements reduces such rows with the fraction-free step of the
+``linalg`` core, each stored row with a rational integer pivot.  One
+closure routine, span_closure, serves weight-two elements and coordinate
+vectors alike: the caller passes the product and the coordinate map.
 """
 
 from fractions import Fraction
+from itertools import islice
 
-from .exact import zeta
+from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (affine_e6, build_root_lattice, Sublattice, annihilator,
                        quotient_structure, isometry_test)
-from .linalg import row_span_coords
+from .linalg import (_cyc_step, _rationalize, row_span_coords, solve_matrix,
+                     transpose)
 from .gluing import e8_glue
 from .w2 import (W2Algebra, W2Element, tilde_omega, coset_sum,
                  virasoro_check, CosetCharacter)
 
 F = Fraction
+_F0 = Fraction(0)
 
 __all__ = [
     "FDAlgebra", "span_closure", "fd_from_elements", "NodeCase", "node_case",
@@ -39,7 +55,11 @@ __all__ = [
 # finite-dimensional commutative algebras with invariant form
 
 class FDAlgebra:
-    """Structure constants, invariant form, and an optional embedding."""
+    """Structure constants, invariant form, and an optional embedding.
+
+    mult and gram are read into integer tables on the first product or
+    form, so they must not change after that.
+    """
 
     def __init__(self, names, mult, gram, space=None, embedding=None):
         self.names = list(names)
@@ -48,6 +68,7 @@ class FDAlgebra:
         self.gram = gram
         self.space = space
         self.embedding = embedding
+        self._zt = None
         for i in range(self.dim):
             for j in range(i):
                 if mult[i][j] != mult[j][i]:
@@ -69,30 +90,64 @@ class FDAlgebra:
             v[self.index(name)] = v[self.index(name)] + c
         return v
 
+    def _ztables(self):
+        """(mult, sm, gram, sg): the structure constants times sm and the
+        form times sg over Z[z], nonzero entries only, as mult[i][j] a tuple
+        of (k, x) and gram[i] a tuple of (j, x).  Built on the first product
+        or form, from mult and gram as they are then."""
+        if self._zt is None:
+            n = self.dim
+            ints, sm = _cyc_row([c for row in self.mult for cell in row for c in cell])
+            it = iter(ints)
+            mult = [[tuple((k, x) for k, x in enumerate(islice(it, n)) if x)
+                     for _j in range(n)] for _i in range(n)]
+            ints, sg = _cyc_row([c for row in self.gram for c in row])
+            it = iter(ints)
+            gram = [tuple((j, x) for j, x in enumerate(islice(it, n)) if x)
+                    for _i in range(n)]
+            self._zt = mult, sm, gram, sg
+        return self._zt
+
     def product_vec(self, u, v):
-        out = [F(0)] * self.dim
-        for i, x in enumerate(u):
+        mult, sm, _gram, _sg = self._ztables()
+        uz, su = _cyc_row(u)
+        vz, sv = _cyc_row(v)
+        vnz = [(j, y) for j, y in enumerate(vz) if y]
+        acc = [None] * self.dim
+        for i, x in enumerate(uz):
             if not x:
                 continue
-            for j, y in enumerate(v):
-                if not y:
-                    continue
-                s = x * y
-                row = self.mult[i][j]
-                for k, c in enumerate(row):
-                    if c:
-                        out[k] = out[k] + s * c
-        return out
+            cells = mult[i]
+            for j, y in vnz:
+                cell = cells[j]
+                if cell:
+                    p = _zmul(x, y)
+                    for k, t in cell:
+                        q = _zmul(p, t)
+                        w = acc[k]
+                        acc[k] = q if w is None else (w[0] + q[0], w[1] + q[1],
+                                                      w[2] + q[2], w[3] + q[3])
+        den = su * sv * sm
+        return [_zdiv(w, den) if w and (w[0] or w[1] or w[2] or w[3]) else _F0
+                for w in acc]
 
     def form_vec(self, u, v):
-        tot = F(0)
-        for i, x in enumerate(u):
+        _mult, _sm, gram, sg = self._ztables()
+        uz, su = _cyc_row(u)
+        vz, sv = _cyc_row(v)
+        t0 = t1 = t2 = t3 = 0
+        for i, x in enumerate(uz):
             if not x:
                 continue
-            for j, y in enumerate(v):
-                if y and self.gram[i][j]:
-                    tot = tot + self.gram[i][j] * (x * y)
-        return tot
+            for j, g in gram[i]:
+                y = vz[j]
+                if y:
+                    a, b, c, d = _zmul(_zmul(x, y), g)
+                    t0 += a
+                    t1 += b
+                    t2 += c
+                    t3 += d
+        return _zdiv((t0, t1, t2, t3), su * sv * sg)
 
     def is_virasoro(self, u):
         sq = self.product_vec(u, u)
@@ -139,45 +194,42 @@ class FDAlgebra:
 
 
 class _IncrementalSpan:
-    """Forward-eliminated row store for fast membership tests."""
+    """Forward-eliminated integer rows for fast membership tests.
+
+    Each stored row is a Z[z] row of the ``linalg`` core whose pivot entry
+    is a rational integer; a new vector is cleared against the stored rows
+    in turn by the core's fraction-free step.
+    """
 
     def __init__(self):
-        self.rows = []      # reduced rows
-        self.pivots = []    # pivot column per reduced row
-
-    def residual(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
+        self.rows = []      # (row, pivot column, pivot) per stored row
 
     def add(self, v):
         """Reduce v against the span; add and return True if independent."""
-        r = self.residual(v)
-        p = next((k for k, x in enumerate(r) if x), None)
-        if p is None:
+        r, _s = _cyc_row(v)
+        for row, c, p in self.rows:
+            f = r[c]
+            if f:
+                r = _cyc_step(r, p, f, row, None)
+        c = next((k for k, x in enumerate(r) if x), None)
+        if c is None:
             return False
-        lead = r[p]
-        inv = 1 / lead if isinstance(lead, (int, F)) else lead.inverse()
-        self.rows.append([x * inv for x in r])
-        self.pivots.append(p)
+        r = _rationalize(r, c, None)
+        self.rows.append((r, c, r[c][0]))
         return True
 
 
-def span_closure(alg, gens, max_dim=64):
-    """Product-closure of the span of the given weight-two elements.
+def span_closure(product, coords, gens, max_dim=64):
+    """Product-closure of the span of the given elements.
 
-    Returns the closed list of basis elements: the independent generators
-    first, then whichever products escape the running span.  Each product
-    of basis elements is computed exactly once.
+    product multiplies two elements and coords gives an element's
+    coordinate vector, against which independence is tested.  Returns the
+    closed list of basis elements: the independent generators first, then
+    whichever products escape the running span.  Each product of basis
+    elements is computed exactly once.
     """
     span = _IncrementalSpan()
-    elems = []
-    for g in gens:
-        if span.add(alg.signed_coords(g)):
-            elems.append(g)
+    elems = [g for g in gens if span.add(coords(g))]
     done = set()
     while True:
         n = len(elems)
@@ -187,8 +239,8 @@ def span_closure(alg, gens, max_dim=64):
             return elems
         for i, j in todo:
             done.add((i, j))
-            p = alg.product(elems[i], elems[j])
-            if span.add(alg.signed_coords(p)):
+            p = product(elems[i], elems[j])
+            if span.add(coords(p)):
                 elems.append(p)
                 if len(elems) > max_dim:
                     raise ValueError("closure exceeded dimension bound %d" % max_dim)
@@ -201,7 +253,6 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     When frame_size is given, the sum of the first frame_size elements
     must act as 2 on every basis element (the commutant frame condition).
     """
-    from .linalg import solve_matrix
     rows = [alg.signed_coords(e) for e in elems]
     dim = len(elems)
     span = _IncrementalSpan()
@@ -483,16 +534,12 @@ def commutant_kernel_dimension(case):
 def tilde_v_pair(case):
     """(v, v') = (tilde_omega of the full E6, its character twist).
 
-    v is computed two ways: from the closed-form coefficients over the
-    node basis, and from the lattice construction; they must agree.
+    v is the lattice construction; suite_commutant compares it with the
+    closed-form coefficients over the node basis (_closed_form_v).
     """
     alg = case.alg
-    v_lattice = tilde_omega(alg, alg.vectors4, 12)
-    closed = _closed_form_v(case)
-    if closed != v_lattice:
-        raise AssertionError("closed-form v disagrees with the lattice construction")
-    v_prime = case.rho.apply(v_lattice)
-    return v_lattice, v_prime
+    v = tilde_omega(alg, alg.vectors4, 12)
+    return v, case.rho.apply(v)
 
 
 def _closed_form_v(case):
@@ -592,8 +639,7 @@ class E8Side:
         from itertools import product as iproduct
         ranges = [range(m) for m in base.moduli]
         for w in iproduct(*ranges):
-            chi = base.power(1)
-            chi.weights = tuple(w)
+            chi = base.with_weights(w)
             if any(chi.exponent_of(v) for v in trivial_on):
                 continue
             if orders is not None and chi.order() != orders:
@@ -676,7 +722,7 @@ def u3a_griess(source="table"):
     e0 = side.ehat
     e1 = eta.apply(e0)
     e2 = eta.power(2).apply(e0)
-    closed = span_closure(alg, [e0, e1, e2])
+    closed = span_closure(alg.product, alg.signed_coords, [e0, e1, e2])
     if len(closed) != 4:
         raise ValueError("orbit closure has dimension %d, expected 4" % len(closed))
     z = zeta(3)
@@ -722,36 +768,19 @@ def _nine_orbit_algebra():
     base = CosetCharacter(alg, k_rows)
     if base.moduli != (3, 3):
         raise AssertionError("3A quotient is not 3 x 3")
-    chi1 = base.power(1)
-    chi1.weights = (1, 0)
-    chi2 = base.power(1)
-    chi2.weights = (0, 1)
+    chi1 = base.with_weights((1, 0))
+    chi2 = base.with_weights((0, 1))
     fd12, _side, _data = vnx_griess("3A")
+    # the nine twisted vectors, solved for over the 3A basis in one system
     rows = [alg.signed_coords(e) for e in fd12.embedding]
-    orbit = []
-    for a in range(3):
-        for b in range(3):
-            chi = base.power(1)
-            chi.weights = (a, b)
-            e = chi.apply(side.ehat)
-            c = row_span_coords(rows, alg.signed_coords(e))
-            if c is None:
-                raise AssertionError("orbit vector escapes the 3A commutant")
-            orbit.append(c)
+    twisted = [alg.signed_coords(base.with_weights((a, b)).apply(side.ehat))
+               for a in range(3) for b in range(3)]
+    x = solve_matrix(transpose(rows), transpose(twisted))
+    if x is None:
+        raise AssertionError("orbit vector escapes the 3A commutant")
+    orbit = transpose(x)
     # close the span of the nine coordinate vectors under the table product
-    span = _IncrementalSpan()
-    elems = [c for c in orbit if span.add(c)]
-    done = set()
-    while True:
-        todo = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))
-                if (i, j) not in done]
-        if not todo:
-            break
-        for i, j in todo:
-            done.add((i, j))
-            p = fd12.product_vec(elems[i], elems[j])
-            if span.add(p):
-                elems.append(p)
+    elems = span_closure(fd12.product_vec, list, orbit)
     if len(elems) != 12:
         raise ValueError("nine-vector closure has dimension %d" % len(elems))
     return fd12, side, (chi1, chi2), orbit

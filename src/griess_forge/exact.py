@@ -247,15 +247,46 @@ def coeff_str(x):
 #
 # An element of Z[z] is a 4-tuple of ints (a, b, c, d) = a + bz + cz^2 + dz^3,
 # multiplied by _zmul with the reduction z^4 = z^2 - 1 of CycNum.__mul__.  A
-# row is a list whose entries are 0 or a nonzero 4-tuple.  linalg eliminates
-# on such rows and w2 multiplies weight-two vectors in them.
+# row is a list whose entries are 0 or a nonzero 4-tuple.  A row over Q(z)
+# is held as (ints, s): the row times one positive rational s, with the gcd
+# of all its integer coefficients 1, which makes the pair unique for the row
+# (_cyc_row builds it, _zdiv turns an entry back into a Fraction or CycNum).
+# linalg eliminates on such rows and multiplies matrices held the same way
+# over one scale; w2 multiplies weight-two vectors in them; commutants keeps
+# the structure constants of an FDAlgebra in them; involutions holds its
+# maps in them across powers, products and group closure.
+
+class _ZRow(list):
+    """A row of Q(z) entries that keeps its Z[z] form, so that a row used in
+    many products is converted once; _cyc_row returns that form.  Its
+    entries must not change after construction."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.z = _cyc_row(list(self))
+
 
 def _cyc_row(row):
     """(ints, s): the row over Q(z) times s, over Z[z] with content 1."""
-    cos = [CycNum._from(x).co for x in row]
-    d = lcm(*[q.denominator for co in cos for q in co])
-    ints = [tuple(q.numerator * d // q.denominator for q in co)
-            if co[0] or co[1] or co[2] or co[3] else 0 for co in cos]
+    if type(row) is _ZRow:
+        return list(row.z[0]), row.z[1]
+    dens = []
+    for x in row:
+        if type(x) is CycNum:
+            dens.extend(q.denominator for q in x.co)
+        else:
+            dens.append(x.denominator)
+    d = lcm(*dens)
+    ints = []
+    for x in row:
+        if not x:
+            ints.append(0)
+        elif type(x) is CycNum:
+            ints.append(tuple(q.numerator * d // q.denominator for q in x.co))
+        else:
+            ints.append((x.numerator * d // x.denominator, 0, 0, 0))
     ints, g = _cyc_content(ints)
     return ints, Fraction(d, g)
 

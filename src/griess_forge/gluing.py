@@ -115,15 +115,6 @@ class GlueLattice:
     def __contains__(self, v):
         return self.coords_of(v) is not None
 
-    def to_third(self, coords):
-        """Third coordinates of a vector given in basis coordinates."""
-        out = [0] * self.space.dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i, x in enumerate(row):
-                    out[i] += c * x
-        return out
-
     def sublattice_in_basis(self, third_rows):
         """Sublattice of self spanned by third-coordinate rows."""
         rows = []

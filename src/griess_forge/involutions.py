@@ -8,12 +8,23 @@ vector; sigma-involutions of sigma-type vectors negate the parity-odd
 sectors.  Eigenspaces are found by kernel computations over the closed
 candidate weight list of the matching unitary series, and every
 constructed involution can be pushed through the full automorphism check.
+
+Orders, pairwise scans and group closures run over Z[z12] integers in the
+format of ``exact``: each map is converted once to (rows, s), its entries
+times one positive rational s as Z[z] 4-tuples with coefficient gcd 1.
+Powers and products are integer matrix products divided by their content,
+so every pair is again unique for its matrix: the identity test is a
+comparison with the identity pair, and the pairs themselves are the keys
+of the group closure.  Only matrices that are returned are converted back.
+is_automorphism scales each column of its map once for all the products
+it takes.
 """
 
 from fractions import Fraction
 
-from .linalg import (identity, mat_mul, mat_vec, mat_eq, kernel,
-                     inverse, solve_matrix)
+from .exact import _ZRow
+from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, solve_matrix,
+                     transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
 
 F = Fraction
@@ -169,30 +180,35 @@ def sigma_involution(space, v, m, verify=True):
 def is_automorphism(space, mat):
     """f(a.b) = f(a).f(b) and <fa, fb> = <a, b> on all basis pairs."""
     n = space.dim
-    cols = [[mat[i][j] for i in range(n)] for j in range(n)]
-    basis = identity(n)
-    for i in range(n):
-        for j in range(i, n):
-            p = space.product_vec(basis[i], basis[j])
-            lhs = mat_vec(mat, p)
-            rhs = space.product_vec(cols[i], cols[j])
-            if lhs != rhs:
-                return False
-            if space.form_vec(cols[i], cols[j]) != space.form_vec(basis[i], basis[j]):
-                return False
+    # each column and basis vector is converted to Z[z] once, not per product
+    cols = [_ZRow([mat[i][j] for i in range(n)]) for j in range(n)]
+    basis = [_ZRow(row) for row in identity(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # f(e_i . e_j) for every pair, as the columns of one product
+    images = transpose(mat_mul(mat, transpose(
+        [space.product_vec(basis[i], basis[j]) for i, j in pairs])))
+    for (i, j), lhs in zip(pairs, images):
+        if lhs != space.product_vec(cols[i], cols[j]):
+            return False
+        if space.form_vec(cols[i], cols[j]) != space.form_vec(basis[i], basis[j]):
+            return False
     return True
+
+
+def _order(zm, cap):
+    """Least k <= cap with zm^k = 1, for a map held as a (rows, scale) pair."""
+    ident = _zmat_identity(len(zm[0]))
+    power = zm
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = _zmat_mul(power, zm)
+    raise ValueError("order exceeds cap %d" % cap)
 
 
 def map_order(mat, cap=24):
     """Least k <= cap with mat^k = 1."""
-    n = len(mat)
-    ident = identity(n)
-    power = mat
-    for k in range(1, cap + 1):
-        if mat_eq(power, ident):
-            return k
-        power = mat_mul(power, mat)
-    raise ValueError("order exceeds cap %d" % cap)
+    return _order(_zmat(mat), cap)
 
 
 def transposition_scan(space, vectors, kind, cap=24):
@@ -211,12 +227,13 @@ def transposition_scan(space, vectors, kind, cap=24):
         bound = 3
     else:
         raise ValueError("kind must be tau_ising or sigma_c67")
+    zmaps = [_zmat(m) for m in maps]
     k = len(maps)
     orders = [[None] * k for _ in range(k)]
     violations = []
     for i in range(k):
         for j in range(k):
-            o = map_order(mat_mul(maps[i], maps[j]), cap)
+            o = _order(_zmat_mul(zmaps[i], zmaps[j]), cap)
             orders[i][j] = o
             if i != j and o > bound:
                 violations.append((i, j, o))
@@ -224,29 +241,33 @@ def transposition_scan(space, vectors, kind, cap=24):
 
 
 def group_closure(generators, cap=10000):
-    """Closure of the generators under composition, by exact matrix equality."""
-    def freeze(m):
-        return tuple(tuple(x for x in row) for row in m)
+    """Closure of the generators under composition, by exact matrix equality.
 
-    gens = [freeze(g) for g in generators]
-    n = len(generators[0])
-    ident = freeze(identity(n))
-    seen = {ident}
+    Elements are held as (Z[z] rows, scale) pairs, which are unique per
+    matrix, so their frozen form is the key of the seen set.
+    """
+    def freeze(zm):
+        return tuple(map(tuple, zm[0])), zm[1]
+
+    gens = [_zmat(g) for g in generators]
+    ident = _zmat_identity(len(generators[0]))
+    seen = {freeze(ident)}
     ordered = [ident]
     frontier = [ident]
     while frontier:
         nxt = []
         for a in frontier:
             for g in gens:
-                prod = freeze(mat_mul([list(r) for r in a], [list(r) for r in g]))
-                if prod not in seen:
-                    seen.add(prod)
+                prod = _zmat_mul(a, g)
+                key = freeze(prod)
+                if key not in seen:
+                    seen.add(key)
                     ordered.append(prod)
                     nxt.append(prod)
                     if len(seen) > cap:
                         raise ValueError("group closure exceeded cap %d" % cap)
         frontier = nxt
-    return len(ordered), [[list(r) for r in m] for m in ordered]
+    return len(ordered), [_zmat_entries(*m) for m in ordered]
 
 
 def restrict_map(space, mat, rows):

@@ -9,6 +9,7 @@ right norm.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .intmat import hnf, snf_with_transform, int_matmul, int_matvec, int_det
 
@@ -54,16 +55,6 @@ class IntegralLattice:
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    def min_norm(self, cap=16):
-        """Smallest nonzero vector norm (even lattices only need even steps)."""
-        step = 2 if self.is_even() else 1
-        n = step
-        while n <= cap:
-            if short_vectors(self, n):
-                return n
-            n += step
-        raise ValueError("no vector of norm <= %d found" % cap)
 
     def scaled(self, c, name=None):
         return IntegralLattice([[c * x for x in row] for row in self.gram],
@@ -189,11 +180,6 @@ def direct_sum(*lattices):
         off += l.rank
     name = "+".join(l.name or "?" for l in lattices)
     return IntegralLattice(g, name=name, check=False)
-
-
-def roots_of(lat, scale=1):
-    """All roots (norm 2*scale vectors) of a root lattice."""
-    return short_vectors(lat, 2 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +357,11 @@ def _ldl_scaled(gram):
             for k in range(j, n):
                 if a[i][k]:
                     a[j][k] -= c[i][k] * aij
-    m = 1
-    for i in range(n):
-        m = m * d[i].denominator // _gcd(m, d[i].denominator)
-        for j in range(i + 1, n):
-            m = m * c[i][j].denominator // _gcd(m, c[i][j].denominator)
+    m = lcm(*[d[i].denominator for i in range(n)],
+            *[c[i][j].denominator for i in range(n) for j in range(i + 1, n)])
     dd = [int(d[i] * m) for i in range(n)]
     cc = [[int(c[i][j] * m) for j in range(n)] for i in range(n)]
     return dd, cc, m
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def short_vectors(lat, target_norm):

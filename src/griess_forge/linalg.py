@@ -30,7 +30,7 @@ floating-point, modular or probabilistic step.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import CycNum, _cyc_content, _cyc_row, _zmul
+from .exact import CycNum, _cyc_content, _cyc_row, _zdiv, _zmul
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
@@ -56,12 +56,8 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append([sum((x * y for x, y in zip(row, col) if x and y), _F0)
-                    for col in bt])
-    return out
+    """The product a b, formed over Z[z] with one scale per matrix."""
+    return _zmat_entries(*_zmat_mul(_zmat(a), _zmat(b)))
 
 
 def mat_vec(a, v):
@@ -84,6 +80,55 @@ def mat_pow(a, n):
         base = mat_mul(base, base)
         n >>= 1
     return out
+
+
+# -- integer matrices -------------------------------------------------------------
+#
+# A matrix over Q(z) is held as (rows, s): Z[z] rows (entries 0 or a nonzero
+# 4-tuple) whose coefficients have gcd 1, and one positive rational s, the
+# matrix being rows / s (the zero matrix has s = 1).  That pair is unique for
+# each matrix, so equal matrices have equal pairs and the pair can serve as
+# a dictionary key.
+
+def _zmat(a):
+    """(rows, s) for the matrix a: its entries times s, over Z[z], content 1."""
+    n = len(a[0]) if a else 0
+    ints, s = _cyc_row([x for row in a for x in row])
+    return [ints[i:i + n] for i in range(0, len(ints), n)], s
+
+
+def _zmat_mul(x, y):
+    """The product of two matrices held as (rows, s) pairs, as such a pair."""
+    (a, sa), (b, sb) = x, y
+    n = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [None] * n
+        for u, brow in zip(row, b):
+            if u:
+                for k, v in enumerate(brow):
+                    if v:
+                        p = _zmul(u, v)
+                        w = acc[k]
+                        acc[k] = p if w is None else (w[0] + p[0], w[1] + p[1],
+                                                      w[2] + p[2], w[3] + p[3])
+        out.append([w if w and (w[0] or w[1] or w[2] or w[3]) else 0
+                    for w in acc])
+    g = gcd(*[t for row in out for w in row if w for t in w])
+    if not g:
+        return out, _F1     # the zero matrix, whose scale is 1 as in _zmat
+    if g > 1:
+        out = [[tuple(t // g for t in w) if w else 0 for w in row] for row in out]
+    return out, sa * sb / g
+
+
+def _zmat_identity(n):
+    return [[(1, 0, 0, 0) if i == j else 0 for j in range(n)] for i in range(n)], _F1
+
+
+def _zmat_entries(rows, s):
+    """The matrix rows / s, with Fraction or CycNum entries."""
+    return [[_zdiv(x, s) if x else _F0 for x in row] for row in rows]
 
 
 # -- integer rows ---------------------------------------------------------------

@@ -520,11 +520,15 @@ class CosetCharacter:
                 exps[beta] = val * v
         return W2Element(dict(elem.heis), exps, dict(elem.d2))
 
-    def power(self, k):
+    def with_weights(self, weights):
+        """The character of the same quotient with the given weights."""
         out = CosetCharacter.__new__(CosetCharacter)
         out.alg = self.alg
         out.moduli = self.moduli
         out.classify = self.classify
-        out.weights = tuple(w * k for w in self.weights)
+        out.weights = tuple(weights)
         out.exponent = self.exponent
         return out
+
+    def power(self, k):
+        return self.with_weights(w * k for w in self.weights)

@@ -141,7 +141,8 @@ def test_two_ising_vectors_generate_dihedral_algebra(side):
     rows = [list(r) for r in side.q_sub.basis] + \
         [list(r) for r in side.e6_sub.basis]
     eta = side.character(rows, orders=3)
-    closed = span_closure(side.alg, [side.ehat, eta.apply(side.ehat)])
+    closed = span_closure(side.alg.product, side.alg.signed_coords,
+                          [side.ehat, eta.apply(side.ehat)])
     assert len(closed) == 4
 
 

@@ -273,8 +273,7 @@ def test_psi_restriction_is_sigma(orbit_data):
     rho1 = None
     for a in range(3):
         for b in range(3):
-            chi = base.power(1)
-            chi.weights = (a, b)
+            chi = base.with_weights((a, b))
             if (a, b) == (0, 0):
                 continue
             trivial = all(chi.exponent_of(v) == 0 for v in side.e6_sub.basis)
@@ -355,8 +354,7 @@ def test_derived_sigma_scan_on_slice(orbit_data):
     eta = None
     for a in range(3):
         for b in range(3):
-            chi = base.power(1)
-            chi.weights = (a, b)
+            chi = base.with_weights((a, b))
             if (a, b) != (0, 0) and all(chi.exponent_of(v) == 0
                                         for v in side.e6_sub.basis):
                 eta = chi
@@ -369,8 +367,7 @@ def test_derived_sigma_scan_on_slice(orbit_data):
     for a in range(3):
         for b in range(3):
             if (a, b) not in seen:
-                chi = base.power(1)
-                chi.weights = (a, b)
+                chi = base.with_weights((a, b))
                 reps.append(chi)
                 for k in (0, 1, 2):
                     seen.add(tuple((w + k * e) % 3

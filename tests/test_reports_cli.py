@@ -225,3 +225,20 @@ def test_cli_u3a_orbit_reports_mismatch(tmp_path, monkeypatch):
     by_id = {c["id"]: c for c in data["checks"]}
     assert by_id["orbit-match"]["status"] == "fail"
     assert by_id["orbit-match"]["computed"] == "false"
+
+
+def test_cli_report_all_records_v_two_ways_mismatch(tmp_path, monkeypatch):
+    # a closed form that disagrees with the lattice construction is a failed
+    # check in a written report; every other report is still written
+    from griess_forge import commutants
+    from griess_forge.w2 import W2Element
+
+    monkeypatch.setattr(commutants, "_closed_form_v", lambda case: W2Element())
+    assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    data = json.loads((tmp_path / "report-commutant-2A.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["v-two-ways"]["status"] == "fail"
+    assert by_id["v-two-ways"]["computed"] == "false"
+    assert by_id["vv-pairing"]["status"] == "pass"
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
