@@ -14,8 +14,6 @@ import sys
 from .report import Report, fmt
 from .suites import SUITES, run_suite
 
-_FAST_SUITES = [n for n in SUITES if n != "leech"]
-
 
 def _write_report(rep, outdir, md=False):
     os.makedirs(outdir, exist_ok=True)
@@ -233,7 +231,6 @@ def cmd_minimal(args):
 
 def cmd_diagram(args):
     from .report import node_diagram
-    from .suites import run_suite as _rs
     values = {1: "3/7", 2: "1/49", 3: "3/196"}
     print("pairings of the distinguished vector with its character twist:")
     print(node_diagram(values))
@@ -267,7 +264,7 @@ def _export_tables(outdir, name):
 
 def cmd_report_all(args):
     ok = True
-    for name in list(_FAST_SUITES) + ["leech"]:
+    for name in SUITES:
         kwargs = {"skip_slow": args.skip_slow} if name == "leech" else {}
         ok = _write_report(run_suite(name, **kwargs), args.out, args.md) and ok
     return 0 if ok else 1
@@ -316,12 +313,10 @@ def main(argv=None):
         lambda a: ["u3a-orbit" if a.from_orbit else "u3a"]))
 
     p = sub.add_parser("leech", help="the lattice chain suite")
-    p.add_argument("--verify", action="store_true")
     p.add_argument("--skip-slow", action="store_true")
     p.set_defaults(func=_suite_cmd(lambda a: ["leech"]))
 
     p = sub.add_parser("appendix", help="matrix identity suite")
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_suite_cmd(["appendix"]))
 
     p = sub.add_parser("minimal", help="fusion and module census suite")

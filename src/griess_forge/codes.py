@@ -37,7 +37,7 @@ def _weight(a):
 class TernaryCode:
     """A linear code over F_3 given by generator rows in {-1, 0, 1}."""
 
-    __slots__ = ("length", "generators", "_words")
+    __slots__ = ("length", "generators", "_words", "_word_set")
 
     def __init__(self, length, generators):
         self.length = length
@@ -48,7 +48,8 @@ class TernaryCode:
         self._words = None
 
     def words(self):
-        """All codewords, sorted; computed once by spanning the generators."""
+        """All codewords, sorted; computed once by spanning the generators,
+        together with the set that membership tests look up."""
         if self._words is None:
             span = {tuple([0] * self.length)}
             for g in self.generators:
@@ -59,13 +60,15 @@ class TernaryCode:
                     new.add(_add(_add(w, g), g))
                 span = new
             self._words = sorted(span)
+            self._word_set = span
         return self._words
 
     def __len__(self):
         return len(self.words())
 
     def __contains__(self, w):
-        return _mod3(w) in set(self.words())
+        self.words()
+        return _mod3(w) in self._word_set
 
     def dimension(self):
         """Rank of the generator rows over F_3, by elimination."""

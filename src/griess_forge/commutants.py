@@ -7,7 +7,12 @@ with the coset sums X^r over the nonzero classes of E6/L.  The same recipe
 inside sqrt(2)E8, applied to Q + L with Q the A2 annihilator of a fixed
 E6, yields the finite-dimensional algebras of dimension 4, 8 and 12 that
 model the node pairs; all of them are extracted as explicit
-structure-constant algebras and checked for closure on the nose.
+structure-constant algebras and checked for closure on the nose.  Both
+sides take the components from ``lattices.punctured_components`` and
+build their frames with one helper, _frame, which checks each frame
+vector is Virasoro and computes its central charge.  An element of the
+ambient space is expressed over an algebra's basis by
+FDAlgebra.coordinates.
 
 The reference tables (node algebras, the four-dimensional two-generator
 algebra, the eight-dimensional order-6 algebra) are shipped as literal
@@ -28,13 +33,12 @@ vectors alike: the caller passes the product and the coordinate map.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product as iproduct
 
 from .exact import _cyc_row, _zdiv, _zmul, zeta
-from .lattices import (affine_e6, build_root_lattice, Sublattice, annihilator,
-                       quotient_structure, isometry_test)
-from .linalg import (_cyc_step, _rationalize, row_span_coords, solve_matrix,
-                     transpose)
+from .lattices import (_COXETER, affine_e6, punctured_components, Sublattice,
+                       annihilator, quotient_structure, isometry_test)
+from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
 from .gluing import e8_glue
 from .w2 import (W2Algebra, W2Element, tilde_omega, coset_sum,
                  virasoro_check, CosetCharacter)
@@ -155,6 +159,18 @@ class FDAlgebra:
         ok = any(u) and all(a == b for a, b in zip(sq, two_u))
         return ok, 2 * self.form_vec(u, u)
 
+    def coordinates(self, elems):
+        """Coordinates over the embedding of elements of the ambient space,
+        one vector per element, from one solve; raises with the index of
+        an element outside the span."""
+        alg = self.space
+        coords, bad = _solve_over([alg.signed_coords(e) for e in self.embedding],
+                                  [alg.signed_coords(e) for e in elems])
+        if coords is None:
+            raise ValueError("element %d is not in the span of the embedding"
+                             % bad)
+        return coords
+
     def check_invariance(self):
         """<a.b, c> = <b, a.c> on all basis triples; raises on failure."""
         for i in range(self.dim):
@@ -219,6 +235,18 @@ class _IncrementalSpan:
         return True
 
 
+def _solve_over(rows, cols):
+    """(coordinates, None): the coordinates of each of cols over rows, from
+    one solve; or (None, k) with cols[k] the first column outside their
+    span."""
+    a = transpose(rows)
+    x = solve_matrix(a, transpose(cols))
+    if x is not None:
+        return transpose(x), None
+    return None, next(k for k, col in enumerate(cols)
+                      if solve_matrix(a, [[t] for t in col]) is None)
+
+
 def span_closure(product, coords, gens, max_dim=64):
     """Product-closure of the span of the given elements.
 
@@ -263,22 +291,15 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     for i in range(dim):
         for j in range(i, dim):
             products[(i, j)] = alg.product(elems[i], elems[j])
-    # one batched solve: columns are the products expressed over the span
-    a = [list(col) for col in zip(*rows)]
+    # one batched solve: the products expressed over the span
     keys = sorted(products)
-    cols = [alg.signed_coords(products[k]) for k in keys]
-    x = solve_matrix(a, [list(row) for row in zip(*cols)])
-    if x is None:
-        for (i, j), col in zip(keys, cols):
-            if row_span_coords(rows, col) is None:
-                raise ValueError("product %s . %s leaves the span"
-                                 % (names[i], names[j]))
-        raise ValueError("products leave the span")
+    coords, bad = _solve_over(rows, [alg.signed_coords(products[k]) for k in keys])
+    if coords is None:
+        i, j = keys[bad]
+        raise ValueError("product %s . %s leaves the span" % (names[i], names[j]))
     mult = [[None] * dim for _ in range(dim)]
-    for col, (i, j) in enumerate(keys):
-        c = [x[t][col] for t in range(dim)]
-        mult[i][j] = c
-        mult[j][i] = c
+    for (i, j), c in zip(keys, coords):
+        mult[i][j] = mult[j][i] = c
     gram = [[alg.form(elems[i], elems[j]) for j in range(dim)] for i in range(dim)]
     fd = FDAlgebra(names, mult, gram, space=alg, embedding=list(elems))
     if frame_size is not None:
@@ -399,31 +420,14 @@ class NodeCase:
         self.aff = affine_e6()
         self.alg = W2Algebra(self.aff.lattice.scaled(2), name="W2(sqrt2 E6)")
         i = _NODE_INDEX[node]
-        keep = [j for j in range(7) if j != i]
         self.mark = self.aff.mark(i)
         self.node_root = self.aff.node_root(i)
-        # connected components of the punctured diagram, ordered by rank
-        comps = _components(keep)
-        comps.sort(key=len)
-        self.component_rows = [[list(self.aff.node_root(j)) for j in comp]
-                               for comp in comps]
-        self.sub = Sublattice(self.alg.lattice,
-                              [list(self.aff.node_root(j)) for j in keep])
+        self.sub = Sublattice(self.alg.lattice, [list(self.aff.node_root(j))
+                                                 for j in range(7) if j != i])
         self.moduli, self.classify = quotient_structure(self.sub)
-        self.frame = []
-        self.frame_charges = []
-        for rows in self.component_rows:
-            sub = Sublattice(self.aff.lattice, rows)
-            lat = sub.as_lattice()
-            kind, n = _root_type(lat)
-            h = build_root_lattice(kind, n).coxeter
-            roots = self.alg.scaled_roots(rows)
-            w = tilde_omega(self.alg, roots, h)
-            self.frame.append(w)
-            ok, c = virasoro_check(self.alg, w)
-            if not ok:
-                raise AssertionError("frame member is not Virasoro")
-            self.frame_charges.append(c)
+        self.frame, self.frame_charges = _frame(self.alg, [
+            ([list(self.aff.node_root(j)) for j in nodes], kind, n)
+            for nodes, kind, n in punctured_components(i)])
         self.xs = []
         for r in range(1, self.mark):
             cls = self.classify([r * t for t in self.node_root])
@@ -441,50 +445,21 @@ class NodeCase:
             if self.mark == 3 and e == 2:
                 self.rho = self.rho.power(2)
 
-    def griess(self):
-        return self.fd
 
-
-def _components(keep):
-    from .lattices import AffineE6
-    nodes = set(keep)
-    edges = [(a, b) for a, b in AffineE6.AFFINE_EDGES if a in nodes and b in nodes]
-    comps = []
-    seen = set()
-    for v in keep:
-        if v in seen:
-            continue
-        stack, comp = [v], []
-        while stack:
-            w = stack.pop()
-            if w in comp:
-                continue
-            comp.append(w)
-            for a, b in edges:
-                if a == w and b not in comp:
-                    stack.append(b)
-                if b == w and a not in comp:
-                    stack.append(a)
-        seen |= set(comp)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _root_type(lat):
-    """Identify an irreducible simply laced root lattice by rank and root count."""
-    n = lat.rank
-    from .lattices import short_vectors
-    nroots = len(short_vectors(lat, 2))
-    for kind, size in (("A", n * (n + 1)), ("D", 2 * n * (n - 1)),
-                       ("E", {6: 72, 7: 126, 8: 240}.get(n, -1))):
-        if nroots == size:
-            if kind == "D" and n < 4:
-                continue
-            if kind == "E" and n not in (6, 7, 8):
-                continue
-            return kind, n
-    raise ValueError("not an irreducible root lattice (rank %d, %d roots)"
-                     % (n, nroots))
+def _frame(alg, components):
+    """(vectors, charges): tilde_omega over the scaled roots of each
+    (rows, kind, n) component, with its central charge; raises naming the
+    first component whose vector is not Virasoro."""
+    vectors, charges = [], []
+    for s, (rows, kind, n) in enumerate(components):
+        w = tilde_omega(alg, alg.scaled_roots(rows), _COXETER[kind](n))
+        ok, c = virasoro_check(alg, w)
+        if not ok:
+            raise AssertionError("frame member %d (%s%d) is not Virasoro"
+                                 % (s + 1, kind, n))
+        vectors.append(w)
+        charges.append(c)
+    return vectors, charges
 
 
 def node_case(node):
@@ -502,7 +477,7 @@ def commutant_kernel_dimension(case):
     subalgebra of it.
     """
     from .involutions import W2Space, ad_matrix
-    from .linalg import kernel, row_span_coords, rank as qrank
+    from .linalg import kernel, rank as qrank
     from .w2 import conformal_vector, virasoro_check
     alg = case.alg
     omega = conformal_vector(alg)
@@ -525,9 +500,9 @@ def commutant_kernel_dimension(case):
     if qrank(rows) != len(ker):
         raise AssertionError("even commutant dimension %d, kernel dimension %d"
                              % (qrank(rows), len(ker)))
-    for v in ker:
-        if row_span_coords(rows, v) is None:
-            raise AssertionError("kernel vector escapes the commutant basis")
+    _coords, bad = _solve_over(rows, ker)
+    if bad is not None:
+        raise AssertionError("kernel vector %d escapes the commutant basis" % bad)
     return len(ker), c
 
 
@@ -627,33 +602,15 @@ class E8Side:
         rows += [list(self.node_image(j)) for j in range(7) if j != i]
         return rows
 
-    def character(self, sub_rows, trivial_on=(), orders=None, values=()):
-        """A coset character with prescribed behaviour.
-
-        trivial_on: vectors it must kill; values: (vector, exponent_num, order)
-        triples it must attain; orders: required character order.
-        """
+    def character(self, sub_rows, orders):
+        """The first coset character of the quotient by sub_rows, in the
+        order of its weight tuples, whose order is the given one."""
         base = CosetCharacter(self.alg, sub_rows)
-        n = base.exponent
-        best = []
-        from itertools import product as iproduct
-        ranges = [range(m) for m in base.moduli]
-        for w in iproduct(*ranges):
+        for w in iproduct(*[range(m) for m in base.moduli]):
             chi = base.with_weights(w)
-            if any(chi.exponent_of(v) for v in trivial_on):
-                continue
-            if orders is not None and chi.order() != orders:
-                continue
-            ok = True
-            for vec, num, order in values:
-                if chi.exponent_of(vec) != (num * (n // order)) % n:
-                    ok = False
-                    break
-            if ok:
-                best.append(chi)
-        if not best:
-            raise ValueError("no character matches the constraints")
-        return best[0]
+            if chi.order() == orders:
+                return chi
+        raise ValueError("no character of order %d" % orders)
 
 
 _E8_SIDE = []
@@ -676,22 +633,11 @@ def vnx_griess(node):
     rows = side.ltilde_rows(node)
     sub = Sublattice(side.e8, rows)
     moduli, classify = quotient_structure(sub)
-    frame = [side.omega_q]
-    charges = [F(4, 5)]
-    i = _NODE_INDEX[node]
-    comps = _components([j for j in range(7) if j != i])
-    comps.sort(key=len)
-    for comp in comps:
-        crows = [list(side.node_image(j)) for j in comp]
-        lat = Sublattice(side.e8, crows).as_lattice()
-        kind, n = _root_type(lat)
-        h = build_root_lattice(kind, n).coxeter
-        w = tilde_omega(alg, alg.scaled_roots(crows), h)
-        frame.append(w)
-        ok, c = virasoro_check(alg, w)
-        if not ok:
-            raise AssertionError("frame member is not Virasoro")
-        charges.append(c)
+    # Q first, then the components of the punctured diagram
+    comps = [(side.q_sub.basis, "A", 2)]
+    comps += [([list(side.node_image(j)) for j in nodes], kind, n)
+              for nodes, kind, n in punctured_components(_NODE_INDEX[node])]
+    frame, charges = _frame(alg, comps)
     classes = sorted(set(classify(v) for v in alg.vectors4) - {tuple(0 for _ in moduli)})
     xs = [coset_sum(alg, classify, cls) for cls in classes]
     names = ["w%d" % (s + 1) for s in range(len(frame))]
@@ -772,13 +718,8 @@ def _nine_orbit_algebra():
     chi2 = base.with_weights((0, 1))
     fd12, _side, _data = vnx_griess("3A")
     # the nine twisted vectors, solved for over the 3A basis in one system
-    rows = [alg.signed_coords(e) for e in fd12.embedding]
-    twisted = [alg.signed_coords(base.with_weights((a, b)).apply(side.ehat))
-               for a in range(3) for b in range(3)]
-    x = solve_matrix(transpose(rows), transpose(twisted))
-    if x is None:
-        raise AssertionError("orbit vector escapes the 3A commutant")
-    orbit = transpose(x)
+    orbit = fd12.coordinates([base.with_weights((a, b)).apply(side.ehat)
+                              for a in range(3) for b in range(3)])
     # close the span of the nine coordinate vectors under the table product
     elems = span_closure(fd12.product_vec, list, orbit)
     if len(elems) != 12:

@@ -5,7 +5,8 @@ classic elimination algorithms with exact integer arithmetic are fine.
 """
 
 __all__ = ["hnf", "snf_with_transform", "int_matmul", "int_matvec",
-           "int_identity", "int_det", "int_inverse_unimodular"]
+           "int_identity", "int_det", "int_positive_definite",
+           "int_inverse_unimodular"]
 
 
 def int_identity(n):
@@ -44,6 +45,27 @@ def int_det(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def int_positive_definite(a):
+    """Whether the symmetric integer matrix a is positive definite.
+
+    One fraction-free (Bareiss) pass without row swaps: its k-th pivot is
+    the k-th leading principal minor, so a is positive definite exactly
+    when every pivot is positive (Sylvester's criterion).  The pass stops
+    at the first pivot that is not.
+    """
+    m = [list(row) for row in a]
+    prev = 1
+    while m:
+        top = m[0]
+        p = top[0]
+        if p <= 0:
+            return False
+        m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in m[1:]]
+        prev = p
+    return True
 
 
 def hnf(rows):

@@ -6,17 +6,24 @@ enumeration with the quadratic completion computed in exact rationals, so
 the vector lists are provably complete.  Isometries are found by
 backtracking over images of basis vectors among short vectors of the
 right norm.
+
+The affine E6 diagram is walked in one place, punctured_components: it
+gives each component of the diagram with a node deleted, its root type
+read off the diagram shape, and the order that the commutant frames of
+``commutants`` follow.  Coxeter numbers come from one lookup, _COXETER.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .intmat import hnf, snf_with_transform, int_matmul, int_matvec, int_det
+from .intmat import (hnf, snf_with_transform, int_matmul, int_matvec, int_det,
+                     int_positive_definite)
 
 __all__ = [
     "IntegralLattice", "Sublattice", "build_root_lattice", "direct_sum",
-    "affine_e6", "node_sublattice", "short_vectors", "isometry_test",
-    "annihilator", "quotient_structure", "cosets", "kernel_sublattice",
+    "affine_e6", "punctured_components", "node_sublattice", "short_vectors",
+    "isometry_test", "annihilator", "quotient_structure", "cosets",
+    "kernel_sublattice",
 ]
 
 
@@ -37,10 +44,8 @@ class IntegralLattice:
                 for j in range(self.rank):
                     if self.gram[i][j] != self.gram[j][i]:
                         raise ValueError("Gram matrix is not symmetric")
-            for k in range(1, self.rank + 1):
-                minor = [row[:k] for row in self.gram[:k]]
-                if int_det(minor) <= 0:
-                    raise ValueError("Gram matrix is not positive definite")
+            if not int_positive_definite(self.gram):
+                raise ValueError("Gram matrix is not positive definite")
 
     def dot(self, v, w):
         g = self.gram
@@ -56,9 +61,9 @@ class IntegralLattice:
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def scaled(self, c, name=None):
+    def scaled(self, c):
         return IntegralLattice([[c * x for x in row] for row in self.gram],
-                               name=name or (self.name and "sqrt(%d)%s" % (c, self.name)),
+                               name=self.name and "sqrt(%d)%s" % (c, self.name),
                                coxeter=self.coxeter, check=False)
 
     def __repr__(self):
@@ -87,8 +92,8 @@ class Sublattice:
         return int_matmul(int_matmul(self.basis, g),
                           [list(col) for col in zip(*self.basis)])
 
-    def as_lattice(self, name=None, coxeter=None):
-        return IntegralLattice(self.gram(), name=name, coxeter=coxeter)
+    def as_lattice(self):
+        return IntegralLattice(self.gram())
 
     def index(self):
         """[ambient : self] for full-rank sublattices."""
@@ -96,29 +101,13 @@ class Sublattice:
             raise ValueError("index needs a full-rank sublattice")
         return abs(int_det(self.basis))
 
-    def contains(self, v):
-        from .linalg import solve
-        a = [[self.basis[i][j] for i in range(self.rank)]
-             for j in range(self.ambient.rank)]
-        x = solve(a, v)
-        return x is not None and all(c.denominator == 1 for c in x)
-
-    def coords_of(self, v):
-        """Integer coordinates of v in the sublattice basis, or None."""
-        from .linalg import solve
-        a = [[self.basis[i][j] for i in range(self.rank)]
-             for j in range(self.ambient.rank)]
-        x = solve(a, v)
-        if x is None or any(c.denominator != 1 for c in x):
-            return None
-        return [c.numerator for c in x]
-
 
 # ---------------------------------------------------------------------------
 # root lattices
 
+# Coxeter number h of A_n, D_n, E_n: _COXETER[kind](n)
 _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
-            "E": {6: 12, 7: 18, 8: 30}}
+            "E": {6: 12, 7: 18, 8: 30}.__getitem__}
 
 # Dynkin diagram edges on nodes 0..n-1.  E6 follows the chain a1-a2-a3-a4-a5
 # with a6 attached to the middle node a3; E7, E8 extend the chain.
@@ -161,9 +150,7 @@ def build_root_lattice(kind, n, scale=1):
     if scale not in (1, 2):
         raise ValueError("scale must be 1 or 2")
     g = _gram_from_edges(n, _diagram_edges(kind, n))
-    h = _COXETER[kind](n) if kind != "E" else _COXETER["E"][n]
-    name = "%s%d" % (kind, n)
-    lat = IntegralLattice(g, name=name, coxeter=h)
+    lat = IntegralLattice(g, name="%s%d" % (kind, n), coxeter=_COXETER[kind](n))
     if scale == 2:
         lat = lat.scaled(2)
     return lat
@@ -251,24 +238,20 @@ def _classify_component(nodes, edges):
     raise ValueError("component is not of type ADE")
 
 
-def node_sublattice(aff, i):
-    """Delete node i from the affine E6 diagram.
+def punctured_components(i):
+    """The connected components of the affine E6 diagram with node i
+    deleted, as (sorted nodes, kind, n), with (kind, n) the root type.
 
-    Returns (Sublattice L_i, index m_i, component type list); L_i is
-    generated by the other six node roots and E6/L_i is cyclic of order
-    m_i, generated by the class of the deleted node's root.
+    Components are found in node order and then sorted stably by size,
+    which fixes the order of the commutant frame vectors built on them.
     """
     if i not in range(7):
         raise ValueError("affine E6 node index must be 0..6")
-    keep = [j for j in range(7) if j != i]
-    rows = [aff.node_root(j) for j in keep]
-    sub = Sublattice(aff.lattice, rows)
-    nodes = set(keep)
-    edges = [(a, b) for a, b in AffineE6.AFFINE_EDGES if a in nodes and b in nodes]
+    edges = [(a, b) for a, b in AffineE6.AFFINE_EDGES if i not in (a, b)]
     comps = []
     seen = set()
-    for v in keep:
-        if v in seen:
+    for v in range(7):
+        if v == i or v in seen:
             continue
         stack, comp = [v], set()
         while stack:
@@ -276,16 +259,26 @@ def node_sublattice(aff, i):
             if w in comp:
                 continue
             comp.add(w)
-            for a, b in edges:
-                if a == w and b not in comp:
-                    stack.append(b)
-                if b == w and a not in comp:
-                    stack.append(a)
+            stack.extend(b if a == w else a for a, b in edges if w in (a, b))
         seen |= comp
-        comps.append(_classify_component(comp, [e for e in edges
-                                                if e[0] in comp and e[1] in comp]))
-    comps.sort(key=lambda t: (t[1], t[0]))
-    return sub, aff.mark(i), comps
+        kind, n = _classify_component(comp, [e for e in edges if e[0] in comp])
+        comps.append((sorted(comp), kind, n))
+    comps.sort(key=lambda t: len(t[0]))
+    return comps
+
+
+def node_sublattice(aff, i):
+    """Delete node i from the affine E6 diagram.
+
+    Returns (Sublattice L_i, index m_i, component type list); L_i is
+    generated by the other six node roots and E6/L_i is cyclic of order
+    m_i, generated by the class of the deleted node's root.  The types
+    (kind, n) are sorted by (n, kind).
+    """
+    types = sorted(((kind, n) for _nodes, kind, n in punctured_components(i)),
+                   key=lambda t: (t[1], t[0]))
+    sub = Sublattice(aff.lattice, [aff.node_root(j) for j in range(7) if j != i])
+    return sub, aff.mark(i), types
 
 
 # ---------------------------------------------------------------------------

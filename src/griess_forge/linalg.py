@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import CycNum, _cyc_content, _cyc_row, _zdiv, _zmul
+from .intmat import int_positive_definite
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
@@ -386,27 +387,21 @@ def det(a):
 
 
 def is_positive_definite(gram):
-    """Exact test via the pivots of symmetric elimination (rationals only)."""
-    n = len(gram)
+    """Exact test by the leading principal minors (rationals only).
 
+    A symmetric matrix times the lcm of its denominators is an integer
+    matrix with the same answer; intmat's Bareiss pass decides that one.
+    """
     def conv(x):
         return x.rational_part() if hasattr(x, "rational_part") else Fraction(x)
 
     a = [[conv(x) for x in row] for row in gram]
-    for i in range(n):
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                return False
-    for i in range(n):
-        if a[i][i] <= 0:
-            return False
-        inv = 1 / a[i][i]
-        for j in range(i + 1, n):
-            f = a[i][j] * inv
-            if f:
-                for k in range(i + 1, n):
-                    a[j][k] -= f * a[i][k]
-    return True
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        return False
+    d = lcm(*[x.denominator for row in a for x in row])
+    return int_positive_definite([[x.numerator * (d // x.denominator) for x in row]
+                                  for row in a])
 
 
 def row_span_coords(rows, v):

@@ -118,9 +118,7 @@ def suite_commutant(node):
         ok, c = fd.is_virasoro(u)
         rep.add("complement-charge", "complement Virasoro vector charge",
                 "orthogonal frame pair", F(25, 28), c)
-        from .linalg import row_span_coords
-        rows = [case.alg.signed_coords(e) for e in fd.embedding]
-        vc = row_span_coords(rows, case.alg.signed_coords(v))
+        vc, = fd.coordinates([v])
         rep.add("complement-orthogonal", "<v, u> = 0", "orthogonal frame pair",
                 0, fd.form_vec(vc, u))
     return rep
@@ -173,24 +171,18 @@ def suite_u3a(from_orbit=False):
 def suite_involutions(node):
     from .commutants import node_case, tilde_v_pair
     from .involutions import sigma_involution, map_order, is_automorphism
-    from .linalg import inverse, mat_mul, row_span_coords
+    from .linalg import inverse, mat_mul, transpose
     rep = Report("involutions-%s" % node)
     case = node_case(node)
     fd = case.fd
     v, vp = tilde_v_pair(case)
-    rows = [case.alg.signed_coords(e) for e in fd.embedding]
-    vc = row_span_coords(rows, case.alg.signed_coords(v))
-    vpc = row_span_coords(rows, case.alg.signed_coords(vp))
+    vc, vpc = fd.coordinates([v, vp])
     s1 = sigma_involution(fd, vc, 4)
     s2 = sigma_involution(fd, vpc, 4)
     rep.add("sigma-automorphism", "both sigma maps pass the automorphism check",
             "parity involution", "true",
             is_automorphism(fd, s1) and is_automorphism(fd, s2))
-    cols = []
-    for e in fd.embedding:
-        img = case.rho.apply(e)
-        cols.append(row_span_coords(rows, case.alg.signed_coords(img)))
-    rho_mat = [[cols[j][i] for j in range(fd.dim)] for i in range(fd.dim)]
+    rho_mat = transpose(fd.coordinates([case.rho.apply(e) for e in fd.embedding]))
     # v' = rho(v) and sigma_v acts as theta, so sigma_v sigma_v' is
     # theta rho theta rho^-1 = rho^-2; its order is the expected value
     rho_inv = inverse(rho_mat)
@@ -429,10 +421,8 @@ def suite_properties():
     from .involutions import ad_spectrum
     case = node_case("3A")
     from .commutants import tilde_v_pair
-    from .linalg import row_span_coords
     v, _vp = tilde_v_pair(case)
-    rows = [case.alg.signed_coords(e) for e in case.fd.embedding]
-    vc = row_span_coords(rows, case.alg.signed_coords(v))
+    vc, = case.fd.coordinates([v])
     eig = ad_spectrum(case.fd, vc)
     rep.add("eigen-complete", "adjoint eigenspaces fill the 3A node algebra",
             "semisimplicity", case.fd.dim,

@@ -135,20 +135,6 @@ class W2Element:
         return "W2Element(%s)" % "; ".join(bits)
 
 
-def _acc(d, k, v):
-    if not v:
-        return
-    w = d.get(k)
-    if w is None:
-        d[k] = v
-    else:
-        w = w + v
-        if w:
-            d[k] = w
-        else:
-            del d[k]
-
-
 def _zacc(d, k, c, x):
     """d[k] += c * x for an int c and a Z[z] element x."""
     if c:
@@ -422,19 +408,19 @@ def conformal_vector(alg):
 
 def sub_conformal_vector(alg, roots, coxeter):
     """Conformal vector of an orthogonal root-sublattice component, from the
-    root-sum expression: (1/8h) * sum over scaled roots of beta(-1)^2."""
-    c = Fraction(1, 8 * coxeter)
-    heis = {}
+    root-sum expression: (1/8h) * sum over scaled roots of beta(-1)^2.
+
+    The sums of beta_i beta_j are taken over the integers; each entry
+    becomes one Fraction at the end."""
+    sums = {}
     for beta in roots:
-        for i in range(alg.rank):
-            bi = beta[i]
-            if not bi:
-                continue
-            for j in range(i, alg.rank):
-                bj = beta[j]
-                if bj:
-                    _acc(heis, (i, j), c * bi * bj * (2 if i != j else 1))
-    return W2Element(heis)
+        nz = [(i, b) for i, b in enumerate(beta) if b]
+        for n, (i, bi) in enumerate(nz):
+            for j, bj in nz[n:]:
+                sums[(i, j)] = sums.get((i, j), 0) + bi * bj
+    den = 8 * coxeter
+    return W2Element({(i, j): Fraction(t if i == j else 2 * t, den)
+                      for (i, j), t in sums.items()})
 
 
 def tilde_omega(alg, roots, coxeter):

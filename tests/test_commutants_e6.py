@@ -7,6 +7,7 @@ from griess_forge.commutants import (
     orthogonal_complement_virasoro, weight2_dimension_census, span_closure,
 )
 from griess_forge.exact import zeta
+from griess_forge.linalg import row_span_coords
 from griess_forge.w2 import virasoro_check
 
 F = Fraction
@@ -160,3 +161,18 @@ def test_commutant_closure_is_exact(case_1a, case_2a, case_3a):
         kdim, c = commutant_kernel_dimension(case)
         assert kdim == dim
         assert c == charge
+
+
+def test_coordinates_match_row_span_coords(case_3a):
+    fd, alg = case_3a.fd, case_3a.alg
+    v, vp = tilde_v_pair(case_3a)
+    elems = [v, vp] + [case_3a.rho.apply(e) for e in fd.embedding]
+    rows = [alg.signed_coords(e) for e in fd.embedding]
+    assert fd.coordinates(elems) == [row_span_coords(rows, alg.signed_coords(e))
+                                     for e in elems]
+
+
+def test_coordinates_name_an_element_outside_the_span(case_2a):
+    fd = case_2a.fd
+    with pytest.raises(ValueError, match="element 1 is not in the span"):
+        fd.coordinates([fd.embedding[0], case_2a.alg.basis_element(0)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from griess_forge.commutants import (u3a_table, fd_from_elements, e8_side)
+from griess_forge.commutants import (_frame, u3a_table, fd_from_elements, e8_side)
 from griess_forge.involutions import (tau_involution, sigma_involution,
                                       group_closure, ad_spectrum)
 from griess_forge.lattices import (build_root_lattice, Sublattice, cosets,
@@ -49,6 +49,15 @@ def test_not_closed_span_reports_pair():
     # with the charge-4/5 frame vector the span of the two is not closed
     with pytest.raises(ValueError):
         fd_from_elements(alg, [side.ehat, side.omega_q], ["e", "wq"])
+
+
+def test_frame_names_a_component_that_is_not_virasoro():
+    # the A2 roots with the Coxeter number of A3 give no Virasoro vector
+    alg = W2Algebra(build_root_lattice("A", 2, scale=2))
+    _vectors, charges = _frame(alg, [([[1, 0], [0, 1]], "A", 2)])
+    assert charges == [F(4, 5)]
+    with pytest.raises(AssertionError, match=r"frame member 2 \(A3\)"):
+        _frame(alg, [([[1, 0], [0, 1]], "A", 2), ([[1, 0], [0, 1]], "A", 3)])
 
 
 def test_dependent_elements_rejected():

@@ -4,8 +4,8 @@ import pytest
 
 from griess_forge.lattices import (
     build_root_lattice, direct_sum, affine_e6, node_sublattice, short_vectors,
-    isometry_test, annihilator, quotient_structure, cosets, Sublattice,
-    IntegralLattice,
+    punctured_components, isometry_test, annihilator, quotient_structure, cosets,
+    Sublattice, IntegralLattice,
 )
 
 
@@ -79,6 +79,40 @@ def test_node_sublattices():
     assert m2 == 2 and comp2 == [("A", 1), ("A", 5)] and sub2.index() == 2
     sub3, m3, comp3 = node_sublattice(aff, 3)
     assert m3 == 3 and comp3 == [("A", 2), ("A", 2), ("A", 2)] and sub3.index() == 3
+
+
+# root counts of the irreducible types, the reference for the diagram walk
+_ROOT_COUNT = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
+               "E": {6: 72, 7: 126, 8: 240}.__getitem__}
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_punctured_components_match_root_counts(i):
+    aff = affine_e6()
+    comps = punctured_components(i)
+    assert sorted(j for nodes, _k, _n in comps for j in nodes) == \
+        [j for j in range(7) if j != i]
+    assert [len(nodes) for nodes, _k, _n in comps] == \
+        sorted(len(nodes) for nodes, _k, _n in comps)
+    for nodes, kind, n in comps:
+        assert nodes == sorted(nodes) and len(nodes) == n
+        lat = Sublattice(aff.lattice, [aff.node_root(j) for j in nodes]).as_lattice()
+        assert len(short_vectors(lat, 2)) == _ROOT_COUNT[kind](n)
+
+
+def test_punctured_components_order():
+    # found in node order, then stably sorted by size: the frame order
+    assert punctured_components(2) == [([1], "A", 1), ([0, 3, 4, 5, 6], "A", 5)]
+    assert punctured_components(3) == [([0, 6], "A", 2), ([1, 2], "A", 2),
+                                       ([4, 5], "A", 2)]
+    with pytest.raises(ValueError):
+        punctured_components(7)
+
+
+def test_indefinite_gram_is_rejected():
+    for gram in ([[2, 3], [3, 2]], [[0, 1], [1, 0]], [[2, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            IntegralLattice(gram)
 
 
 def test_cosets_of_3a_node():

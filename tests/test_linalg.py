@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from griess_forge.exact import CycNum, zeta
 from griess_forge import linalg as la
 from griess_forge.intmat import hnf, snf_with_transform, int_matmul, int_det
+from griess_forge.lattices import IntegralLattice
 
 
 F = Fraction
@@ -238,3 +239,87 @@ def test_det_over_cyclotomic_field():
     a = [[z, F(1), F(0)], [F(2), z * z, F(1, 3)], [F(0), F(5), z ** 3]]
     assert la.det(a) == ref_det(a)
     assert la.det([[z, z], [z, z]]) == 0
+
+
+# -- positive definiteness against the Fraction LDL^T loop it replaced ----------
+
+def ref_is_positive_definite(gram):
+    """The pivots of symmetric elimination over Q (rationals only)."""
+    n = len(gram)
+
+    def conv(x):
+        return x.rational_part() if hasattr(x, "rational_part") else F(x)
+
+    a = [[conv(x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                return False
+    for i in range(n):
+        if a[i][i] <= 0:
+            return False
+        inv = 1 / a[i][i]
+        for j in range(i + 1, n):
+            f = a[i][j] * inv
+            if f:
+                for k in range(i + 1, n):
+                    a[j][k] -= f * a[i][k]
+    return True
+
+
+_positive = st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12)
+
+
+@st.composite
+def square_forms(draw, entry=_rational, positive=_positive, max_n=6):
+    """B B^T plus a diagonal that is positive, zero or of any sign, so the
+    sample holds positive definite, singular and indefinite matrices;
+    sometimes one entry breaks the symmetry."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, n))
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    diag = draw(st.sampled_from([positive, st.just(F(0)), entry]))
+    d = draw(st.lists(diag, min_size=n, max_size=n))
+    a = [[sum((x * y for x, y in zip(b[i], b[j])), F(0)) + (d[i] if i == j else 0)
+          for j in range(n)] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        a[i][j] += draw(entry.filter(bool))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_forms(), st.data())
+def test_is_positive_definite_matches_ldl_reference(a, data):
+    # some entries as rational CycNums, which both read as Fractions
+    a = [[CycNum(x) if data.draw(st.booleans()) else x for x in row] for row in a]
+    assert la.is_positive_definite(a) == ref_is_positive_definite(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_forms(entry=st.integers(-3, 3).map(F),
+                    positive=st.integers(1, 5).map(F)))
+def test_integral_lattice_accepts_exactly_the_positive_definite_grams(a):
+    a = [[int(x) for x in row] for row in a]
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            IntegralLattice(a)
+    elif ref_is_positive_definite(a):
+        assert IntegralLattice(a).rank == len(a)
+    else:
+        with pytest.raises(ValueError, match="not positive definite"):
+            IntegralLattice(a)
+
+
+def test_is_positive_definite_cases():
+    z = zeta(12)
+    assert la.is_positive_definite([[F(2), F(-1)], [F(-1), F(2)]])
+    assert la.is_positive_definite([])
+    assert not la.is_positive_definite([[F(1), F(1)], [F(1), F(1)]])    # singular
+    assert not la.is_positive_definite([[F(1), F(2)], [F(2), F(1)]])    # indefinite
+    assert not la.is_positive_definite([[F(2), F(1)], [F(0), F(2)]])    # not symmetric
+    assert la.is_positive_definite([[CycNum(F(1, 2)), F(0)], [F(0), F(3, 7)]])
+    with pytest.raises(ValueError, match="not rational"):
+        la.is_positive_definite([[F(2), z], [z.conjugate(), F(2)]])

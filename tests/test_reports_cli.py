@@ -101,6 +101,19 @@ def test_cli_lattice_bad_file(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_lattice_indefinite_file(tmp_path):
+    spec = tmp_path / "indefinite.txt"
+    spec.write_text("name: hyperbolic\nrank: 2\ngram:\n0 1\n1 0\n")
+    r = _cli("--out", str(tmp_path), "lattice", str(spec))
+    assert r.returncode == 2
+    assert "not positive definite" in r.stderr
+
+
+def test_cli_rejects_removed_verify_flags():
+    assert cli.main(["leech", "--verify"]) == 2
+    assert cli.main(["appendix", "--verify"]) == 2
+
+
 def test_cli_code_file(tmp_path):
     spec = tmp_path / "code.txt"
     spec.write_text("name: tetra\nlength: 4\ngenerators:\n1 1 1 0\n1 -1 0 1\n")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess_forge.exact import CycNum, zeta
-from griess_forge.lattices import build_root_lattice, affine_e6, node_sublattice
+from griess_forge.lattices import (_COXETER, build_root_lattice, affine_e6,
+                                   node_sublattice, punctured_components)
 from griess_forge.w2 import (
     W2Algebra, W2Element, conformal_vector, tilde_omega, virasoro_check,
     coset_sum, sub_conformal_vector,
@@ -309,3 +310,51 @@ def test_product_rejects_keys_outside_the_norm4_vectors():
         alg.product(bad, good)
     with pytest.raises(ValueError, match=r"\(2, 0\)"):
         alg.product(good, bad)
+
+
+# -- the integer root sum against the Fraction accumulation it replaced
+
+def reference_sub_conformal_vector(alg, roots, coxeter):
+    c = F(1, 8 * coxeter)
+    heis = {}
+    for beta in roots:
+        for i in range(alg.rank):
+            bi = beta[i]
+            if not bi:
+                continue
+            for j in range(i, alg.rank):
+                bj = beta[j]
+                if bj:
+                    _acc(heis, (i, j), c * bi * bj * (2 if i != j else 1))
+    return W2Element(heis)
+
+
+@pytest.fixture(scope="module")
+def e6_components():
+    """(algebra, [(scaled roots, h)]) for every component of every punctured
+    affine E6 diagram."""
+    alg = algebra("E", 6)
+    aff = affine_e6()
+    comps = [(alg.scaled_roots([list(aff.node_root(j)) for j in nodes]),
+              _COXETER[kind](n))
+             for i in range(7) for nodes, kind, n in punctured_components(i)]
+    return alg, comps
+
+
+def test_sub_conformal_vector_matches_reference_on_node_components(e6_components):
+    alg, comps = e6_components
+    for roots, h in comps:
+        assert (sub_conformal_vector(alg, roots, h)
+                == reference_sub_conformal_vector(alg, roots, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sub_conformal_vector_matches_reference_on_root_subsets(e6_components, data):
+    # subsets of a component's roots, where sums can cancel to zero
+    alg, comps = e6_components
+    roots, _h = data.draw(st.sampled_from(comps))
+    subset = data.draw(st.lists(st.sampled_from(roots), max_size=12))
+    h = data.draw(st.integers(1, 30))
+    assert (sub_conformal_vector(alg, subset, h)
+            == reference_sub_conformal_vector(alg, subset, h))
