@@ -9,6 +9,7 @@ to h1 and h2, and the two constructions are isometric.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .codes import golay12
 from .gluing import (BlockSpace, GlueLattice, e8_glue, niemeier_a2_12,
@@ -34,12 +35,14 @@ def h_matrices(space):
     return h1, h2
 
 
+@cache
 def e8_perp_e8_triple():
     """(R, R1, R2, L, record): the doubled-E8 triple in E8 + E8.
 
     R is the diagonal, R1 and R2 the graphs of h1 and h2; each is
     isometric to the doubled E8 and L is their sum, returned with its
-    Gram matrix.  The record lists the exact checks performed.
+    Gram matrix.  The record lists the exact checks performed.  Built once
+    per process and shared read-only.
     """
     eg = e8_glue()
     space8 = eg.space
@@ -116,8 +119,8 @@ def leech_embedding_check():
     record = {}
     niem = niemeier_a2_12()
     space = niem.space
-    n0 = n0_sublattice(niem)
-    lam = leech(niem)
+    n0 = n0_sublattice()
+    lam = leech()
     eg = e8_glue()
     rows_e1, rows_e2, diag = e_copies_rows(eg)
     g = golay12()

@@ -30,9 +30,15 @@ fd_from_elements reduces such rows with the fraction-free step of the
 ``linalg`` core, each stored row with a rational integer pivot.  One
 closure routine, span_closure, serves weight-two elements and coordinate
 vectors alike: the caller passes the product and the coordinate map.
+
+node_case, e8_side and nine_orbit_algebra build their objects once per
+process (per node for node_case) and hand every caller the same ones, so
+callers treat them as read-only.  The literal tables are built afresh on
+each call and may be changed by their caller.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product as iproduct
 
 from .exact import _cyc_row, _zdiv, _zmul, zeta
@@ -40,7 +46,7 @@ from .lattices import (_COXETER, affine_e6, punctured_components, Sublattice,
                        annihilator, quotient_structure, isometry_test)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
 from .gluing import e8_glue
-from .w2 import (W2Algebra, W2Element, tilde_omega, coset_sum,
+from .w2 import (W2Algebra, W2Element, root_algebra, tilde_omega, coset_sum,
                  virasoro_check, CosetCharacter)
 
 F = Fraction
@@ -418,7 +424,7 @@ class NodeCase:
             raise ValueError("node must be one of 1A, 2A, 3A")
         self.node = node
         self.aff = affine_e6()
-        self.alg = W2Algebra(self.aff.lattice.scaled(2), name="W2(sqrt2 E6)")
+        self.alg = root_algebra("E", 6)
         i = _NODE_INDEX[node]
         self.mark = self.aff.mark(i)
         self.node_root = self.aff.node_root(i)
@@ -462,6 +468,7 @@ def _frame(alg, components):
     return vectors, charges
 
 
+@cache
 def node_case(node):
     return NodeCase(node)
 
@@ -613,13 +620,9 @@ class E8Side:
         raise ValueError("no character of order %d" % orders)
 
 
-_E8_SIDE = []
-
-
+@cache
 def e8_side():
-    if not _E8_SIDE:
-        _E8_SIDE.append(E8Side())
-    return _E8_SIDE[0]
+    return E8Side()
 
 
 def vnx_griess(node):
@@ -689,9 +692,7 @@ def u3a_griess(source="table"):
     return fd_from_elements(alg, elems, ["w1", "w2", "Xp", "Xm"])
 
 
-_NINE_ORBIT = []
-
-
+@cache
 def nine_orbit_algebra():
     """Closure of the full 3^2-character orbit of the special Ising vector.
 
@@ -702,12 +703,6 @@ def nine_orbit_algebra():
     Returns (FDAlgebra, side, (chi1, chi2), orbit_coords); computed once
     per process, like e8_side.
     """
-    if not _NINE_ORBIT:
-        _NINE_ORBIT.append(_nine_orbit_algebra())
-    return _NINE_ORBIT[0]
-
-
-def _nine_orbit_algebra():
     side = e8_side()
     alg = side.alg
     k_rows = side.ltilde_rows("3A")

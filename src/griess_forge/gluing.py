@@ -12,15 +12,16 @@ block form divided by 9).
 The chain built here: E8 glued from fourA2 blocks along the tetracode,
 the Niemeier lattice N from twelve blocks along the Golay code, the
 rootless kernel N0, the Leech lattice, and the sqrt(2)E8 triples used by
-the embedding checks.
+the embedding checks.  N, N0 and the Leech lattice are built once per
+process and shared, so callers treat them as read-only.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .codes import tetracode_slope, golay12
 from .intmat import hnf
 from .lattices import IntegralLattice, Sublattice, kernel_sublattice
-from .linalg import solve_matrix
 
 __all__ = [
     "BlockSpace", "GlueLattice", "glue_lattice", "e8_glue", "niemeier_a2_12",
@@ -72,9 +73,9 @@ class BlockSpace:
 
 
 class GlueLattice:
-    """An integral lattice presented by third-coordinate basis rows."""
+    """An integral lattice presented by third-coordinate HNF basis rows."""
 
-    __slots__ = ("space", "basis", "lattice", "_inv_cols")
+    __slots__ = ("space", "basis", "lattice")
 
     def __init__(self, space, rows, name=None):
         self.space = space
@@ -90,27 +91,28 @@ class GlueLattice:
                 gram_row.append(p // 9)
             gram.append(gram_row)
         self.lattice = IntegralLattice(gram, name=name)
-        self._inv_cols = None
 
     @property
     def rank(self):
         return len(self.basis)
 
     def coords_of(self, v):
-        """Basis coordinates of a third-coordinate vector, or None."""
-        if self._inv_cols is None:
-            self._inv_cols = [[Fraction(self.basis[i][j]) for i in range(self.rank)]
-                              for j in range(self.space.dim)]
-        x = solve_matrix(self._inv_cols, [[Fraction(t)] for t in v])
-        if x is None:
-            return None
+        """Basis coordinates of a third-coordinate vector, or None.
+
+        Forward substitution down the HNF basis: a row's pivot column is
+        zero in every later row, so the residue there fixes the row's
+        coordinate, which must be an integer; a member leaves no residue."""
+        r = list(v)
         out = []
-        for row in x:
-            q = row[0]
-            if q.denominator != 1:
+        for row in self.basis:
+            c = next(k for k, t in enumerate(row) if t)
+            x, rem = divmod(r[c], row[c])
+            if rem:
                 return None
-            out.append(q.numerator)
-        return out
+            if x:
+                r = [a - x * b for a, b in zip(r, row)]
+            out.append(x)
+        return None if any(r) else out
 
     def __contains__(self, v):
         return self.coords_of(v) is not None
@@ -138,6 +140,7 @@ def e8_glue():
     return glue_lattice(4, tetracode_slope(), name="E8(A2^4)")
 
 
+@cache
 def niemeier_a2_12():
     """The even unimodular rank-24 lattice glued from A2^12 along the Golay code."""
     return glue_lattice(12, golay12(), name="N(A2^12)")
@@ -155,8 +158,10 @@ def delta_hat(space):
     return v
 
 
-def n0_sublattice(niem):
+@cache
+def n0_sublattice():
     """The index-3 rootless kernel {x : <x, delta_hat> in 3Z} of N."""
+    niem = niemeier_a2_12()
     space = niem.space
     dh = delta_hat(space)
     vals = []
@@ -169,17 +174,16 @@ def n0_sublattice(niem):
     return GlueLattice(space, rows, name="N0")
 
 
-def leech(niem=None):
+@cache
+def leech():
     """The Leech lattice as N0 extended by a norm-4 glue vector.
 
     The glue class is generated by a block root plus delta_hat / 3; the
     root's sign is chosen so the generator has norm 4 (the opposite sign
     gives the non-integral glue class of norm 16/3).
     """
-    if niem is None:
-        niem = niemeier_a2_12()
-    n0 = n0_sublattice(niem)
-    space = niem.space
+    n0 = n0_sublattice()
+    space = n0.space
     dh = delta_hat(space)
     third = [x // 3 for x in dh]
     glue = [a + b for a, b in zip(space.block_row(0, 0), third)]

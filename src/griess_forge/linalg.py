@@ -41,7 +41,6 @@ __all__ = [
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_C0 = CycNum()
 
 
 def identity(n):
@@ -288,12 +287,11 @@ def _prepare(a, rhs=None, log=None):
 
 
 def _quotients(row, p, cyc):
-    """The entries of an integer row divided by the integer p."""
+    """The entries of an integer row divided by the integer p; over Z[z] a
+    Fraction for each rational entry and a CycNum otherwise."""
     if not cyc:
         return [Fraction(x, p) for x in row]
-    return [CycNum._raw((Fraction(x[0], p), Fraction(x[1], p),
-                         Fraction(x[2], p), Fraction(x[3], p))) if x else _C0
-            for x in row]
+    return [_zdiv(x, p) if x else _F0 for x in row]
 
 
 def solve_matrix(a, rhs):

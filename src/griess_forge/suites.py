@@ -8,7 +8,9 @@ counts; nothing here is computed twice through the same code path.
 
 import random
 import time
+import traceback
 from fractions import Fraction
+from functools import cache
 
 from .exact import zeta
 from .report import Report, fmt
@@ -19,25 +21,14 @@ F = Fraction
 __all__ = ["SUITES", "run_suite", "nine_orbit_scan"]
 
 
-def _timed(fn):
-    def wrapper(*a, **k):
-        t0 = time.perf_counter()
-        rep = fn(*a, **k)
-        rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        return rep
-    return wrapper
-
-
-@_timed
 def suite_charges():
-    from .lattices import build_root_lattice
-    from .w2 import W2Algebra, tilde_omega, virasoro_check
+    from .w2 import root_algebra, tilde_omega, virasoro_check
     rep = Report("charges")
     cases = [("A", 1, F(1, 2)), ("A", 2, F(4, 5)), ("A", 5, F(5, 4)),
              ("D", 4, F(1)), ("E", 6, F(6, 7)), ("E", 7, F(7, 10)),
              ("E", 8, F(1, 2))]
     for kind, n, want in cases:
-        alg = W2Algebra(build_root_lattice(kind, n, scale=2))
+        alg = root_algebra(kind, n)
         w = tilde_omega(alg, alg.vectors4, alg.lattice.coxeter)
         ok, c = virasoro_check(alg, w)
         rep.add("charge-%s%d" % (kind, n),
@@ -49,12 +40,10 @@ def suite_charges():
     return rep
 
 
-@_timed
 def suite_ising():
-    from .lattices import build_root_lattice
-    from .w2 import W2Algebra, tilde_omega, conformal_vector
+    from .w2 import root_algebra, tilde_omega, conformal_vector
     rep = Report("ising")
-    alg = W2Algebra(build_root_lattice("E", 8, scale=2))
+    alg = root_algebra("E", 8)
     rep.add("dim", "dimension of the doubled-E8 even weight-two space",
             "36 Heisenberg pairs + 120 exponential classes", 156, alg.dim)
     e = tilde_omega(alg, alg.vectors4, 30)
@@ -87,7 +76,6 @@ def _table_checks(rep, fd, ref, label):
                     fmt(fd.gram[i][j]) if same_names else "basis mismatch")
 
 
-@_timed
 def suite_commutant(node):
     from .commutants import (node_case, g2a_table, g3a_table, tilde_v_pair,
                              orthogonal_complement_virasoro,
@@ -124,7 +112,6 @@ def suite_commutant(node):
     return rep
 
 
-@_timed
 def suite_u3a(from_orbit=False):
     from .commutants import u3a_griess, u3a_table
     from .involutions import ad_spectrum
@@ -167,7 +154,6 @@ def suite_u3a(from_orbit=False):
     return rep
 
 
-@_timed
 def suite_involutions(node):
     from .commutants import node_case, tilde_v_pair
     from .involutions import sigma_involution, map_order, is_automorphism
@@ -201,23 +187,17 @@ def suite_involutions(node):
     return rep
 
 
-_NINE_ORBIT_SCAN = []
-
-
+@cache
 def nine_orbit_scan():
     """The closure algebra of the nine twisted Ising vectors and the tau
     scan over them, (algebra, orders, violations, maps); computed once per
-    process."""
-    if not _NINE_ORBIT_SCAN:
-        from .commutants import nine_orbit_algebra
-        from .involutions import transposition_scan
-        fd12, _side, _chars, orbit = nine_orbit_algebra()
-        _NINE_ORBIT_SCAN.append(
-            (fd12,) + tuple(transposition_scan(fd12, orbit, "tau_ising")))
-    return _NINE_ORBIT_SCAN[0]
+    process and shared read-only."""
+    from .commutants import nine_orbit_algebra
+    from .involutions import transposition_scan
+    fd12, _side, _chars, orbit = nine_orbit_algebra()
+    return (fd12,) + tuple(transposition_scan(fd12, orbit, "tau_ising"))
 
 
-@_timed
 def suite_e8_orbit():
     from .involutions import group_closure
     rep = Report("involutions-e8-orbit")
@@ -238,7 +218,6 @@ def suite_e8_orbit():
     return rep
 
 
-@_timed
 def suite_minimal():
     from .minimal import (sigma_type_set, fusion, highest_weight,
                           w_module_classification, u3a_module_table)
@@ -270,7 +249,6 @@ def suite_minimal():
     return rep
 
 
-@_timed
 def suite_codes():
     from .codes import tetracode, tetracode_slope, golay12
     rep = Report("codes")
@@ -296,7 +274,6 @@ def suite_codes():
     return rep
 
 
-@_timed
 def suite_leech(skip_slow=False):
     from .gluing import niemeier_a2_12, n0_sublattice, leech
     from .lattices import short_vectors
@@ -309,12 +286,12 @@ def suite_leech(skip_slow=False):
             1, niem.lattice.det())
     rep.add("niemeier-roots", "root count 72 (twelve A2 blocks)",
             "norm-2 enumeration", 72, len(short_vectors(niem.lattice, 2)))
-    n0 = n0_sublattice(niem)
+    n0 = n0_sublattice()
     rep.add("n0-index", "index of the rootless kernel", "quotient order", 3,
             niem.sublattice_in_basis(n0.basis).index())
     rep.add("n0-rootless", "the kernel has no roots", "norm-2 enumeration",
             0, len(short_vectors(n0.lattice, 2)))
-    lam = leech(niem)
+    lam = leech()
     rep.add("leech-even", "the extension is even", "Gram parity", "true",
             lam.lattice.is_even())
     rep.add("leech-det", "determinant 1", "unimodularity", 1, lam.lattice.det())
@@ -335,7 +312,6 @@ def suite_leech(skip_slow=False):
     return rep
 
 
-@_timed
 def suite_appendix():
     from .su3 import su3_data, theta_matrix_relations
     from .appendix import e8_perp_e8_triple
@@ -354,15 +330,13 @@ def suite_appendix():
     return rep
 
 
-@_timed
 def suite_properties():
-    from .lattices import build_root_lattice
-    from .w2 import W2Algebra, conformal_vector
+    from .w2 import root_algebra, conformal_vector
     from .commutants import (node_case, u3a_table, u6a_table, g2a_table,
                              g3a_table)
     from .linalg import is_positive_definite
     rep = Report("properties")
-    alg = W2Algebra(build_root_lattice("A", 2, scale=2))
+    alg = root_algebra("A", 2)
     comm = all(alg.product(alg.basis_element(i), alg.basis_element(j))
                == alg.product(alg.basis_element(j), alg.basis_element(i))
                for i in range(alg.dim) for j in range(alg.dim))
@@ -458,9 +432,19 @@ SUITES = {
 
 
 def run_suite(name, **kwargs):
+    """The suite's report, timed.  An exception raised inside the suite
+    becomes one failed check, id "error", carrying its type and message;
+    its traceback goes to standard error."""
     if name not in SUITES:
         raise KeyError("unknown suite %r" % name)
     fn = SUITES[name]
-    if name == "leech":
-        return fn(**kwargs)
-    return fn()
+    t0 = time.perf_counter()
+    try:
+        rep = fn(**kwargs) if name == "leech" else fn()
+    except Exception as exc:
+        traceback.print_exc()
+        rep = Report(name)
+        rep.add("error", "the suite runs to its end", "suite completion",
+                "no exception", "%s: %s" % (type(exc).__name__, exc))
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep

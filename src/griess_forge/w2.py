@@ -43,18 +43,23 @@ such product: for each norm-4 beta, its negative and the gamma with
 as the tuples of ``vectors4``.  The walk runs over the smaller operand's
 exponentials and looks each neighbour up in the other, so pairs with
 <beta, gamma> >= 0, which contribute nothing, are never visited.
+
+root_algebra builds each root lattice's algebra once per process and hands
+every caller the same object, which callers therefore treat as read-only.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 
 from .exact import _cyc_row, _zdiv, _zmul
-from .lattices import short_vectors, Sublattice, quotient_structure
+from .lattices import (build_root_lattice, short_vectors, Sublattice,
+                       quotient_structure)
 from .linalg import inverse as q_inverse
 
-__all__ = ["W2Algebra", "W2Element", "conformal_vector", "tilde_omega",
-           "coset_sum", "virasoro_check", "CosetCharacter"]
+__all__ = ["W2Algebra", "W2Element", "root_algebra", "conformal_vector",
+           "tilde_omega", "coset_sum", "virasoro_check", "CosetCharacter"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -181,8 +186,8 @@ class W2Algebra:
             for j in range(self.rank):
                 if g[i][j] % 2:
                     raise ValueError("lattice is not doubly even")
-        if short_vectors(lattice, 2):
-            raise ValueError("lattice has roots; expected a sqrt(2)-rescaling")
+        # a diagonal in 4Z and even pairings put every norm in 4Z, so the
+        # lattice has no roots (norm 2) and needs no root check
         self.vectors4 = short_vectors(lattice, 4)
         self.classes = [self.vectors4[i] for i in range(0, len(self.vectors4), 2)]
         self.class_index = {}
@@ -392,6 +397,12 @@ class W2Algebra:
                         amb[i] += c * t
             out.append(tuple(amb))
         return out
+
+
+@cache
+def root_algebra(kind, n):
+    """The W2Algebra of build_root_lattice(kind, n, scale=2); one per process."""
+    return W2Algebra(build_root_lattice(kind, n, scale=2))
 
 
 def conformal_vector(alg):

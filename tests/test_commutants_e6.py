@@ -176,3 +176,12 @@ def test_coordinates_name_an_element_outside_the_span(case_2a):
     fd = case_2a.fd
     with pytest.raises(ValueError, match="element 1 is not in the span"):
         fd.coordinates([fd.embedding[0], case_2a.alg.basis_element(0)])
+
+
+def test_rational_coordinates_are_fractions_in_a_cyclotomic_batch(case_3a):
+    # v' is cyclotomic, so the batch is solved over Z[z]; v's coordinates
+    # stay Fractions and sigma_v runs in rational arithmetic
+    v, vp = tilde_v_pair(case_3a)
+    vc, vpc = case_3a.fd.coordinates([v, vp])
+    assert all(type(c) is Fraction for c in vc)
+    assert any(type(c) is not Fraction for c in vpc)

@@ -1,12 +1,16 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from griess_forge.codes import golay12
 from griess_forge.gluing import (
-    e8_glue, niemeier_a2_12, n0_sublattice, leech, delta_hat,
+    GlueLattice, e8_glue, niemeier_a2_12, n0_sublattice, leech, delta_hat,
     codeword_isometry, tau_bar_matrix, e_copies_rows,
 )
 from griess_forge.intmat import int_matvec, int_matmul, int_identity
 from griess_forge.lattices import build_root_lattice, short_vectors, isometry_test
+from griess_forge.linalg import solve_matrix
 
 D1 = (0, -1, -1, -1, 0, 0, 0, 0, 0, 1, 1, 1)
 D2 = (1, 1, 0, -1, 0, 0, 0, 0, 1, 1, -1, 0)
@@ -43,7 +47,7 @@ def test_niemeier_roots_are_the_blocks():
 
 def test_n0_index_three_rootless():
     niem = niemeier_a2_12()
-    n0 = n0_sublattice(niem)
+    n0 = n0_sublattice()
     sub = niem.sublattice_in_basis(n0.basis)
     assert sub.index() == 3
     assert len(short_vectors(n0.lattice, 2)) == 0
@@ -80,10 +84,10 @@ def test_codeword_isometry_preserves_everything():
         img = int_matvec(h1, row)
         assert niem.space.dot9(img, img) == niem.space.dot9(row, row)
     # preserves N0 and the Leech lattice setwise
-    n0 = n0_sublattice(niem)
+    n0 = n0_sublattice()
     for row in n0.basis:
         assert int_matvec(h1, row) in n0
-    lam = leech(niem)
+    lam = leech()
     for row in lam.basis:
         assert int_matvec(h1, row) in lam
 
@@ -98,3 +102,35 @@ def test_identity_word_is_identity():
     niem = niemeier_a2_12()
     h = codeword_isometry(niem.space, (0,) * 12, golay12())
     assert h == int_identity(24)
+
+
+def _coords_by_solve(gl, v):
+    """Reference for GlueLattice.coords_of: one Fraction solve against the
+    basis columns, None unless the solution exists and is integral."""
+    cols = [[Fraction(row[j]) for row in gl.basis] for j in range(gl.space.dim)]
+    x = solve_matrix(cols, [[Fraction(t)] for t in v])
+    if x is None or any(row[0].denominator != 1 for row in x):
+        return None
+    return [row[0].numerator for row in x]
+
+
+def test_coords_of_matches_solve():
+    rng = random.Random(3)
+    niem = niemeier_a2_12()
+    space = niem.space
+    # a rank-8 lattice in the 24-dim space, for vectors outside the span
+    e1 = GlueLattice(space, e_copies_rows(e8_glue())[0], name="E1")
+    off_span = [0] * space.dim
+    off_span[0] = 3
+    unit = [1] + [0] * (space.dim - 1)     # a1 / 3, in no lattice of the chain
+    for gl in (niem, n0_sublattice(), leech(), e1):
+        for _ in range(20):
+            coeffs = [rng.randint(-3, 3) for _ in range(gl.rank)]
+            v = [sum(c * row[j] for c, row in zip(coeffs, gl.basis))
+                 for j in range(space.dim)]
+            assert gl.coords_of(v) == _coords_by_solve(gl, v) == coeffs
+            off = [a + b for a, b in zip(v, unit)]
+            assert gl.coords_of(off) is None
+            assert _coords_by_solve(gl, off) is None
+    assert _coords_by_solve(e1, off_span) is None
+    assert e1.coords_of(off_span) is None

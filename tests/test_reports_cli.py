@@ -212,8 +212,8 @@ def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
         calls["scan"] += 1
         return scan(*args)
 
-    monkeypatch.setattr(commutants, "_NINE_ORBIT", [])
-    monkeypatch.setattr(suites, "_NINE_ORBIT_SCAN", [])
+    commutants.nine_orbit_algebra.cache_clear()
+    suites.nine_orbit_scan.cache_clear()
     monkeypatch.setattr(commutants, "nine_orbit_algebra", counted_closure)
     monkeypatch.setattr(involutions, "transposition_scan", counted_scan)
     assert cli.main(["--out", str(tmp_path), "involutions", "e8-orbit"]) == 0
@@ -255,3 +255,64 @@ def test_cli_report_all_records_v_two_ways_mismatch(tmp_path, monkeypatch):
     assert by_id["vv-pairing"]["status"] == "pass"
     written = sorted(p.name for p in tmp_path.glob("report-*.json"))
     assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+
+
+def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
+    # an exception inside one suite is one failed "error" check in its
+    # report; every other report is still written and the exit status is 1
+    from griess_forge import commutants
+
+    def raising(source="table"):
+        raise ValueError("orbit closure has dimension 3, expected 4")
+
+    monkeypatch.setattr(commutants, "u3a_griess", raising)
+    assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    data = json.loads((tmp_path / "report-u3a-orbit.json").read_text())
+    assert data["suite"] == "u3a-orbit"
+    assert data["checks"] == [{
+        "id": "error", "description": "the suite runs to its end",
+        "anchor": "suite completion", "expected": "no exception",
+        "computed": "ValueError: orbit closure has dimension 3, expected 4",
+        "status": "fail"}]
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+    for name in suites.SUITES:
+        if name != "u3a-orbit":
+            data = json.loads((tmp_path / ("report-%s.json" % name)).read_text())
+            assert all(c["status"] != "fail" for c in data["checks"]), name
+
+
+def test_report_all_builds_each_fixed_object_once(tmp_path, monkeypatch):
+    # with the caches cleared, one round builds each node case once, one
+    # W2Algebra per distinct Gram matrix, and one each of the E8 side, N,
+    # N0, the Leech lattice and the doubled-E8 triple (whose sum is "L")
+    from collections import Counter
+    from griess_forge import appendix, commutants, gluing, w2
+    for cached in (commutants.node_case, commutants.e8_side,
+                   commutants.nine_orbit_algebra, suites.nine_orbit_scan,
+                   gluing.niemeier_a2_12, gluing.n0_sublattice, gluing.leech,
+                   appendix.e8_perp_e8_triple, w2.root_algebra):
+        cached.cache_clear()
+    built = Counter()
+
+    def count(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[key(self)] += 1
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count(commutants.NodeCase, lambda case: ("NodeCase", case.node))
+    count(commutants.E8Side, lambda side: ("E8Side",))
+    count(w2.W2Algebra, lambda alg: ("W2Algebra", str(alg.lattice.gram)))
+    count(gluing.GlueLattice, lambda gl: ("GlueLattice", gl.lattice.name))
+    assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 0
+    for key in [("NodeCase", n) for n in ("1A", "2A", "3A")] + [("E8Side",)] + [
+            ("GlueLattice", n) for n in ("N(A2^12)", "N0", "Leech", "L")]:
+        assert built[key] == 1, key
+    algebras = {k: n for k, n in built.items() if k[0] == "W2Algebra"}
+    # sqrt(2) A1, A2, A5, D4, E6, E7, E8 in the root basis; E8 in the glued basis
+    assert len(algebras) == 8
+    assert set(algebras.values()) == {1}
