@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .report import Report, fmt
+from .report import Report, fmt, skipped
 from .suites import SUITES, run_suite
 
 
@@ -59,11 +59,18 @@ def _parse_kv_file(path):
 
 
 def _load_lattice(arg):
+    """(lattice, known theta coefficients {norm: count}) for a name or a file.
+
+    The coefficients are the classical ones of the named lattices: the
+    n h roots of a root lattice of rank n and Coxeter number h (at norm 4
+    once scaled by sqrt 2), the 72 roots of twelve A2 blocks and the
+    rootless Leech lattice's 196560 minimal vectors.  Files have none.
+    """
     from .lattices import build_root_lattice, IntegralLattice
     from .gluing import niemeier_a2_12, leech
     named = {
-        "leech": lambda: leech().lattice,
-        "niemeier-a2-12": lambda: niemeier_a2_12().lattice,
+        "leech": lambda: (leech().lattice, {2: 0, 4: 196560}),
+        "niemeier-a2-12": lambda: (niemeier_a2_12().lattice, {2: 72}),
     }
     key = arg.lower()
     if key in named:
@@ -76,7 +83,7 @@ def _load_lattice(arg):
         lat = IntegralLattice(gram, name=fields.get("name"))
         if int(fields.get("rank", lat.rank)) != lat.rank:
             raise ValueError("declared rank does not match the Gram matrix")
-        return lat
+        return lat, {}
     # names like A2, D4, E8, sqrt2E8
     scale = 1
     if key.startswith("sqrt2"):
@@ -84,7 +91,30 @@ def _load_lattice(arg):
         key = key[5:]
     kind = key[0].upper()
     n = int(key[1:])
-    return build_root_lattice(kind, n, scale=scale)
+    lat = build_root_lattice(kind, n, scale=scale)
+    return lat, {2 * scale: n * lat.coxeter}
+
+
+def _box_count(lat, norm):
+    """The number of vectors of the given norm, by scanning every integer
+    point of the box x_i^2 <= norm (G^-1)_ii; None above rank 4 or when
+    the box holds more than 200,000 points."""
+    from itertools import product
+    from math import isqrt, prod
+    from .intmat import int_det
+    if lat.rank > 4:
+        return None
+    g, det = lat.gram, int_det(lat.gram)
+    bounds = []
+    for i in range(lat.rank):
+        # (G^-1)_ii is the i-th diagonal cofactor over det G
+        minor = [[x for j, x in enumerate(row) if j != i]
+                 for k, row in enumerate(g) if k != i]
+        bounds.append(isqrt(max(0, norm * int_det(minor) // det)))
+    if prod(2 * b + 1 for b in bounds) > 200_000:
+        return None
+    return sum(1 for x in product(*(range(-b, b + 1) for b in bounds))
+               if lat.norm(x) == norm)
 
 
 def _load_code(path):
@@ -98,10 +128,10 @@ def _load_code(path):
 
 def cmd_lattice(args):
     from .intmat import int_det
-    from .lattices import short_vectors
+    from .lattices import lll_reduce, short_vectors
     from .linalg import det
     try:
-        lat = _load_lattice(args.which)
+        lat, theta = _load_lattice(args.which)
     except (ValueError, KeyError, IndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -109,13 +139,24 @@ def cmd_lattice(args):
     rep.add("rank", "rank", "input", lat.rank, lat.rank)
     rep.add("det", "determinant", "integer Bareiss elimination against "
             "elimination over Q", int_det(lat.gram), det(lat.gram))
-    rep.add("even", "even lattice", "Gram parity", fmt(lat.is_even()),
-            fmt(lat.is_even()))
-    if args.short_vectors:
-        n = len(short_vectors(lat, args.short_vectors))
-        rep.add("short-%d" % args.short_vectors,
-                "vectors of norm %d" % args.short_vectors,
-                "exact enumeration", n, n)
+    reduced = lll_reduce(lat.gram)[0]
+    rep.add("even", "even lattice", "Gram parity against the parity of the "
+            "LLL-reduced Gram", fmt(lat.is_even()),
+            fmt(all(row[i] % 2 == 0 for i, row in enumerate(reduced))))
+    norm = args.short_vectors
+    if norm:
+        cid, desc = "short-%d" % norm, "vectors of norm %d" % norm
+        n = len(short_vectors(lat, norm))
+        if norm in theta:
+            rep.add(cid, desc, "exact enumeration against the theta series",
+                    theta[norm], n)
+        elif (box := _box_count(lat, norm)) is not None:
+            rep.add(cid, desc, "exact enumeration against a box search", box, n)
+        else:
+            rep.checks.append(skipped(
+                cid, desc, "exact enumeration, unchecked: no known theta "
+                "coefficient, and a box search needs rank at most 4 and a "
+                "small box", fmt(n)))
     return 0 if _write_report(rep, args.out, args.md) else 1
 
 

@@ -2,10 +2,12 @@
 
 A lattice is its integer Gram matrix; vectors are integer coordinate
 tuples in the lattice basis.  Short vectors come from Fincke-Pohst
-enumeration with the quadratic completion computed in exact rationals, so
-the vector lists are provably complete.  Isometries are found by
+enumeration on a basis reduced by exact integral LLL (Cohen, Alg. 2.6.7),
+with the quadratic completion read off the LLL's leading minors and
+Gram-Schmidt integers, so the vector lists are provably complete; each
+(Gram, norm) is enumerated once per process.  Isometries are found by
 backtracking over images of basis vectors among short vectors of the
-right norm.
+right norm, on bases size-reduced by a greedy pairwise pass.
 
 The affine E6 diagram is walked in one place, punctured_components: it
 gives each component of the diagram with a node deleted, its root type
@@ -13,17 +15,17 @@ read off the diagram shape, and the order that the commutant frames of
 ``commutants`` follow.  Coxeter numbers come from one lookup, _COXETER.
 """
 
-from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import gcd, lcm
 
 from .intmat import (hnf, snf_with_transform, int_matmul, int_matvec, int_det,
                      int_positive_definite)
 
 __all__ = [
     "IntegralLattice", "Sublattice", "build_root_lattice", "direct_sum",
-    "affine_e6", "punctured_components", "node_sublattice", "short_vectors",
-    "isometry_test", "annihilator", "quotient_structure", "cosets",
-    "kernel_sublattice",
+    "affine_e6", "punctured_components", "node_sublattice", "lll_reduce",
+    "short_vectors", "isometry_test", "annihilator", "quotient_structure",
+    "cosets", "kernel_sublattice",
 ]
 
 
@@ -282,78 +284,108 @@ def node_sublattice(aff, i):
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke-Pohst)
+# exact integral LLL and short vector enumeration (Fincke-Pohst)
 
-def _size_reduce_basis(gram):
-    """Greedy pairwise size reduction of the abstract basis.
+def lll_reduce(gram):
+    """Exact integral LLL reduction of a positive definite Gram matrix.
 
-    Works on the Gram matrix alone; returns (new_gram, U) with
-    new_gram = U G U^T.  Repeatedly shortens b_i against b_j by integer
-    multiples and sorts by norm; this is plain Lagrange-style reduction
-    (no swap-condition bookkeeping), enough to make enumeration bases sane.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7,
+    with delta = 99/100 and integers only.  Returns (g, u, d, lam):
+
+    - g = U G U^T, the reduced Gram, with U unimodular;
+    - d[i], the determinant of the leading i x i block of g (d[0] = 1);
+    - lam[k][j] = d[j + 1] mu_kj for j < k, the integral Gram-Schmidt
+      coefficients (mu_kj = <b_k, b_j*> / <b_j*, b_j*>).
+
+    The result is size reduced, 2 |lam[k][j]| <= d[j + 1], and meets
+    Lovasz's condition 100 d[k + 1] d[k - 1] >= 99 d[k]^2 - 100 lam[k][k - 1]^2.
     """
     n = len(gram)
-    g = [row[:] for row in gram]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    g = [list(row) for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
 
-    def reduce_once():
-        changed = False
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            s = g[k][j]
+            for i in range(j):
+                s = (d[i + 1] * s - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = s
+            elif s <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[k + 1] = s
+
+    def reduce(k, l):
+        # b_k -= q b_l with q the integer nearest to mu_kl
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+        gk, gl = g[k], g[l]
         for i in range(n):
-            for j in range(n):
-                if i == j or g[j][j] == 0:
-                    continue
-                # nearest integer to g[i][j]/g[j][j]
-                num, den = g[i][j], g[j][j]
-                q = (2 * num + den) // (2 * den)
-                if q:
-                    new_norm = g[i][i] - 2 * q * g[i][j] + q * q * g[j][j]
-                    if new_norm < g[i][i]:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-                        for k in range(n):
-                            g[i][k] -= q * g[j][k]
-                        for k in range(n):
-                            g[k][i] -= q * g[k][j]
-                        changed = True
-        return changed
+            gk[i] -= q * gl[i]
+        for row in g:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
 
-    for _ in range(64):
-        if not reduce_once():
-            break
-    order = sorted(range(n), key=lambda i: g[i][i])
-    g2 = [[g[a][b] for b in order] for a in order]
-    u2 = [u[a] for a in order]
-    return g2, u2
+    def swap(k, kmax):
+        # exchange b_{k-1} and b_k; only d[k] and the lam of columns k-1, k move
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return g, u, d, lam
 
 
-def _ldl_scaled(gram):
-    """Integer-scaled LDL^T data for enumeration.
+def _completion(d, lam):
+    """The quadratic completion of an LLL Gram, in integers.
 
-    Returns (D, C, M) with M a common denominator such that
-    M^3 * norm(x) = sum_i D_i (M x_i + sum_{j>i} C_ij x_j)^2 / M^0 scaling:
-    concretely D_i = M * d_i and C_ij = M * c_ij are integers and
-    d_i (x_i + u_i)^2 = D_i (M x_i + U_i)^2 / M^3 with U_i = sum C_ij x_j.
+    With B_i = d[i+1]/d[i] and mu_ji = lam[j][i]/d[i+1], the norm of x is
+    sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2.  Returns (D, C, M): M is the
+    least common denominator of every B_i and mu_ji, D_i = M B_i and
+    C[i][j] = M mu_ji for j > i (0 otherwise), so that
+    M^3 norm(x) = sum_i D_i (M x_i + sum_{j>i} C[i][j] x_j)^2.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
+    n = len(d) - 1
+    m = 1
     for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
+        m = lcm(m, d[i] // gcd(d[i + 1], d[i]))
         for j in range(i + 1, n):
-            c[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            aij = a[i][j]
-            if not aij:
-                continue
-            for k in range(j, n):
-                if a[i][k]:
-                    a[j][k] -= c[i][k] * aij
-    m = lcm(*[d[i].denominator for i in range(n)],
-            *[c[i][j].denominator for i in range(n) for j in range(i + 1, n)])
-    dd = [int(d[i] * m) for i in range(n)]
-    cc = [[int(c[i][j] * m) for j in range(n)] for i in range(n)]
+            m = lcm(m, d[i + 1] // gcd(lam[j][i], d[i + 1]))
+    dd = [m * d[i + 1] // d[i] for i in range(n)]
+    cc = [[m * lam[j][i] // d[i + 1] if j > i else 0 for j in range(n)]
+          for i in range(n)]
     return dd, cc, m
 
 
@@ -361,20 +393,25 @@ def short_vectors(lat, target_norm):
     """All lattice vectors of exactly the given positive norm.
 
     Output is deterministic: +-pairs adjacent (v before -v), pairs ordered
-    lexicographically by their canonical representative.  Enumeration is
-    exact integer Fincke-Pohst: the quadratic completion is computed in
-    rationals once, cleared to a common denominator, and the coordinate
-    scan works entirely in integers, so nothing is missed and no floats
-    enter.  A Lagrange-style size reduction of the basis keeps the search
-    tree small on glued bases.
+    lexicographically by their canonical representative.  The basis is
+    first reduced by exact integral LLL (lll_reduce); the quadratic
+    completion is read off its leading minors and Gram-Schmidt integers
+    over one common denominator, and the Fincke-Pohst coordinate scan
+    works entirely in integers, so nothing is missed and no floats enter.
+
+    Each (Gram, norm) is enumerated once per process; every call returns
+    a fresh list of the shared tuples, which the caller may mutate.
     """
-    if target_norm <= 0:
+    if target_norm <= 0 or lat.rank == 0:
         return []
-    n = lat.rank
-    if n == 0:
-        return []
-    g2, u2 = _size_reduce_basis(lat.gram)
-    d, c, m = _ldl_scaled(g2)
+    return list(_short_vectors(tuple(map(tuple, lat.gram)), target_norm))
+
+
+@cache
+def _short_vectors(gram, target_norm):
+    n = len(gram)
+    _g, u2, minors, lam = lll_reduce(gram)
+    d, c, m = _completion(minors, lam)
     # remaining budgets carry the M^3 scaling; all integers below
     reps = []
     x = [0] * n
@@ -416,7 +453,7 @@ def short_vectors(lat, target_norm):
     for rep in sorted(canon):
         out.append(rep)
         out.append(tuple(-t for t in rep))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +556,59 @@ def kernel_sublattice(ambient_basis_rows, values, modulus):
 # ---------------------------------------------------------------------------
 # isometry search
 
+def _size_reduce_basis(gram):
+    """Greedy pairwise size reduction of the abstract basis.
+
+    Works on the Gram matrix alone; returns (new_gram, U) with
+    new_gram = U G U^T.  Repeatedly shortens b_i against b_j by integer
+    multiples and sorts by norm; this is plain Lagrange-style reduction
+    (no swap-condition bookkeeping), used by the isometry search.
+    """
+    n = len(gram)
+    g = [row[:] for row in gram]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def reduce_once():
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or g[j][j] == 0:
+                    continue
+                # nearest integer to g[i][j]/g[j][j]
+                num, den = g[i][j], g[j][j]
+                q = (2 * num + den) // (2 * den)
+                if q:
+                    new_norm = g[i][i] - 2 * q * g[i][j] + q * q * g[j][j]
+                    if new_norm < g[i][i]:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+                        for k in range(n):
+                            g[i][k] -= q * g[j][k]
+                        for k in range(n):
+                            g[k][i] -= q * g[k][j]
+                        changed = True
+        return changed
+
+    for _ in range(64):
+        if not reduce_once():
+            break
+    order = sorted(range(n), key=lambda i: g[i][i])
+    g2 = [[g[a][b] for b in order] for a in order]
+    u2 = [u[a] for a in order]
+    return g2, u2
+
+
 def isometry_test(lat_l, lat_m, max_nodes=2_000_000):
     """An integer basis change P with P G_L P^T = G_M, or None.
 
     P's rows are the images in L-coordinates of M's basis vectors; when it
     exists it is unimodular because the determinants agree.  Both bases
-    are size-reduced first and the target rows are processed in order of
-    increasing candidate count, then the answer is transported back; the
-    search itself is backtracking over short vectors of the right norm
-    with inner-product pruning.
+    are size-reduced first (greedily, not by LLL: on the scrambled rank-16
+    test basis the LLL basis made the search far slower), then the answer
+    is transported back.  The search is backtracking over short vectors
+    of the right norm with inner-product pruning.  Target rows are taken
+    by the candidate count of their norm, smallest first; when all basis
+    norms agree, as on lattices spanned by norm-4 vectors, that is just
+    the basis order.
     """
     if lat_l.rank != lat_m.rank:
         raise ValueError("rank mismatch: %d vs %d" % (lat_l.rank, lat_m.rank))

@@ -33,8 +33,8 @@ def check(cid, description, anchor, expected, computed):
     return Check(cid, description, anchor, fmt(expected), fmt(computed))
 
 
-def skipped(cid, description, anchor):
-    return Check(cid, description, anchor, "", "", status="skipped")
+def skipped(cid, description, anchor, computed=""):
+    return Check(cid, description, anchor, "", computed, status="skipped")
 
 
 def fmt(x):

@@ -149,6 +149,38 @@ def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkey
         assert cli.main(argv_code) == 1
 
 
+def test_cli_lattice_counts_compare_independent_values(tmp_path, monkeypatch):
+    # short-N is the enumeration against the theta series of a named lattice
+    # or a box search at rank <= 4; even is the input Gram's parity against
+    # the parity of the LLL-reduced Gram
+    from griess_forge import lattices
+    spec = tmp_path / "d4.txt"
+    spec.write_text("name: d4\ngram:\n2 -1 0 0\n-1 2 -1 -1\n0 -1 2 0\n0 -1 0 2\n")
+    named = ["--out", str(tmp_path), "lattice", "A2", "--short-vectors", "2"]
+    boxed = ["--out", str(tmp_path), "lattice", str(spec), "--short-vectors", "2"]
+    assert cli.main(named) == 0
+    assert cli.main(boxed) == 0
+    by_id = {c["id"]: c for c in json.loads(
+        (tmp_path / "report-lattice-d4.json").read_text())["checks"]}
+    assert by_id["short-2"]["expected"] == by_id["short-2"]["computed"] == "24"
+    sv = lattices.short_vectors
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "short_vectors", lambda lat, norm: sv(lat, norm)[1:])
+        assert cli.main(named) == 1
+        assert cli.main(boxed) == 1
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "lll_reduce",
+                  lambda gram: ([[1] + row[1:] for row in gram], None, None, None))
+        assert cli.main(["--out", str(tmp_path), "lattice", "A2"]) == 1
+    # E8 at norm 4: no coefficient on record and rank 8, so the count is
+    # recorded as unchecked
+    assert cli.main(["--out", str(tmp_path), "lattice", "E8", "--short-vectors", "4"]) == 0
+    by_id = {c["id"]: c for c in json.loads(
+        (tmp_path / "report-lattice-E8.json").read_text())["checks"]}
+    assert by_id["short-4"]["status"] == "skipped"
+    assert by_id["short-4"]["computed"] == "2160"
+
+
 def test_cli_commutant_exports_tables(tmp_path):
     r = _cli("--out", str(tmp_path), "--md", "commutant", "2A", "--export-tables")
     assert r.returncode == 0
