@@ -162,24 +162,28 @@ def cmd_lattice(args):
 
 def cmd_fusion(args):
     from .minimal import fusion, central_charge, highest_weight
+    a, b = (args.r1, args.s1), (args.r2, args.s2)
     try:
-        result = fusion(args.m, (args.r1, args.s1), (args.r2, args.s2))
+        result, swapped = fusion(args.m, a, b), fusion(args.m, b, a)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     c = central_charge(args.m)
-    terms = []
-    for (r, s), k in sorted(result.items()):
-        h = highest_weight(args.m, r, s)
-        label = "L(%s, %s)" % (fmt(c), fmt(h))
-        terms.append(label if k == 1 else "%d %s" % (k, label))
-    print(" + ".join(terms))
+
+    def terms(res):
+        out = []
+        for (r, s), k in sorted(res.items()):
+            label = "L(%s, %s)" % (fmt(c), fmt(highest_weight(args.m, r, s)))
+            out.append(label if k == 1 else "%d %s" % (k, label))
+        return " + ".join(out)
+
+    print(terms(result))
     rep = Report("fusion")
     rep.add("fusion", "fusion of (%d,%d) and (%d,%d) at m = %d"
             % (args.r1, args.s1, args.r2, args.s2, args.m),
-            "double-sum rule", " + ".join(terms), " + ".join(terms))
-    _write_report(rep, args.out, args.md)
-    return 0
+            "double-sum rule against the fusion with the factors swapped",
+            terms(swapped), terms(result))
+    return 0 if _write_report(rep, args.out, args.md) else 1
 
 
 def cmd_code(args):
@@ -191,10 +195,16 @@ def cmd_code(args):
     rep = Report("code")
     rep.add("size", "word count", "3^dimension", 3 ** code.dimension(),
             len(code))
-    rep.add("min-weight", "minimum weight", "enumeration",
-            code.minimum_weight(), code.minimum_weight())
-    rep.add("self-dual", "self-duality", "dual check",
-            fmt(code.is_self_dual()), fmt(code.is_self_dual()))
+    rep.add("min-weight", "minimum weight", "least nonzero degree of the "
+            "weight enumerator", min(d for d in code.weight_enumerator() if d),
+            code.minimum_weight())
+    # a word orthogonal to every generator is orthogonal to every word
+    orthogonal = all(sum(x * y for x, y in zip(w, g)) % 3 == 0
+                     for w in code.words() for g in code.generators)
+    rep.add("self-dual", "self-duality", "dimension length/2 and every word "
+            "orthogonal to every generator, against the word count and the "
+            "generator pairs", fmt(2 * code.dimension() == code.length and orthogonal),
+            fmt(code.is_self_dual()))
     return 0 if _write_report(rep, args.out, args.md) else 1
 
 

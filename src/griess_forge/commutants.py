@@ -10,7 +10,9 @@ model the node pairs; all of them are extracted as explicit
 structure-constant algebras and checked for closure on the nose.  Both
 sides take the components from ``lattices.punctured_components`` and
 build their frames with one helper, _frame, which checks each frame
-vector is Virasoro and computes its central charge.  An element of the
+vector is Virasoro and computes its central charge.  The E8 side builds
+omega_Q and omega_E6, the frame of its A2 + E6 split, once; vnx_griess
+takes omega_Q and its computed charge from it.  An element of the
 ambient space is expressed over an algebra's basis by
 FDAlgebra.coordinates.
 
@@ -452,18 +454,24 @@ class NodeCase:
                 self.rho = self.rho.power(2)
 
 
-def _frame(alg, components):
-    """(vectors, charges): tilde_omega over the scaled roots of each
-    (rows, kind, n) component, with its central charge; raises naming the
-    first component whose vector is not Virasoro."""
-    vectors, charges = [], []
-    for s, (rows, kind, n) in enumerate(components):
-        w = tilde_omega(alg, alg.scaled_roots(rows), _COXETER[kind](n))
+def _frame_vectors(alg, components):
+    """tilde_omega over the scaled roots of each (rows, kind, n) component."""
+    return [tilde_omega(alg, alg.scaled_roots(rows), _COXETER[kind](n))
+            for rows, kind, n in components]
+
+
+def _frame(alg, components, vectors=None):
+    """(vectors, charges): the frame vectors of the (rows, kind, n)
+    components (built here unless given), each with its central charge;
+    raises naming the first component whose vector is not Virasoro."""
+    if vectors is None:
+        vectors = _frame_vectors(alg, components)
+    charges = []
+    for s, (w, (_rows, kind, n)) in enumerate(zip(vectors, components)):
         ok, c = virasoro_check(alg, w)
         if not ok:
             raise AssertionError("frame member %d (%s%d) is not Virasoro"
                                  % (s + 1, kind, n))
-        vectors.append(w)
         charges.append(c)
     return vectors, charges
 
@@ -597,8 +605,17 @@ class E8Side:
                                 img[a] += c * tv * b
             self._node_images[j] = tuple(img)
         self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
-        self.omega_q = tilde_omega(self.alg, self.alg.scaled_roots(self.q_sub.basis), 3)
-        self.omega_e6 = tilde_omega(self.alg, self.alg.scaled_roots(self.e6_sub.basis), 12)
+        # the frame of the A2 + E6 split; split_charge checks each charge on
+        # first use, since the first product of the algebra builds its table
+        self.split = [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)]
+        self.omega_q, self.omega_e6 = _frame_vectors(self.alg, self.split)
+
+    @cache
+    def split_charge(self, k):
+        """The central charge of omega_Q (k = 0, 4/5) or omega_E6 (k = 1,
+        6/7), computed through _frame once per process."""
+        w = (self.omega_q, self.omega_e6)[k]
+        return _frame(self.alg, [self.split[k]], [w])[1][0]
 
     def node_image(self, j):
         return self._node_images[j]
@@ -636,11 +653,12 @@ def vnx_griess(node):
     rows = side.ltilde_rows(node)
     sub = Sublattice(side.e8, rows)
     moduli, classify = quotient_structure(sub)
+    frame, charges = _frame(alg, [
+        ([list(side.node_image(j)) for j in nodes], kind, n)
+        for nodes, kind, n in punctured_components(_NODE_INDEX[node])])
     # Q first, then the components of the punctured diagram
-    comps = [(side.q_sub.basis, "A", 2)]
-    comps += [([list(side.node_image(j)) for j in nodes], kind, n)
-              for nodes, kind, n in punctured_components(_NODE_INDEX[node])]
-    frame, charges = _frame(alg, comps)
+    frame = [side.omega_q] + frame
+    charges = [side.split_charge(0)] + charges
     classes = sorted(set(classify(v) for v in alg.vectors4) - {tuple(0 for _ in moduli)})
     xs = [coset_sum(alg, classify, cls) for cls in classes]
     names = ["w%d" % (s + 1) for s in range(len(frame))]

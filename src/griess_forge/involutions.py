@@ -18,6 +18,13 @@ comparison with the identity pair, and the pairs themselves are the keys
 of the group closure.  Only matrices that are returned are converted back.
 is_automorphism scales each column of its map once for all the products
 it takes.
+
+The adjoint matrices of a weight-two space are mostly zeros, and so are
+the coordinate rows of its subspaces.  restrict_map takes each row's image
+once, with mat_vec summing over the support of the row, and uses it both
+for the solve and for the exact back-check, which adds up the solved
+combination of the rows over each row's nonzero entries.  ad_spectrum
+copies the adjoint matrix once per candidate and shifts its diagonal only.
 """
 
 from fractions import Fraction
@@ -98,8 +105,9 @@ def ad_spectrum(space, v, candidates=None):
     total = 0
     n = space.dim
     for lam in candidates:
-        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(n)]
-                   for i in range(n)]
+        shifted = [row[:] for row in mat]
+        for i in range(n):
+            shifted[i][i] -= lam
         basis = kernel(shifted)
         if basis:
             eigen[lam] = basis
@@ -274,24 +282,27 @@ def restrict_map(space, mat, rows):
     """Matrix of the map on the subspace spanned by the given rows.
 
     The rows are coordinate vectors; raises if the map does not preserve
-    their span.
+    their span.  Each row's image is computed once and serves both the
+    solve and an exact back-check, which sums the solved combination of
+    the rows over each row's support and compares it with the image.
     """
     k = len(rows)
     n = len(rows[0])
     a = [[rows[i][t] for i in range(k)] for t in range(n)]
-    rhs = [[None] * k for _ in range(n)]
-    for j in range(k):
-        img = mat_vec(mat, rows[j])
-        for t in range(n):
-            rhs[t][j] = img[t]
-    x = solve_matrix(a, rhs)
+    imgs = [mat_vec(mat, row) for row in rows]
+    x = solve_matrix(a, [[img[t] for img in imgs] for t in range(n)])
     if x is None:
         raise ValueError("map does not preserve the subspace")
     # verify exactly (solve_matrix zero-fills free variables)
-    for j in range(k):
-        img = mat_vec(mat, rows[j])
-        back = [sum((x[i][j] * rows[i][t] for i in range(k)
-                     if x[i][j] and rows[i][t]), F(0)) for t in range(n)]
-        if back != list(img):
+    supports = [[(t, y) for t, y in enumerate(row) if y] for row in rows]
+    for j, img in enumerate(imgs):
+        back = {}
+        for i in range(k):
+            c = x[i][j]
+            if c:
+                for t, y in supports[i]:
+                    back[t] = back[t] + c * y if t in back else c * y
+        if ({t: y for t, y in back.items() if y}
+                != {t: y for t, y in enumerate(img) if y}):
             raise ValueError("map does not preserve the subspace")
     return [[x[i][j] for j in range(k)] for i in range(k)]

@@ -61,7 +61,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x and y), _F0) for row in a]
+    """The product a v, each entry summed over the support of v."""
+    support = [(j, y) for j, y in enumerate(v) if y]
+    return [sum((row[j] * y for j, y in support if row[j]), _F0) for row in a]
 
 
 def mat_eq(a, b):

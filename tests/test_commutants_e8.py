@@ -23,6 +23,24 @@ def test_frame_vectors(side):
         assert ok and c == want
     assert side.alg.form(side.omega_q, side.omega_e6) == 0
     assert side.alg.product(side.omega_q, side.omega_e6).is_zero()
+    assert [side.split_charge(k) for k in (0, 1)] == [F(4, 5), F(6, 7)]
+
+
+def test_vnx_takes_omega_q_and_its_charge_from_the_side(side, monkeypatch):
+    from griess_forge import commutants
+    side.split_charge(0)
+    checked = []
+
+    def counted(alg, w):
+        checked.append(w)
+        return virasoro_check(alg, w)
+
+    monkeypatch.setattr(commutants, "virasoro_check", counted)
+    fd, _side, (*_rest, charges) = vnx_griess("2A")
+    # only the punctured-diagram components are built and checked again
+    assert fd.embedding[0] == side.omega_q
+    assert len(checked) == len(charges) - 1
+    assert all(w != side.omega_q for w in checked)
 
 
 def test_vnx_1a_is_the_dihedral_table(side):

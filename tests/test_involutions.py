@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from griess_forge.commutants import (
     node_case, tilde_v_pair, u3a_table, vnx_griess, nine_orbit_algebra, e8_side,
 )
-from griess_forge.exact import zeta
+from griess_forge import involutions
+from griess_forge.exact import CycNum, zeta
 from griess_forge.involutions import (
     ad_spectrum, ad_matrix, tau_involution, sigma_involution, is_automorphism,
     map_order, transposition_scan, group_closure, restrict_map, eigenspace_rows,
 )
-from griess_forge.linalg import (identity, inverse, mat_mul, mat_vec, mat_eq,
-                                 row_span_coords, kernel)
+from griess_forge.linalg import (det, identity, inverse, mat_mul, mat_vec, mat_eq,
+                                 row_span_coords, kernel, solve_matrix)
 from griess_forge.w2 import CosetCharacter, W2Element
 
 F = Fraction
@@ -387,3 +389,153 @@ def test_derived_sigma_scan_on_slice(orbit_data):
         for j in range(3):
             if i != j:
                 assert orders[i][j] <= 3
+
+
+# -- restrict_map and ad_spectrum against the dense loops they replaced ---------------
+
+def ref_mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v) if x and y), F(0)) for row in a]
+
+
+def ref_restrict_map(mat, rows):
+    """Two dense images per row and a dense back-check over every column."""
+    k = len(rows)
+    n = len(rows[0])
+    a = [[rows[i][t] for i in range(k)] for t in range(n)]
+    rhs = [[None] * k for _ in range(n)]
+    for j in range(k):
+        img = ref_mat_vec(mat, rows[j])
+        for t in range(n):
+            rhs[t][j] = img[t]
+    x = solve_matrix(a, rhs)
+    if x is None:
+        raise ValueError("map does not preserve the subspace")
+    for j in range(k):
+        img = ref_mat_vec(mat, rows[j])
+        back = [sum((x[i][j] * rows[i][t] for i in range(k)
+                     if x[i][j] and rows[i][t]), F(0)) for t in range(n)]
+        if back != list(img):
+            raise ValueError("map does not preserve the subspace")
+    return [[x[i][j] for j in range(k)] for i in range(k)]
+
+
+def ref_eigen(mat, candidates):
+    """ad_spectrum's loop with the full shifted matrix rebuilt per candidate."""
+    n = len(mat)
+    eigen = {}
+    total = 0
+    for lam in candidates:
+        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(n)]
+                   for i in range(n)]
+        basis = kernel(shifted)
+        if basis:
+            eigen[lam] = basis
+            total += len(basis)
+    if total != n:
+        raise ValueError("adjoint action is not semisimple over the candidate "
+                         "list: eigenspaces fill %d of %d" % (total, n))
+    return eigen
+
+
+class _MatrixSpace:
+    """A space whose adjoint action is one fixed matrix, whatever the vector."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.dim = len(mat)
+
+    def product_vec(self, v, e):
+        return mat_vec(self.mat, e)
+
+    def is_virasoro(self, v):
+        return True, F(1, 2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+_WEIGHTS = [F(0), F(2), F(1, 2), F(1, 16), F(-3)]
+_rational = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+_entry = st.one_of(_rational, _rational.map(CycNum),
+                   st.builds(CycNum, _rational, _rational, _rational, _rational))
+
+
+@st.composite
+def eigenbases(draw):
+    """(mat, P, weights): mat = P D P^-1 with D the diagonal of weights drawn
+    from _WEIGHTS, over ints and Q or over Q(z); P's columns are its
+    eigenvectors, with many zero entries."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_rational, _entry]))
+    p = draw(st.lists(st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(det(p) != 0)
+    weights = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n, max_size=n))
+    d = [[weights[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return mat_mul(mat_mul(p, d), inverse(p)), p, weights
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigenbases(), st.data())
+def test_ad_spectrum_matches_the_full_shift(mpw, data):
+    mat, _p, weights = mpw
+    # the candidates sometimes miss a weight, so both must raise alike
+    candidates = data.draw(st.lists(st.sampled_from(_WEIGHTS), unique=True,
+                                    min_size=1))
+    candidates = sorted(candidates)
+    space = _MatrixSpace(mat)
+    got = _outcome(ad_spectrum, space, None, candidates)
+    assert got == _outcome(ref_eigen, mat, candidates)
+    if set(weights) <= set(candidates):
+        assert sorted(got) == sorted(set(weights))
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigenbases(), st.data())
+def test_restrict_map_matches_the_dense_check_on_eigenvector_spans(mpw, data):
+    mat, p, weights = mpw
+    n = len(mat)
+    # the span of some eigenvectors, spanned again by mixed rows
+    cols = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    k = len(cols)
+    vecs = [[p[t][c] for t in range(n)] for c in cols]
+    q = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=k, max_size=k))
+    assume(det(q) != 0)
+    rows = mat_mul(q, vecs)
+    got = restrict_map(None, mat, rows)
+    assert got == ref_restrict_map(mat, rows)
+    # the restricted map has the chosen eigenvalues
+    assert sorted(ad_spectrum(_MatrixSpace(got), None, _WEIGHTS)) == \
+        sorted(set(weights[c] for c in cols))
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigenbases(), st.data())
+def test_restrict_map_matches_the_dense_check_on_random_rows(mpw, data):
+    mat, _p, _weights = mpw
+    n = len(mat)
+    k = data.draw(st.integers(1, n))
+    rows = data.draw(st.lists(st.lists(st.one_of(st.just(F(0)), st.integers(-2, 2)),
+                                       min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    assume(any(any(r) for r in rows))
+    assert _outcome(restrict_map, None, mat, rows) == _outcome(ref_restrict_map, mat, rows)
+
+
+def test_restrict_map_rejects_a_subspace_the_map_moves(monkeypatch):
+    swap = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    # the swap moves e0 to e1, outside the line through e0
+    with pytest.raises(ValueError, match="map does not preserve the subspace"):
+        restrict_map(None, swap, [[F(1), F(0), F(0)]])
+    assert restrict_map(None, swap, [[F(1), F(1), F(0)]]) == [[F(1)]]
+    # a wrong solution from the solver is caught by the exact back-check
+    monkeypatch.setattr(involutions, "solve_matrix",
+                        lambda a, rhs: [[F(2)] * len(rhs[0])] * len(a[0]))
+    with pytest.raises(ValueError, match="map does not preserve the subspace"):
+        restrict_map(None, swap, [[F(1), F(1), F(0)]])

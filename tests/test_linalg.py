@@ -323,3 +323,37 @@ def test_is_positive_definite_cases():
     assert la.is_positive_definite([[CycNum(F(1, 2)), F(0)], [F(0), F(3, 7)]])
     with pytest.raises(ValueError, match="not rational"):
         la.is_positive_definite([[F(2), z], [z.conjugate(), F(2)]])
+
+
+# -- mat_vec over the support of the vector ------------------------------------------
+
+def ref_mat_vec(a, v):
+    """The dense loop mat_vec replaced: every column, zeros skipped."""
+    return [sum((x * y for x, y in zip(row, v) if x and y), F(0)) for row in a]
+
+
+_int_entry = st.integers(-3, 3)
+_mixed = st.one_of(_int_entry, _rational, _cyclotomic)
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, v) over ints, Q or Q(z) (ints mixed in), each entry zero about
+    half the time, with a zero row of a or a zero v now and then."""
+    entry = draw(st.sampled_from([_int_entry, _rational, _mixed]))
+    sparse = st.one_of(st.just(0), entry)
+    a = draw(matrices(sparse))
+    v = draw(st.lists(sparse, min_size=len(a[0]), max_size=len(a[0])))
+    if draw(st.booleans()):
+        v = [0 * x for x in v]
+    return a, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products())
+def test_mat_vec_matches_the_dense_loop(av):
+    a, v = av
+    out = la.mat_vec(a, v)
+    # the same terms in the same order: equal values of equal types
+    assert out == ref_mat_vec(a, v)
+    assert repr(out) == repr(ref_mat_vec(a, v))

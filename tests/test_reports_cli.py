@@ -149,6 +149,41 @@ def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkey
         assert cli.main(argv_code) == 1
 
 
+def test_cli_code_and_fusion_checks_compare_independent_values(tmp_path, monkeypatch):
+    # min-weight is the least nonzero degree of the weight enumerator against
+    # the least weight of a nonzero word; self-dual is dimension length/2 and
+    # every word orthogonal to every generator, against is_self_dual; fusion
+    # is the fusion against the fusion with the factors swapped
+    from collections import Counter
+    from griess_forge import codes, minimal
+    spec = tmp_path / "code.txt"
+    spec.write_text("name: tetra\nlength: 4\ngenerators:\n1 1 1 0\n1 -1 0 1\n")
+    argv_code = ["--out", str(tmp_path), "code", str(spec)]
+    argv_fusion = ["--out", str(tmp_path), "fusion", "4", "2", "1", "3", "1"]
+
+    def status(argv, report, cid):
+        code = cli.main(argv)
+        checks = json.loads((tmp_path / report).read_text())["checks"]
+        return code, {c["id"]: c["status"] for c in checks}[cid]
+
+    assert status(argv_code, "report-code.json", "min-weight") == (0, "pass")
+    assert status(argv_code, "report-code.json", "self-dual") == (0, "pass")
+    assert status(argv_fusion, "report-fusion.json", "fusion") == (0, "pass")
+    code_patches = [("weight_enumerator", lambda self: {0: 1, 2: 8}, "min-weight"),
+                    ("minimum_weight", lambda self: 2, "min-weight"),
+                    ("dimension", lambda self: 1, "self-dual"),
+                    ("is_self_dual", lambda self: False, "self-dual")]
+    for name, wrong, cid in code_patches:
+        with monkeypatch.context() as m:
+            m.setattr(codes.TernaryCode, name, wrong)
+            assert status(argv_code, "report-code.json", cid) == (1, "fail"), name
+    fusion = minimal.fusion
+    for wrong_order in ((2, 1), (3, 1)):
+        with monkeypatch.context() as m:
+            m.setattr(minimal, "fusion", lambda mm, a, b, w=wrong_order:
+                      Counter() if a == w else fusion(mm, a, b))
+            assert status(argv_fusion, "report-fusion.json", "fusion") == (1, "fail")
+
 def test_cli_lattice_counts_compare_independent_values(tmp_path, monkeypatch):
     # short-N is the enumeration against the theta series of a named lattice
     # or a box search at rank <= 4; even is the input Gram's parity against
