@@ -123,7 +123,10 @@ def _load_code(path):
     gens = fields.get("generators")
     if gens is None:
         raise ValueError("code file needs a generators block")
-    return TernaryCode(int(fields["length"]), gens)
+    code = TernaryCode(int(fields["length"]), gens)
+    if code.dimension() == 0:
+        raise ValueError("the code has no nonzero word, so it has no minimum weight")
+    return code
 
 
 def cmd_lattice(args):
@@ -281,16 +284,25 @@ def cmd_minimal(args):
 
 
 def cmd_diagram(args):
+    from .commutants import node_case, tilde_v_pair
     from .report import node_diagram
-    values = {1: "3/7", 2: "1/49", 3: "3/196"}
+    from .suites import rho_orders
+    nodes = {1: "1A", 2: "2A", 3: "3A"}
+    pairings, products, marks = {}, {}, {}
+    for mark, node in nodes.items():
+        case = node_case(node)
+        pairings[mark] = fmt(case.alg.form(*tilde_v_pair(case)))
+        _rho, product_order, rho_order = rho_orders(node)
+        products[mark], marks[mark] = fmt(product_order), fmt(rho_order)
     print("pairings of the distinguished vector with its character twist:")
-    print(node_diagram(values))
+    print(node_diagram(pairings))
     print()
-    print("restricted involution-product orders (weight-two computation):")
-    print(node_diagram({1: "1", 2: "1", 3: "3"}))
+    print("involution-product orders, sigma_v sigma_v' = rho^-2 on the node "
+          "Griess algebra:")
+    print(node_diagram(products))
     print()
     print("node coset-character orders (the diagram marks):")
-    print(node_diagram({1: "1", 2: "2", 3: "3"}))
+    print(node_diagram(marks))
     return 0
 
 

@@ -23,15 +23,25 @@ The adjoint matrices of a weight-two space are mostly zeros, and so are
 the coordinate rows of its subspaces.  restrict_map takes each row's image
 once, with mat_vec summing over the support of the row, and uses it both
 for the solve and for the exact back-check, which adds up the solved
-combination of the rows over each row's nonzero entries.  ad_spectrum
-copies the adjoint matrix once per candidate and shifts its diagonal only.
+combination of the rows over each row's nonzero entries.
+
+ad_spectrum deflates.  After the kernel of S = A - l for a candidate l, it
+goes on with the matrix Abar = R A[:, P] of A on im S, where R is the
+reduced row echelon form of S and P its pivot columns: with C = S[:, P],
+A C = C Abar, and every eigenvector of A for another weight m lies in
+im S = im C, so ker(A - m) = C ker(Abar - m) whether or not A is
+semisimple.  On the 156-dim space the spectrum of e-hat takes one kernel
+of rank 36 and kernels of size 36, 36 and 1 where it took four of size
+156.  Each lifted eigenspace is brought to the basis kernel(A - m) gives
+by one reduced row echelon form of its column-reversed vectors, so the
+bases are the ones the full shifts give.
 """
 
 from fractions import Fraction
 
 from .exact import _ZRow
-from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, solve_matrix,
-                     transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
+from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref,
+                     solve_matrix, transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
 
 F = Fraction
@@ -71,23 +81,46 @@ class W2Space:
 
 
 def ad_matrix(space, v):
-    """Matrix of the adjoint action x -> v . x; columns are basis images."""
-    cols = []
-    for j in range(space.dim):
-        e = [F(0)] * space.dim
-        e[j] = F(1)
-        cols.append(space.product_vec(v, e))
-    return [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)]
+    """Matrix of the adjoint action x -> v . x; columns are basis images.
+
+    On a W2Space v becomes a weight-two element, scaled to Z[z], once, and
+    each column is its product with a basis element read back in class
+    coordinates.
+    """
+    n = space.dim
+    if isinstance(space, W2Space):
+        alg = space.alg
+        a = alg.scaled(alg.from_class_coords(v))
+        cols = [alg.class_coords(alg.product(a, alg.basis_element(j)))
+                for j in range(n)]
+    else:
+        cols = []
+        for j in range(n):
+            e = [F(0)] * n
+            e[j] = F(1)
+            cols.append(space.product_vec(v, e))
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def ad_spectrum(space, v, candidates=None):
     """Eigenspace decomposition of ad(v) over the closed candidate list.
 
     v must be a simple Virasoro vector of unitary central charge; the
-    candidates default to {2} union the weights of the matching series.
-    Raises if the eigenspaces do not fill the space (reporting the
-    residual dimension), or if the eigenvalue-2 space is not the line
-    through v itself.
+    candidates, which must be distinct, default to {2} union the weights
+    of the matching series.  Raises if the eigenspaces do not fill the
+    space (reporting the residual dimension), or if the eigenvalue-2 space
+    is not the line through v itself.
+
+    Each candidate's kernel is taken on the quotient left by the earlier
+    ones.  For A, a candidate l and S = A - l with reduced row echelon form
+    R, pivot columns P and C = S[:, P], S = C R and A C = C Abar with
+    Abar = R A[:, P], and C has full column rank.  Every eigenvector of A
+    for m != l lies in im S = im C, so ker(A - m) = C ker(Abar - m), with
+    no semisimplicity assumed; the loop goes on with Abar, of size rank S,
+    and composes the C's into the lift to the space.  R and P are read off
+    the kernel basis, which is the identity on the free columns.  A lifted
+    eigenspace is brought to the basis kernel(A - m) would give by one
+    reduced row echelon form of its column-reversed vectors.
     """
     ok, c = space.is_virasoro(v)
     if not ok:
@@ -100,18 +133,35 @@ def ad_spectrum(space, v, candidates=None):
         hset = {highest_weight(m, r, s) for r, s in all_labels(m)}
         candidates = sorted({F(2)} | hset)
         check_two = F(2) not in hset
+    if len(set(candidates)) != len(candidates):
+        raise ValueError("candidate weights must be distinct")
     mat = ad_matrix(space, v)
+    lift = None         # the space itself until the first deflation
     eigen = {}
     total = 0
     n = space.dim
     for lam in candidates:
+        r = len(mat)
         shifted = [row[:] for row in mat]
-        for i in range(n):
+        for i in range(r):
             shifted[i][i] -= lam
         basis = kernel(shifted)
-        if basis:
-            eigen[lam] = basis
-            total += len(basis)
+        if not basis:
+            continue
+        eigen[lam] = basis if lift is None else _canonical(
+            mat_mul(basis, transpose(lift)))
+        total += len(basis)
+        if len(basis) == r:
+            break       # the rest of the space is this eigenspace
+        # R, P and C from the kernel basis: the entry of basis vector j at
+        # pivot column p is minus the entry of R's row p at free column j
+        free = {max(i for i, x in enumerate(b) if x): b for b in basis}
+        piv = [i for i in range(r) if i not in free]
+        red = [[F(1) if i == p else (-free[i][p] if i in free else F(0))
+                for i in range(r)] for p in piv]
+        cmat = [[row[p] for p in piv] for row in shifted]
+        mat = mat_mul(red, [[row[p] for p in piv] for row in mat])
+        lift = cmat if lift is None else mat_mul(lift, cmat)
     if total != n:
         raise ValueError("adjoint action is not semisimple over the candidate "
                          "list: eigenspaces fill %d of %d" % (total, n))
@@ -119,6 +169,14 @@ def ad_spectrum(space, v, candidates=None):
         raise ValueError("eigenvalue-2 space has dimension %d"
                          % len(eigen[F(2)]))
     return eigen
+
+
+def _canonical(vectors):
+    """The basis of the span of the vectors that kernel would return: the
+    identity on the last nonzero positions, from one reduced row echelon
+    form of the column-reversed vectors."""
+    rows, _piv = rref([v[::-1] for v in vectors])
+    return [row[::-1] for row in reversed(rows)]
 
 
 def eigenspace_rows(eigen, values):

@@ -3,9 +3,12 @@
 Matrices are lists of rows; entries are int, Fraction or CycNum, mixed
 freely (the operators promote).
 
-Every elimination (kernel, rank, solve, inverse, det) runs through one
-fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
+Every elimination (rref, kernel, rank, solve, inverse, det) runs through
+one fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
 clears above the pivots where a basis, solution or inverse is asked for.
+``rref`` returns the reduced row echelon form, its nonzero rows divided by
+their pivots, with the pivot columns; ``kernel`` reads its basis off that
+form, the one that is the identity on the free columns.
 Each row is scaled by the lcm of its denominators into integers: plain
 ints when every entry is rational, and elements of Z[z] (4-tuples in the
 basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1) otherwise.  A step clears
@@ -35,7 +38,7 @@ from .intmat import int_positive_definite
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
-    "solve", "solve_matrix", "kernel", "rank", "inverse", "det", "mat_pow",
+    "solve", "solve_matrix", "rref", "kernel", "rank", "inverse", "det", "mat_pow",
     "row_span_coords",
 ]
 
@@ -56,7 +59,8 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """The product a b, formed over Z[z] with one scale per matrix."""
+    """The product a b, formed over Z[z] with one scale per matrix.  A
+    matrix with no rows is [], one with no columns a list of empty rows."""
     return _zmat_entries(*_zmat_mul(_zmat(a), _zmat(b)))
 
 
@@ -96,7 +100,7 @@ def _zmat(a):
     """(rows, s) for the matrix a: its entries times s, over Z[z], content 1."""
     n = len(a[0]) if a else 0
     ints, s = _cyc_row([x for row in a for x in row])
-    return [ints[i:i + n] for i in range(0, len(ints), n)], s
+    return [ints[i * n:(i + 1) * n] for i in range(len(a))], s
 
 
 def _zmat_mul(x, y):
@@ -292,7 +296,7 @@ def _quotients(row, p, cyc):
     """The entries of an integer row divided by the integer p; over Z[z] a
     Fraction for each rational entry and a CycNum otherwise."""
     if not cyc:
-        return [Fraction(x, p) for x in row]
+        return [Fraction(x, p) if x else _F0 for x in row]
     return [_zdiv(x, p) if x else _F0 for x in row]
 
 
@@ -330,27 +334,35 @@ def solve(a, b):
     return [row[0] for row in x]
 
 
-def kernel(a):
-    """Basis of the right kernel of A, as a list of vectors."""
-    m = len(a)
-    n = len(a[0]) if m else 0
+def rref(a):
+    """(rows, piv): the nonzero rows of the reduced row echelon form of A,
+    each divided by its pivot, and their pivot columns in increasing order."""
+    n = len(a[0]) if a else 0
     rows, cyc = _prepare(a)
     piv = _echelon(rows, n, cyc)
-    piv_set = set(piv)
-    free = [c for c in range(n) if c not in piv_set]
-    if not free:
-        return []
+    if len(piv) == n:
+        return identity(n), piv     # every column is a pivot column
     _reduce(rows, piv, cyc)
-    # the free columns of each pivot row, over its pivot
-    cols = [_quotients([row[fc] for fc in free], _pivot(row, c, cyc), cyc)
-            for row, c in zip(rows, piv)]
+    return [_quotients(row, _pivot(row, c, cyc), cyc)
+            for row, c in zip(rows, piv)], piv
+
+
+def kernel(a):
+    """Basis of the right kernel of A, as a list of vectors: the one that is
+    the identity on the free columns of the reduced row echelon form, which
+    are the last nonzero positions of its vectors."""
+    n = len(a[0]) if a else 0
+    rows, piv = rref(a)
+    piv_set = set(piv)
     basis = []
-    for j, fc in enumerate(free):
-        v = [_F0] * n
-        v[fc] = _F1
-        for col, c in zip(cols, piv):
-            v[c] = -col[j]
-        basis.append(v)
+    for fc in range(n):
+        if fc not in piv_set:
+            v = [_F0] * n
+            v[fc] = _F1
+            for row, c in zip(rows, piv):
+                if row[fc]:
+                    v[c] = -row[fc]
+            basis.append(v)
     return basis
 
 

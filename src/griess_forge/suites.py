@@ -154,10 +154,23 @@ def suite_u3a(from_orbit=False):
     return rep
 
 
+def rho_orders(node):
+    """(rho, order of rho^-2, order of rho) for the node coset character rho
+    as a map of the node Griess algebra."""
+    from .commutants import node_case
+    from .involutions import map_order
+    from .linalg import inverse, mat_mul, transpose
+    case = node_case(node)
+    fd = case.fd
+    rho_mat = transpose(fd.coordinates([case.rho.apply(e) for e in fd.embedding]))
+    rho_inv = inverse(rho_mat)
+    return rho_mat, map_order(mat_mul(rho_inv, rho_inv)), map_order(rho_mat)
+
+
 def suite_involutions(node):
     from .commutants import node_case, tilde_v_pair
     from .involutions import sigma_involution, map_order, is_automorphism
-    from .linalg import inverse, mat_mul, transpose
+    from .linalg import mat_mul
     rep = Report("involutions-%s" % node)
     case = node_case(node)
     fd = case.fd
@@ -168,11 +181,9 @@ def suite_involutions(node):
     rep.add("sigma-automorphism", "both sigma maps pass the automorphism check",
             "parity involution", "true",
             is_automorphism(fd, s1) and is_automorphism(fd, s2))
-    rho_mat = transpose(fd.coordinates([case.rho.apply(e) for e in fd.embedding]))
     # v' = rho(v) and sigma_v acts as theta, so sigma_v sigma_v' is
     # theta rho theta rho^-1 = rho^-2; its order is the expected value
-    rho_inv = inverse(rho_mat)
-    want = map_order(mat_mul(rho_inv, rho_inv))
+    rho_mat, want, rho_order = rho_orders(node)
     order = map_order(mat_mul(s1, s2))
     rep.add("sigma-product-order",
             "order of sigma_v sigma_v' on the node Griess algebra, "
@@ -181,7 +192,7 @@ def suite_involutions(node):
     # the node coset character restricted to the algebra realizes the mark
     rep.add("character-order",
             "order of the node coset character on the Griess algebra",
-            "node mark", case.mark, map_order(rho_mat))
+            "node mark", case.mark, rho_order)
     rep.add("character-automorphism", "the coset character is an automorphism",
             "lattice symmetry", "true", is_automorphism(fd, rho_mat))
     return rep

@@ -36,7 +36,9 @@ Fraction or CycNum) are scaled by one rational into elements of Z[z], the
 twice its value, so the 1/2 of e^beta . e^-beta stays integral; and each
 output entry is divided once at the end, to a Fraction when it is rational
 and a CycNum otherwise.  Z[z] is a ring and each scale is one exact
-rational, so the result equals the term-by-term sum over Q(z).  The
+rational, so the result equals the term-by-term sum over Q(z).  An
+element from W2Algebra.scaled keeps that form, so an operand of many
+products, such as v in the columns of ad(v), is scaled once.  The
 exponential-exponential case walks a neighbour table built on the first
 such product: for each norm-4 beta, its negative and the gamma with
 <beta, gamma> = -2 next to beta + gamma (56 of them for sqrt(2)E8), all
@@ -138,6 +140,14 @@ class W2Element:
         if self.d2:
             bits.append("+d2 part")
         return "W2Element(%s)" % "; ".join(bits)
+
+
+class _ScaledElement(W2Element):
+    """An element that keeps its Z[z] form in one algebra, so that an
+    operand of many products is scaled once, as exact._ZRow does for rows;
+    W2Algebra.scaled builds it.  Its parts must not change."""
+
+    __slots__ = ("alg", "z")
 
 
 def _zacc(d, k, c, x):
@@ -263,10 +273,18 @@ class W2Algebra:
 
     # -- product and form ----------------------------------------------------
 
+    def scaled(self, elem):
+        """elem, keeping its Z[z] form for the products it takes part in."""
+        out = _ScaledElement(elem.heis, elem.exps, elem.d2)
+        out.alg, out.z = self, self._zform(elem)
+        return out
+
     def _zform(self, elem):
         """(heis, exps, d2, s): the coefficients of elem over Z[z], all three
         parts scaled by one rational s.  Raises on an exponential key that is
         not a norm-4 vector of the lattice."""
+        if type(elem) is _ScaledElement and elem.alg is self:
+            return elem.z
         for k in elem.exps:
             if k not in self._pos:
                 raise ValueError("exponential key %r is not a norm-4 vector of %s"

@@ -339,7 +339,7 @@ class _Restricted:
 
 def test_derived_sigma_scan_on_slice(orbit_data):
     # the three derived c=6/7 vectors (one per eta-orbit) have pairwise
-    # sigma-orders at most 3 on the commutant slice
+    # sigma-orders exactly 3 on the commutant slice
     fd12, side, (chi1, chi2), orbit = orbit_data
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd12.embedding]
@@ -388,7 +388,7 @@ def test_derived_sigma_scan_on_slice(orbit_data):
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert orders[i][j] <= 3
+                assert orders[i][j] == 3
 
 
 # -- restrict_map and ad_spectrum against the dense loops they replaced ---------------
@@ -466,33 +466,97 @@ _entry = st.one_of(_rational, _rational.map(CycNum),
 
 
 @st.composite
-def eigenbases(draw):
-    """(mat, P, weights): mat = P D P^-1 with D the diagonal of weights drawn
-    from _WEIGHTS, over ints and Q or over Q(z); P's columns are its
-    eigenvectors, with many zero entries."""
-    n = draw(st.integers(1, 4))
+def eigenbases(draw, jordan=False):
+    """(mat, P, weights): mat = P J P^-1 with J upper bidiagonal, its
+    diagonal the weights drawn from _WEIGHTS, over ints and Q or over Q(z);
+    P has many zero entries.  Without jordan J is diagonal and P's columns
+    are eigenvectors of mat; with it J may have Jordan blocks, a 1 above the
+    diagonal joining two equal weights."""
+    n = draw(st.integers(1, 5 if jordan else 4))
     entry = draw(st.sampled_from([_rational, _entry]))
     p = draw(st.lists(st.lists(st.one_of(st.just(0), entry), min_size=n, max_size=n),
                       min_size=n, max_size=n))
     assume(det(p) != 0)
     weights = draw(st.lists(st.sampled_from(_WEIGHTS), min_size=n, max_size=n))
     d = [[weights[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if jordan:
+        for i in range(n - 1):
+            if weights[i] == weights[i + 1] and draw(st.booleans()):
+                d[i][i + 1] = 1
     return mat_mul(mat_mul(p, d), inverse(p)), p, weights
 
 
-@settings(max_examples=120, deadline=None)
-@given(eigenbases(), st.data())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(eigenbases(), eigenbases(jordan=True)), st.data())
 def test_ad_spectrum_matches_the_full_shift(mpw, data):
-    mat, _p, weights = mpw
-    # the candidates sometimes miss a weight, so both must raise alike
+    mat, p, weights = mpw
+    # the candidates sometimes miss a weight, and a Jordan block leaves the
+    # eigenspaces short of the space, so both must raise alike
     candidates = data.draw(st.lists(st.sampled_from(_WEIGHTS), unique=True,
                                     min_size=1))
-    candidates = sorted(candidates)
+    if data.draw(st.booleans()):
+        candidates = sorted(candidates)
     space = _MatrixSpace(mat)
     got = _outcome(ad_spectrum, space, None, candidates)
-    assert got == _outcome(ref_eigen, mat, candidates)
-    if set(weights) <= set(candidates):
+    want = _outcome(ref_eigen, mat, candidates)
+    assert got == want
+    assert repr(got) == repr(want)
+    n = len(mat)
+    diagonal = [[weights[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if set(weights) <= set(candidates) and \
+            mat_mul(mat_mul(inverse(p), mat), p) == diagonal:
         assert sorted(got) == sorted(set(weights))
+
+
+def test_ad_spectrum_on_jordan_blocks_reports_the_filled_dimension():
+    # a 2 x 2 Jordan block at 0 next to the weight 1/2, over Q and Q(z):
+    # the 0-space is a line, so the eigenspaces fill 2 of 3
+    z = zeta(12)
+    for p in ([[1, 2, 0], [0, 1, 3], [1, 0, 1]], [[1, z, 0], [0, 1, 3], [z, 0, 1]]):
+        j = [[0, 1, 0], [0, 0, 0], [0, 0, F(1, 2)]]
+        mat = mat_mul(mat_mul(p, j), inverse(p))
+        got = _outcome(ad_spectrum, _MatrixSpace(mat), None, _WEIGHTS)
+        assert got == _outcome(ref_eigen, mat, _WEIGHTS)
+        assert got == ("ValueError: adjoint action is not semisimple over the "
+                       "candidate list: eigenspaces fill 2 of 3")
+
+
+def test_ad_spectrum_stops_once_the_space_is_filled(monkeypatch):
+    # after the eigenspaces fill the space no candidate costs an elimination:
+    # diag(0, 0, 1/2) takes one kernel at 0 and one at 1/2, none at 2; a
+    # Jordan block at 1/2 leaves a 1 x 1 quotient for the candidate 2
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return kernel(a)
+
+    monkeypatch.setattr(involutions, "kernel", counted)
+    for mat, candidates, sizes in (
+            ([[0, 0, 0], [0, 0, 0], [0, 0, F(1, 2)]], [F(0), F(1, 2), F(2)], [3, 1]),
+            ([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 2), F(0), F(2)], [2]),
+            ([[F(1, 2), 1], [0, F(1, 2)]], [F(0), F(1, 2), F(2)], [2, 2, 1])):
+        calls.clear()
+        got = _outcome(ad_spectrum, _MatrixSpace(mat), None, candidates)
+        assert repr(got) == repr(_outcome(ref_eigen, mat, candidates))
+        assert calls == sizes
+
+
+def test_ad_spectrum_rejects_repeated_candidates():
+    with pytest.raises(ValueError, match="distinct"):
+        ad_spectrum(_MatrixSpace([[F(0)]]), None, [F(0), F(1, 2), F(0)])
+
+
+def test_ad_matrix_on_a_w2_space_matches_the_product_columns(case2):
+    # the W2Space path converts v once; the generic path goes through
+    # product_vec for every basis vector
+    sp = involutions.W2Space(case2.alg)
+    v = sp.element_vec(tilde_v_pair(case2)[0])
+    n = sp.dim
+    cols = [sp.product_vec(v, [F(int(i == j)) for i in range(n)]) for j in range(n)]
+    want = [[cols[j][i] for j in range(n)] for i in range(n)]
+    got = ad_matrix(sp, v)
+    assert got == want and repr(got) == repr(want)
 
 
 @settings(max_examples=120, deadline=None)

@@ -30,6 +30,31 @@ def test_kernel_of_difference_row():
     assert v[0] == v[1] != 0
 
 
+def test_mat_mul_on_empty_shapes():
+    # 0 x k and k x 0 operands: a matrix with no rows is [], and one with
+    # no columns is a list of empty rows
+    assert la.mat_mul([], [[1, 2]]) == []
+    assert la.mat_mul([[1], [2]], [[]]) == [[], []]
+    assert la.mat_mul([[1, F(1, 2)]], [[], []]) == [[]]
+    assert la.mat_mul([[], []], []) == [[], []]
+    assert la.mat_mul([], []) == []
+    assert la.mat_mul([[zeta(12)], [1]], [[]]) == [[], []]
+
+
+def test_rref_rows_and_pivots():
+    a = [[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]]
+    rows, piv = la.rref(a)
+    assert piv == [1, 3]
+    assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
+    assert la.rref([[0, 0]]) == ([], [])
+    # every column a pivot column: the identity, also from a tall matrix
+    assert la.rref([[2, 1], [1, 1], [3, 2]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert la.rref([]) == ([], [])
+    z = zeta(12)
+    rows, piv = la.rref([[z, z * z], [1, z]])
+    assert piv == [0] and rows == [[1, z]]
+
+
 def test_solve_over_cyclotomic():
     z = zeta(3)
     a = [[z, CycNum(1)], [CycNum(0), z * z]]

@@ -125,6 +125,17 @@ def test_cli_code_file(tmp_path):
     assert by_id["min-weight"]["computed"] == "3"
 
 
+def test_cli_zero_code_exits_2(tmp_path):
+    # a code whose only word is zero has no minimum weight: a bad input
+    spec = tmp_path / "zero.txt"
+    spec.write_text("length: 2\ngenerators:\n0 0\n")
+    r = _cli("--out", str(tmp_path), "code", str(spec))
+    assert r.returncode == 2
+    assert "no nonzero word" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "report-code.json").exists()
+
+
 def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkeypatch):
     # det is integer Bareiss elimination against elimination over Q, and the
     # code size is the word count against 3^(rank of the generators mod 3)
@@ -254,6 +265,26 @@ def test_cli_diagram():
     r = _cli("diagram")
     assert r.returncode == 0
     assert "3/196" in r.stdout
+
+
+def test_cli_diagram_prints_computed_values(monkeypatch, capsys):
+    # the pairings come from tilde_v_pair and the orders from rho_orders, so
+    # a wrong value in either shows in the printed diagram
+    from griess_forge import commutants
+    pair = commutants.tilde_v_pair
+    monkeypatch.setattr(commutants, "tilde_v_pair",
+                        lambda case: (lambda v, vp: (v, vp.scale(F(2))))(*pair(case)))
+    assert cli.main(["diagram"]) == 0
+    out = capsys.readouterr().out
+    assert "6/7" in out and "2/49" in out and "3/98" in out
+    assert "1/49" not in out and "3/196" not in out
+    orders = suites.rho_orders
+    monkeypatch.setattr(suites, "rho_orders",
+                        lambda node: orders(node)[:2] + (5,) if node == "2A"
+                        else orders(node))
+    assert cli.main(["diagram"]) == 0
+    marks = capsys.readouterr().out.split("diagram marks")[1]
+    assert "1   5   3   5   1" in marks
 
 
 def test_cli_scan_export(tmp_path):

@@ -285,7 +285,10 @@ def test_product_matches_pairwise_reference(data, name):
     alg = small_algebra(name)
     a = data.draw(elements(alg))
     b = data.draw(elements(alg))
-    assert alg.product(a, b) == reference_product(alg, a, b)
+    want = reference_product(alg, a, b)
+    assert alg.product(a, b) == want
+    # an operand that keeps its Z[z] form gives the same product
+    assert alg.product(alg.scaled(a), b) == want == alg.product(a, alg.scaled(b))
 
 
 def test_product_matches_reference_on_the_3a_orbit():
@@ -310,6 +313,14 @@ def test_product_rejects_keys_outside_the_norm4_vectors():
         alg.product(bad, good)
     with pytest.raises(ValueError, match=r"\(2, 0\)"):
         alg.product(good, bad)
+
+
+def test_a_scaled_element_is_scaled_again_in_another_algebra():
+    # the kept Z[z] form belongs to one algebra; another checks the keys anew
+    a2, d4 = small_algebra("A2"), small_algebra("D4")
+    x = a2.scaled(a2.basis_element(a2.dim - 1))
+    with pytest.raises(ValueError, match="not a norm-4 vector"):
+        d4.product(x, d4.basis_element(d4.dim - 1))
 
 
 # -- the integer root sum against the Fraction accumulation it replaced

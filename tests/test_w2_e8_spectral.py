@@ -27,6 +27,25 @@ def test_ising_spectrum_on_even_weight_two():
 
 
 @pytest.mark.slow
+def test_deflated_ising_eigenbases_are_the_full_shift_kernels():
+    # ad_spectrum takes each kernel on the quotient the earlier candidates
+    # leave (156, then 36, 36 and 1 dimensions); each lifted eigenbasis is
+    # the basis kernel(A - lambda) gives on the whole 156-dim space
+    from griess_forge.linalg import kernel
+    side = e8_side()
+    sp = W2Space(side.alg)
+    ec = sp.element_vec(side.ehat)
+    mat = ad_matrix(sp, ec)
+    eig = ad_spectrum(sp, ec)
+    assert {lam: len(b) for lam, b in eig.items()} == {F(0): 120, F(1, 2): 35, F(2): 1}
+    for lam in (F(0), F(1, 16), F(1, 2), F(2)):
+        full = kernel([[x - lam if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)])
+        assert eig.get(lam, []) == full
+        assert repr(eig.get(lam, [])) == repr(full)
+
+
+@pytest.mark.slow
 def test_commutant_of_frame_vector_dimension():
     from griess_forge.linalg import kernel
     side = e8_side()

@@ -14,7 +14,7 @@ sides.  Then TRACED_PAIRS pairs run with ``--trace 1``.
 The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles and the number of pairs the change won; whether
 every run was correct and the operations attempted and failed; and the
-medians of the traced ``lattices.*`` and ``suites.*`` figures.
+medians of every traced per-layer figure.
 """
 
 import argparse
@@ -89,10 +89,8 @@ def compare(workload, trees, seconds, metrics):
         for side in (sides if i % 2 == 0 else sides[::-1]):
             traced[side].append(bench(trees[side], workload, SEED + i,
                                       seconds, 1)["metrics"])
-    names = [n for n in traced["base"][0]
-             if n.startswith(("lattices.", "suites."))]
     out["traced"] = {n: {side: statistics.median(t[n]["value"] for t in traced[side])
-                         for side in sides} for n in names}
+                         for side in sides} for n in traced["base"][0]}
     return out
 
 
