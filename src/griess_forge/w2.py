@@ -30,21 +30,31 @@ pair by <e^beta, e^gamma> = delta_{beta+gamma,0}, mixed pairs vanish,
 shift through the translation operator; the conformal vector acting as 2
 on b(-2) pins them down.
 
-The product is an integer kernel.  Each operand's coefficients (int,
-Fraction or CycNum) are scaled by one rational into elements of Z[z], the
-4-tuples of ``exact``; the case table is summed in int-tuple arithmetic at
-twice its value, so the 1/2 of e^beta . e^-beta stays integral; and each
-output entry is divided once at the end, to a Fraction when it is rational
-and a CycNum otherwise.  Z[z] is a ring and each scale is one exact
-rational, so the result equals the term-by-term sum over Q(z).  An
-element from W2Algebra.scaled keeps that form, so an operand of many
-products, such as v in the columns of ad(v), is scaled once.  The
+The product and the form run on plain ints.  Each operand's coefficients
+(int, Fraction or CycNum) are scaled by one rational into Z[z] and split
+by powers of z: up to four components, one per z^p (p = 0..3), each holding
+int dicts for the heis, exps and d2 parts, the exps keyed by index into
+``vectors4``.  One integer kernel runs the case table on a pair of
+components at twice its value, so the 1/2 of e^beta . e^-beta stays
+integral; the product adds each pair's result times z^(p+q) and divides
+each output entry once at the end, to a Fraction when it is rational and a
+CycNum otherwise.  A rational operand has one component, a zeta_3-valued
+one two (z^0 and z^2).  Z[z] is a ring and each scale is one exact
+rational, so the result equals the term-by-term sum over Q(z).  An element
+from W2Algebra.scaled keeps its components, so an operand of many
+products, such as v in the columns of ad(v), is converted once.
+
+short_vectors puts each norm-4 vector just before its negative, so the
+negative of vectors4[i] is vectors4[i ^ 1]; the form pairs index i with
+i ^ 1, and class_coords checks theta-evenness the same way.  The
 exponential-exponential case walks a neighbour table built on the first
-such product: for each norm-4 beta, its negative and the gamma with
-<beta, gamma> = -2 next to beta + gamma (56 of them for sqrt(2)E8), all
-as the tuples of ``vectors4``.  The walk runs over the smaller operand's
-exponentials and looks each neighbour up in the other, so pairs with
-<beta, gamma> >= 0, which contribute nothing, are never visited.
+such product: for each norm-4 beta, the indices of the gamma with
+<beta, gamma> = -2 and of each beta + gamma (56 of them for sqrt(2)E8).
+Only the rows of the even indices are computed; the row of -beta is the
+row of beta with every index negated by ^ 1.  The walk runs over the
+smaller operand's exponentials and looks each neighbour up in the other,
+so pairs with <beta, gamma> >= 0, which contribute nothing, are never
+visited.
 
 root_algebra builds each root lattice's algebra once per process and hands
 every caller the same object, which callers therefore treat as read-only.
@@ -55,7 +65,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 
-from .exact import _cyc_row, _zdiv, _zmul
+from .exact import CycNum, _ZPOW, _zdiv, zeta
 from .lattices import (build_root_lattice, short_vectors, Sublattice,
                        quotient_structure)
 from .linalg import inverse as q_inverse
@@ -143,43 +153,30 @@ class W2Element:
 
 
 class _ScaledElement(W2Element):
-    """An element that keeps its Z[z] form in one algebra, so that an
-    operand of many products is scaled once, as exact._ZRow does for rows;
-    W2Algebra.scaled builds it.  Its parts must not change."""
+    """An element that keeps its integer components in one algebra, so that
+    an operand of many products is converted once, as exact._ZRow does for
+    rows; W2Algebra.scaled builds it.  Its parts must not change."""
 
     __slots__ = ("alg", "z")
 
 
-def _zacc(d, k, c, x):
-    """d[k] += c * x for an int c and a Z[z] element x."""
-    if c:
-        w = d.get(k)
-        if w is None:
-            d[k] = (c * x[0], c * x[1], c * x[2], c * x[3])
-        else:
-            d[k] = (w[0] + c * x[0], w[1] + c * x[1],
-                    w[2] + c * x[2], w[3] + c * x[3])
-
-
-def _weight(heis, d2, gb):
-    """sum x_ij <b_i,beta><b_j,beta> - sum x_i <b_i,beta> over Z[z], with
-    gb the pairings of beta with the basis."""
-    w0 = w1 = w2 = w3 = 0
-    for (i, j), (x0, x1, x2, x3) in heis.items():
-        m = gb[i] * gb[j]
-        if m:
-            w0 += m * x0
-            w1 += m * x1
-            w2 += m * x2
-            w3 += m * x3
-    for i, (x0, x1, x2, x3) in d2.items():
-        m = gb[i]
-        if m:
-            w0 -= m * x0
-            w1 -= m * x1
-            w2 -= m * x2
-            w3 -= m * x3
-    return (w0, w1, w2, w3)
+def _gather(outs, n, den):
+    """Part n of the sums outs, {r: (heis, exps, d2)} of int dicts for the
+    powers z^r, as one dict of Q(z) entries, each divided by den once."""
+    acc = {}
+    for r, out in outs.items():
+        z0, z1, z2, z3 = _ZPOW[r]
+        for k, v in out[n].items():
+            if v:
+                w = acc.get(k)
+                if w is None:
+                    acc[k] = [v * z0, v * z1, v * z2, v * z3]
+                else:
+                    w[0] += v * z0
+                    w[1] += v * z1
+                    w[2] += v * z2
+                    w[3] += v * z3
+    return {k: _zdiv(w, den) for k, w in acc.items()}
 
 
 class W2Algebra:
@@ -198,21 +195,19 @@ class W2Algebra:
                     raise ValueError("lattice is not doubly even")
         # a diagonal in 4Z and even pairings put every norm in 4Z, so the
         # lattice has no roots (norm 2) and needs no root check
-        self.vectors4 = short_vectors(lattice, 4)
-        self.classes = [self.vectors4[i] for i in range(0, len(self.vectors4), 2)]
-        self.class_index = {}
-        for idx, rep in enumerate(self.classes):
-            self.class_index[rep] = idx
-            self.class_index[tuple(-t for t in rep)] = idx
+        self.vectors4 = vecs = short_vectors(lattice, 4)
+        # short_vectors puts each v just before -v, so -vectors4[i] is
+        # vectors4[i ^ 1]; the classes are the even indices
+        self.classes = vecs[::2]
+        if vecs[1::2] != [tuple(-t for t in v) for v in self.classes]:
+            raise AssertionError("vectors4[i ^ 1] must be -vectors4[i]")
         self.heis_pairs = [(i, j) for i in range(self.rank)
                            for j in range(i, self.rank)]
         self.heis_index = {p: k for k, p in enumerate(self.heis_pairs)}
         self.dim = len(self.heis_pairs) + len(self.classes)
-        self._pos = {v: i for i, v in enumerate(self.vectors4)}
-        self._gv = {}
-        for v in self.vectors4:
-            self._gv[v] = tuple(sum(g[i][j] * v[j] for j in range(self.rank))
-                                for i in range(self.rank))
+        self._pos = {v: i for i, v in enumerate(vecs)}
+        # the pairings of each norm-4 vector with the basis, by index
+        self._gb = [tuple(sum(map(mul, row, v)) for row in g) for v in vecs]
         self._nbrs = None
 
     # -- bases -------------------------------------------------------------
@@ -222,36 +217,38 @@ class W2Algebra:
         nh = len(self.heis_pairs)
         if k < nh:
             return W2Element({self.heis_pairs[k]: _F1})
-        rep = self.classes[k - nh]
-        return W2Element(exps={rep: _F1, tuple(-t for t in rep): _F1})
+        i = 2 * (k - nh)
+        return W2Element(exps={self.vectors4[i]: _F1, self.vectors4[i + 1]: _F1})
 
     def class_coords(self, elem):
         """Coordinates over the theta-even basis; requires a theta-even element."""
-        if not elem.is_theta_even():
+        exps, vecs = elem.exps, self.vectors4
+        idx = self._indices(exps)
+        if elem.d2 or any(exps.get(vecs[i ^ 1]) != v
+                          for i, v in zip(idx, exps.values())):
             raise ValueError("element is not theta-even")
         out = [_F0] * self.dim
         for k, v in elem.heis.items():
             out[self.heis_index[k]] = v
         nh = len(self.heis_pairs)
-        for rep, idx in ((r, self.class_index[r]) for r in self.classes):
-            v = elem.exps.get(rep)
-            if v:
-                out[nh + idx] = v
+        for i, v in zip(idx, exps.values()):
+            if not i & 1:
+                out[nh + (i >> 1)] = v
         return out
 
     def from_class_coords(self, coords):
         heis = {}
         exps = {}
         nh = len(self.heis_pairs)
+        vecs = self.vectors4
         for k, c in enumerate(coords):
             if not c:
                 continue
             if k < nh:
                 heis[self.heis_pairs[k]] = c
             else:
-                rep = self.classes[k - nh]
-                exps[rep] = c
-                exps[tuple(-t for t in rep)] = c
+                i = 2 * (k - nh)
+                exps[vecs[i]] = exps[vecs[i + 1]] = c
         return W2Element(heis, exps)
 
     def signed_dim(self):
@@ -274,84 +271,120 @@ class W2Algebra:
     # -- product and form ----------------------------------------------------
 
     def scaled(self, elem):
-        """elem, keeping its Z[z] form for the products it takes part in."""
+        """elem, keeping its integer components for the products it takes
+        part in."""
         out = _ScaledElement(elem.heis, elem.exps, elem.d2)
         out.alg, out.z = self, self._zform(elem)
         return out
 
+    def _indices(self, exps):
+        """The indices into vectors4 of the exponential keys; raises on a key
+        that is not a norm-4 vector of the lattice."""
+        pos = self._pos
+        try:
+            return [pos[k] for k in exps]
+        except KeyError as err:
+            raise ValueError("exponential key %r is not a norm-4 vector of %s"
+                             % (err.args[0], self.name or "the lattice")) from None
+
     def _zform(self, elem):
-        """(heis, exps, d2, s): the coefficients of elem over Z[z], all three
-        parts scaled by one rational s.  Raises on an exponential key that is
-        not a norm-4 vector of the lattice."""
+        """(comps, s): elem times one positive rational s, split by powers of
+        z.  comps lists (p, (heis, exps, d2)) for the p in 0..3 whose
+        component is not zero, each part an int dict, exps keyed by index
+        into vectors4; elem * s is the sum of the components times z^p."""
         if type(elem) is _ScaledElement and elem.alg is self:
             return elem.z
-        for k in elem.exps:
-            if k not in self._pos:
-                raise ValueError("exponential key %r is not a norm-4 vector of %s"
-                                 % (k, self.name or "the lattice"))
-        parts = (elem.heis, elem.exps, elem.d2)
-        ints, s = _cyc_row([v for part in parts for v in part.values()])
-        it = iter(ints)
-        heis, exps, d2 = ({k: x for k, x in zip(part, it) if x} for part in parts)
-        return heis, exps, d2, s
+        parts = (elem.heis,
+                 dict(zip(self._indices(elem.exps), elem.exps.values())),
+                 elem.d2)
+        d = lcm(*[q.denominator for part in parts for x in part.values()
+                  for q in (x.co if type(x) is CycNum else (x,))])
+        comps = tuple(({}, {}, {}) for _ in range(4))
+        for n, part in enumerate(parts):
+            for k, x in part.items():
+                if type(x) is CycNum:
+                    for p, q in enumerate(x.co):
+                        if q:
+                            comps[p][n][k] = q.numerator * (d // q.denominator)
+                else:
+                    comps[0][n][k] = x.numerator * (d // x.denominator)
+        return [(p, c) for p, c in enumerate(comps) if any(c)], Fraction(d)
 
     def _neighbours(self):
-        """For each norm-4 beta, (-beta, (g1, beta+g1, g2, beta+g2, ...)) over
-        the gamma with <beta, gamma> = -2, every entry a tuple of vectors4.
-        Built on the first product of two exponential parts."""
+        """Row i is (gammas, keys): the indices into vectors4 of the gamma
+        with <beta, gamma> = -2 for beta = vectors4[i], and of each
+        beta + gamma.  The even rows are computed; row i ^ 1, of -beta, is
+        row i with every index negated by ^ 1.  Built on the first product
+        of two exponential parts."""
         if self._nbrs is None:
             vecs, pos = self.vectors4, self._pos
-            table = {}
-            for beta in vecs:
-                gb = self._gv[beta]
-                neg, flat = None, []
-                for gamma in vecs:
+            rows = []
+            for i in range(0, len(vecs), 2):
+                beta, gb = vecs[i], self._gb[i]
+                gammas, keys = [], []
+                for j, gamma in enumerate(vecs):
                     p = sum(map(mul, gb, gamma))
                     if p == -2:
-                        flat.append(gamma)
-                        flat.append(vecs[pos[tuple(map(add, beta, gamma))]])
-                    elif p == -4:
-                        if gamma != tuple(-t for t in beta):
-                            raise AssertionError("pairing -4 must mean gamma = -beta")
-                        neg = gamma
-                table[beta] = (neg, tuple(flat))
-            self._nbrs = table
+                        gammas.append(j)
+                        keys.append(pos[tuple(map(add, beta, gamma))])
+                    elif p == -4 and j != i ^ 1:
+                        raise AssertionError("pairing -4 must mean gamma = -beta")
+                rows.append((tuple(gammas), tuple(keys)))
+                rows.append((tuple(j ^ 1 for j in gammas), tuple(k ^ 1 for k in keys)))
+            self._nbrs = rows
         return self._nbrs
 
-    def product(self, a, b):
-        """The weight-two component of the degree-one product a . b.
-
-        Both operands are scaled to integers over Z[z]; the sum is kept at
-        twice its value, so the 1/2 of e^beta . e^-beta stays integral, and
-        each entry is divided once at the end.
-        """
-        ah, ae, ad2, sa = self._zform(a)
-        bh, be, bd2, sb = self._zform(b)
+    def _kernel(self, a, b, out):
+        """Add twice the product of the integer components a and b, each
+        (heis, exps, d2), into out = (heis, exps, d2)."""
+        ah, ae, ad = a
+        bh, be, bd = b
+        oh, oe, od = out
         g = self.lattice.gram
-        out_h, out_e, out_d = {}, {}, {}
-        for dd, hh in ((ad2, bh), (bd2, ah)):
+        for dd, hh in ((ad, bh), (bd, ah)):
             for i, x in dd.items():
                 gi = g[i]
                 for (k, l), y in hh.items():
-                    s = _zmul(x, y)
-                    _zacc(out_d, l, 4 * gi[k], s)
-                    _zacc(out_d, k, 4 * gi[l], s)
+                    s = 4 * x * y
+                    if gi[k]:
+                        od[l] = od.get(l, 0) + gi[k] * s
+                    if gi[l]:
+                        od[k] = od.get(k, 0) + gi[l] * s
         if ah and bh:
             for (i, j), x in ah.items():
                 gi, gj = g[i], g[j]
                 for (k, l), y in bh.items():
-                    s = _zmul(x, y)
-                    _zacc(out_h, (j, l) if j <= l else (l, j), 2 * gi[k], s)
-                    _zacc(out_h, (j, k) if j <= k else (k, j), 2 * gi[l], s)
-                    _zacc(out_h, (i, l) if i <= l else (l, i), 2 * gj[k], s)
-                    _zacc(out_h, (i, k) if i <= k else (k, i), 2 * gj[l], s)
-        # (b b') . e^beta and c(-2) . e^beta are e^beta times a weight of beta
-        for hh, dd, ee in ((ah, ad2, be), (bh, bd2, ae)):
+                    s = 2 * x * y
+                    c = gi[k]
+                    if c:
+                        key = (j, l) if j <= l else (l, j)
+                        oh[key] = oh.get(key, 0) + c * s
+                    c = gi[l]
+                    if c:
+                        key = (j, k) if j <= k else (k, j)
+                        oh[key] = oh.get(key, 0) + c * s
+                    c = gj[k]
+                    if c:
+                        key = (i, l) if i <= l else (l, i)
+                        oh[key] = oh.get(key, 0) + c * s
+                    c = gj[l]
+                    if c:
+                        key = (i, k) if i <= k else (k, i)
+                        oh[key] = oh.get(key, 0) + c * s
+        # (b b') . e^beta and c(-2) . e^beta are e^beta times a weight of
+        # beta: sum x_ij <b_i,beta><b_j,beta> - sum x_i <b_i,beta>
+        for hh, dd, ee in ((ah, ad, be), (bh, bd, ae)):
             if ee and (hh or dd):
+                gbs = self._gb
                 for beta, y in ee.items():
-                    w = _weight(hh, dd, self._gv[beta])
-                    if w[0] or w[1] or w[2] or w[3]:
-                        _zacc(out_e, beta, 2, _zmul(w, y))
+                    gb = gbs[beta]
+                    w = 0
+                    for (i, j), x in hh.items():
+                        w += gb[i] * gb[j] * x
+                    for i, x in dd.items():
+                        w -= gb[i] * x
+                    if w:
+                        oe[beta] = oe.get(beta, 0) + 2 * w * y
         if ae and be:
             # walk the neighbours of the smaller part; the d2 term of
             # e^beta . e^-beta is odd in beta, so it flips with the order
@@ -359,46 +392,74 @@ class W2Algebra:
                 outer, inner, sign = ae, be, 1
             else:
                 outer, inner, sign = be, ae, -1
-            nbrs = self._neighbours()
+            nbrs, vecs = self._neighbours(), self.vectors4
+            get = inner.get
             for beta, x in outer.items():
-                neg, flat = nbrs[beta]
-                it = iter(flat)
-                for gamma, key in zip(it, it):
-                    y = inner.get(gamma)
+                x2 = 2 * x
+                gammas, keys = nbrs[beta]
+                for key, y in zip(keys, map(get, gammas)):
                     if y is not None:
-                        _zacc(out_e, key, 2, _zmul(x, y))
-                y = inner.get(neg)
+                        oe[key] = oe.get(key, 0) + x2 * y
+                y = inner.get(beta ^ 1)
                 if y is not None:
-                    s = _zmul(x, y)
-                    nz = [(i, t) for i, t in enumerate(beta) if t]
+                    s = x * y
+                    nz = [(i, t) for i, t in enumerate(vecs[beta]) if t]
                     for n, (i, bi) in enumerate(nz):
-                        _zacc(out_d, i, sign * bi, s)
-                        _zacc(out_h, (i, i), bi * bi, s)
+                        od[i] = od.get(i, 0) + sign * bi * s
+                        oh[(i, i)] = oh.get((i, i), 0) + bi * bi * s
                         for j, bj in nz[n + 1:]:
-                            _zacc(out_h, (i, j), 2 * bi * bj, s)
+                            oh[(i, j)] = oh.get((i, j), 0) + 2 * bi * bj * s
+
+    def product(self, a, b):
+        """The weight-two component of the degree-one product a . b.
+
+        Each pair of components, of powers z^p and z^q, goes through one
+        integer kernel into the sum for z^(p+q), kept at twice its value so
+        the 1/2 of e^beta . e^-beta stays integral; each entry is divided
+        once at the end.
+        """
+        ca, sa = self._zform(a)
+        cb, sb = self._zform(b)
+        outs = {}
+        for p, x in ca:
+            for q, y in cb:
+                out = outs.get(p + q)
+                if out is None:
+                    out = outs[p + q] = ({}, {}, {})
+                self._kernel(x, y, out)
         den = 2 * sa * sb
-        return W2Element({k: _zdiv(x, den) for k, x in out_h.items()},
-                         {k: _zdiv(x, den) for k, x in out_e.items()},
-                         {k: _zdiv(x, den) for k, x in out_d.items()})
+        heis, exps, d2 = (_gather(outs, n, den) for n in range(3))
+        vecs = self.vectors4
+        return W2Element(heis, {vecs[k]: v for k, v in exps.items()}, d2)
 
     def form(self, a, b):
         """The normalized invariant bilinear form <a, b>."""
+        ca, sa = self._zform(a)
+        cb, sb = self._zform(b)
         g = self.lattice.gram
-        tot = _F0
-        if a.heis and b.heis:
-            for (i, j), x in a.heis.items():
-                for (k, l), y in b.heis.items():
-                    tot = tot + (g[i][k] * g[j][l] + g[i][l] * g[j][k]) * (x * y)
-        if a.exps and b.exps:
-            for beta, x in a.exps.items():
-                y = b.exps.get(tuple(-t for t in beta))
-                if y:
-                    tot = tot + x * y
-        if a.d2 and b.d2:
-            for i, x in a.d2.items():
-                for j, y in b.d2.items():
-                    tot = tot + 2 * g[i][j] * (x * y)
-        return tot
+        tot = [0, 0, 0, 0]
+        for p, (ah, ae, ad) in ca:
+            for q, (bh, be, bd) in cb:
+                t = 0
+                if ah and bh:
+                    for (i, j), x in ah.items():
+                        gi, gj = g[i], g[j]
+                        for (k, l), y in bh.items():
+                            t += (gi[k] * gj[l] + gi[l] * gj[k]) * x * y
+                if ae and be:
+                    small, big = (ae, be) if len(ae) <= len(be) else (be, ae)
+                    for i, x in small.items():
+                        y = big.get(i ^ 1)
+                        if y is not None:
+                            t += x * y
+                for i, x in ad.items():
+                    gi = g[i]
+                    for j, y in bd.items():
+                        t += 2 * gi[j] * x * y
+                if t:
+                    for m, c in enumerate(_ZPOW[p + q]):
+                        tot[m] += c * t
+        return _zdiv(tot, sa * sb)
 
     # -- sublattice root data ------------------------------------------------
 
@@ -489,12 +550,26 @@ def coset_sum(alg, classify, cls):
     return W2Element(exps=exps)
 
 
+def _times_zpow(v, m):
+    """v * z^m for an int, Fraction or CycNum v, summed from the rows of
+    exact._ZPOW."""
+    out = [_F0] * 4
+    for t, c in enumerate(v.co if type(v) is CycNum else (v,)):
+        if c:
+            for n, r in enumerate(_ZPOW[(t + m) % 12]):
+                if r:
+                    out[n] += r * c
+    return CycNum._raw(tuple(out))
+
+
 class CosetCharacter:
     """A root-of-unity character of lattice/sublattice acting on exponentials.
 
     chi(e^beta) = zeta^k(beta) with zeta of the quotient exponent; fixes the
     Heisenberg part.  This is an automorphism of the signed weight-two
-    space (and of the full lattice algebra it shadows).
+    space (and of the full lattice algebra it shadows).  Each vector is
+    classified once per quotient: the characters that with_weights and
+    power derive share the table.
     """
 
     def __init__(self, alg, sub_rows, weights=None):
@@ -507,16 +582,19 @@ class CosetCharacter:
             weights = tuple(1 for _ in moduli)
         self.weights = tuple(weights)
         self.exponent = lcm(*moduli)
+        self._classes = {}
 
     def exponent_of(self, beta):
-        cls = self.classify(beta)
+        beta = tuple(beta)
+        cls = self._classes.get(beta)
+        if cls is None:
+            cls = self._classes[beta] = self.classify(beta)
         e = 0
         for c, w, m in zip(cls, self.weights, self.moduli):
             e += c * w * (self.exponent // m)
         return e % self.exponent
 
     def value(self, beta):
-        from .exact import zeta
         return zeta(self.exponent, self.exponent_of(beta))
 
     def order(self):
@@ -526,13 +604,14 @@ class CosetCharacter:
         return self.exponent // g if g else 1
 
     def apply(self, elem):
+        if elem.exps and 12 % self.exponent:
+            raise ValueError("unsupported cyclotomic level %r: must divide 12"
+                             % (self.exponent,))
+        step = 12 // self.exponent
         exps = {}
         for beta, v in elem.exps.items():
-            val = self.value(beta)
-            if val == 1:
-                exps[beta] = v
-            else:
-                exps[beta] = val * v
+            m = step * self.exponent_of(beta)
+            exps[beta] = _times_zpow(v, m) if m else v
         return W2Element(dict(elem.heis), exps, dict(elem.d2))
 
     def with_weights(self, weights):
@@ -543,6 +622,7 @@ class CosetCharacter:
         out.classify = self.classify
         out.weights = tuple(weights)
         out.exponent = self.exponent
+        out._classes = self._classes
         return out
 
     def power(self, k):

@@ -323,6 +323,122 @@ def test_a_scaled_element_is_scaled_again_in_another_algebra():
         d4.product(x, d4.basis_element(d4.dim - 1))
 
 
+# -- the integer form against the pairwise Fraction/CycNum form
+
+def reference_form(alg, a, b):
+    """The form as the pairwise scan over Fraction and CycNum coefficients,
+    term by term from the w2 docstring."""
+    g = alg.lattice.gram
+    tot = F(0)
+    for (i, j), x in a.heis.items():
+        for (k, l), y in b.heis.items():
+            tot += (g[i][k] * g[j][l] + g[i][l] * g[j][k]) * (x * y)
+    for beta, x in a.exps.items():
+        y = b.exps.get(tuple(-t for t in beta))
+        if y:
+            tot += x * y
+    for i, x in a.d2.items():
+        for j, y in b.d2.items():
+            tot += 2 * g[i][j] * (x * y)
+    return tot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["A2", "D4", "E6"]))
+def test_form_matches_pairwise_reference(data, name):
+    alg = small_algebra(name)
+    a = data.draw(elements(alg))
+    b = data.draw(elements(alg))
+    want = reference_form(alg, a, b)
+    assert alg.form(a, b) == want
+    assert alg.form(alg.scaled(a), b) == want == alg.form(a, alg.scaled(b))
+    assert alg.form(alg.scaled(a), alg.scaled(b)) == want
+
+
+def test_form_matches_reference_on_the_3a_orbit():
+    from griess_forge.commutants import e8_side
+    side = e8_side()
+    alg = side.alg
+    rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
+    chi = side.character(rows, orders=3)
+    e1 = chi.apply(side.ehat)
+    e2 = chi.power(2).apply(side.ehat)
+    for a, b in ((e1, e2), (e1, e1), (e2, side.ehat)):
+        want = reference_form(alg, a, b)
+        assert alg.form(a, b) == want
+        assert alg.form(alg.scaled(a), alg.scaled(b)) == want
+
+
+# -- the index neighbour table against brute-force pairings
+
+@pytest.mark.parametrize("kind,n", [("D", 4), ("E", 8)])
+def test_neighbour_table_matches_brute_force_pairings(kind, n):
+    alg = algebra(kind, n)
+    g, vecs = alg.lattice.gram, alg.vectors4
+    rows = alg._neighbours()
+    assert len(rows) == len(vecs)
+
+    def pair(u, v):
+        return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+
+    for i, beta in enumerate(vecs):
+        assert vecs[i ^ 1] == tuple(-t for t in beta)
+        gammas, keys = rows[i]
+        assert len(gammas) == len(keys)
+        assert set(gammas) == {j for j, gamma in enumerate(vecs)
+                               if pair(beta, gamma) == -2}
+        for j, k in zip(gammas, keys):
+            assert pair(beta, vecs[j]) == -2
+            assert vecs[k] == tuple(b + c for b, c in zip(beta, vecs[j]))
+        if i & 1:
+            even_gammas, even_keys = rows[i ^ 1]
+            assert gammas == tuple(j ^ 1 for j in even_gammas)
+            assert keys == tuple(k ^ 1 for k in even_keys)
+
+
+def test_class_coords_rejects_theta_odd_elements():
+    alg = small_algebra("D4")
+    beta = alg.classes[0]
+    neg = tuple(-t for t in beta)
+    even = W2Element({(0, 1): F(1)}, {beta: F(2), neg: F(2)})
+    assert alg.class_coords(even)[alg.heis_index[(0, 1)]] == 1
+    for odd in (W2Element(exps={beta: F(1)}),
+                W2Element(exps={beta: F(1), neg: F(-1)}),
+                W2Element(exps={beta: F(2), neg: F(3)}),
+                W2Element(exps={beta: F(1), neg: F(1)}, d2={0: F(1)}),
+                W2Element({(0, 0): F(1)}, d2={2: F(1, 2)})):
+        with pytest.raises(ValueError, match="not theta-even"):
+            alg.class_coords(odd)
+    with pytest.raises(ValueError, match="not a norm-4 vector"):
+        alg.class_coords(W2Element(exps={(9, 0, 0, 0): F(1)}))
+
+
+# -- the coset character against zeta^k(beta) times each coefficient
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 4, 6, 12]))
+def test_character_apply_matches_value_times_coefficient(data, m):
+    from griess_forge.w2 import CosetCharacter
+    alg = small_algebra("D4")
+    rows = [[m if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    chi = CosetCharacter(alg, rows).power(data.draw(st.integers(1, m)))
+    x = data.draw(elements(alg))
+    y = chi.apply(x)
+    assert y.heis == x.heis and y.d2 == x.d2
+    assert y.exps == {beta: v if chi.value(beta) == 1 else chi.value(beta) * v
+                      for beta, v in x.exps.items()}
+
+
+def test_character_apply_rejects_levels_outside_twelve():
+    from griess_forge.w2 import CosetCharacter
+    alg = small_algebra("D4")
+    rows = [[5 if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    chi = CosetCharacter(alg, rows)
+    assert chi.apply(W2Element({(0, 0): F(1)})) == W2Element({(0, 0): F(1)})
+    with pytest.raises(ValueError, match="must divide 12"):
+        chi.apply(alg.basis_element(alg.dim - 1))
+
+
 # -- the integer root sum against the Fraction accumulation it replaced
 
 def reference_sub_conformal_vector(alg, roots, coxeter):

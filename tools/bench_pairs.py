@@ -2,9 +2,12 @@
 
     python3 tools/bench_pairs.py --base REF --out BENCH_N.json
 
-The change is the working tree this script sits in; the base is the
-committed tree of REF, exported with ``git archive`` into a temporary
-directory (so an interrupted run leaves nothing in the repository).
+The change is the working tree this script sits in: the files that
+``git ls-files -co --exclude-standard`` lists, copied into one temporary
+directory.  The base is the committed tree of REF, exported with ``git
+archive`` into another next to it.  So both sides run from the same kind
+of path, and a run leaves nothing in the repository; a run stopped with
+SIGTERM removes both directories and the benchmark processes it started.
 Each tree runs its own unchanged ``bench/run.py`` for the run length that
 BENCHMARK.json sets.  For every workload of BENCHMARK.json, pair i of
 PAIRS runs both trees with seed SEED + i, base first in even pairs and
@@ -21,6 +24,8 @@ import argparse
 import json
 import os
 import platform
+import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,16 +51,38 @@ def export(ref, dest):
     return commit, tree
 
 
+def copy_worktree(dest):
+    """The files of the working tree that git does not ignore, tracked or
+    not, copied under dest; returns the copy's root."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                           cwd=ROOT, check=True, capture_output=True).stdout
+    tree = os.path.join(dest, "tree")
+    for name in os.fsdecode(names).split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):    # a tracked file may be deleted
+            os.makedirs(os.path.dirname(os.path.join(tree, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(tree, name))
+    return tree
+
+
 def bench(tree, workload, seed, seconds, trace):
     """The JSON summary that tree's bench/run.py prints last."""
-    proc = subprocess.run(
+    # its own process group, so that an interrupted run stops its workers too
+    proc = subprocess.Popen(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    lines = stdout.strip().splitlines()
     if not lines:
         raise RuntimeError("bench/run.py in %s printed nothing:\n%s"
-                           % (tree, proc.stderr[-2000:]))
+                           % (tree, stderr[-2000:]))
     return json.loads(lines[-1])
 
 
@@ -94,6 +121,10 @@ def compare(workload, trees, seconds, metrics):
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git ref of the base tree")
@@ -102,11 +133,14 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     seconds = spec["run_seconds"]
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_commit, base_tree = export(args.base, tmp)
-        trees = {"base": base_tree, "change": ROOT}
+    # SystemExit unwinds the with block, which removes both directories
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
+        base_commit, base_tree = export(args.base, base_tmp)
+        trees = {"base": base_tree, "change": copy_worktree(change_tmp)}
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
         result = {
             "base": base_commit,
             "change": "working tree on %s" % head,
