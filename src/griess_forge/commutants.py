@@ -32,6 +32,11 @@ fd_from_elements reduces such rows with the fraction-free step of the
 ``linalg`` core, each stored row with a rational integer pivot.  One
 closure routine, span_closure, serves weight-two elements and coordinate
 vectors alike: the caller passes the product and the coordinate map.
+fd_from_elements converts each weight-two element to its integer
+components once (W2Algebra.scaled) for all its products and forms.
+u3a_griess closes the orbit of the special Ising vector under the order-3
+character in the character's eigenbasis, where the three spanning vectors
+are rational, instead of on the three twisted Q(z) vectors.
 
 node_case, e8_side and nine_orbit_algebra build their objects once per
 process (per node for node_case) and hand every caller the same ones, so
@@ -43,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice, product as iproduct
 
-from .exact import _cyc_row, _zdiv, _zmul, zeta
+from .exact import _cyc_row, _zdiv, _zmul
 from .lattices import (_COXETER, affine_e6, punctured_components, Sublattice,
                        annihilator, quotient_structure, isometry_test)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
@@ -180,7 +185,9 @@ class FDAlgebra:
         return coords
 
     def check_invariance(self):
-        """<a.b, c> = <b, a.c> on all basis triples; raises on failure."""
+        """The basis triples (a, b, c), by name, where <a.b, c> = <b, a.c>
+        fails; empty when the form is invariant."""
+        violations = []
         for i in range(self.dim):
             for j in range(self.dim):
                 pij = self.mult[i][j]
@@ -191,10 +198,9 @@ class FDAlgebra:
                     rhs = sum((self.gram[j][t] * pik[t] for t in range(self.dim)
                                if pik[t] and self.gram[j][t]), F(0))
                     if lhs != rhs:
-                        raise AssertionError(
-                            "form not invariant at (%s, %s, %s)" %
+                        violations.append(
                             (self.names[i], self.names[j], self.names[k]))
-        return True
+        return violations
 
     def check_embedding(self):
         """Embedded products and forms must match the structure constants."""
@@ -288,7 +294,11 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     Raises with the offending pair when some product leaves the span.
     When frame_size is given, the sum of the first frame_size elements
     must act as 2 on every basis element (the commutant frame condition).
+    Each element is converted to its integer components once
+    (W2Algebra.scaled) for all its products and forms; the embedding keeps
+    the converted elements.
     """
+    elems = [alg.scaled(e) for e in elems]
     rows = [alg.signed_coords(e) for e in elems]
     dim = len(elems)
     span = _IncrementalSpan()
@@ -309,11 +319,12 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     for (i, j), c in zip(keys, coords):
         mult[i][j] = mult[j][i] = c
     gram = [[alg.form(elems[i], elems[j]) for j in range(dim)] for i in range(dim)]
-    fd = FDAlgebra(names, mult, gram, space=alg, embedding=list(elems))
+    fd = FDAlgebra(names, mult, gram, space=alg, embedding=elems)
     if frame_size is not None:
         total = W2Element()
         for e in elems[:frame_size]:
             total = total + e
+        total = alg.scaled(total)
         for i, e in enumerate(elems):
             if alg.product(total, e) != e.scale(F(2)):
                 raise ValueError("frame sum does not act as 2 on %s" % names[i])
@@ -677,6 +688,15 @@ def u3a_griess(source="table"):
     (w1, w2, X+, X-) recovered from the orbit.  Its structure constants are
     computed, not compared: the u3a-orbit suite checks them against the
     table.
+
+    The orbit is closed in chi's eigenbasis.  With P_k(e) the part of e on
+    which chi is zeta_3^k (chi.eigen_parts), chi^i e = sum_k zeta_3^(ik)
+    P_k(e); the Vandermonde matrix of zeta_3 is invertible, so the orbit
+    spans what P_0(e), P_1(e), P_2(e) span, and the Fourier sums are
+    s = e + chi e + chi^2 e = 3 P_0(e) and
+    X+- = 32/3 (e + zeta_3^-+ chi e + zeta_3^+- chi^2 e) = 32 P_1(e), 32 P_2(e).
+    These are rational, with 78 or 81 exponentials each, so each closure
+    product is one integer kernel over a third of the orbit vectors.
     """
     if source == "table":
         return u3a_table()
@@ -686,20 +706,15 @@ def u3a_griess(source="table"):
     alg = side.alg
     rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
     eta = side.character(rows, orders=3)
-    e0 = side.ehat
-    e1 = eta.apply(e0)
-    e2 = eta.power(2).apply(e0)
-    closed = span_closure(alg.product, alg.signed_coords, [e0, e1, e2])
+    p0, p1, p2 = eta.eigen_parts(side.ehat)
+    s = p0.scale(3)
+    xp = p1.scale(32)
+    xm = p2.scale(32)
+    closed = span_closure(alg.product, alg.signed_coords, [s, xp, xm])
     if len(closed) != 4:
         raise ValueError("orbit closure has dimension %d, expected 4" % len(closed))
-    z = zeta(3)
-    z2 = zeta(3, 2)
-    third = F(32, 3)
-    xp = (e0 + e1.scale(z2) + e2.scale(z)).scale(third)
-    xm = (e0 + e1.scale(z) + e2.scale(z2)).scale(third)
-    # solve for w1, w2 from  e0+e1+e2 = 3(5/32 w1 + 7/16 w2)  and
-    # X+ . X- = 135 w1 + 252 w2
-    s = e0 + e1 + e2
+    # solve for w1, w2 from  s = e + chi e + chi^2 e = 3(5/32 w1 + 7/16 w2)
+    # and  X+ . X- = 135 w1 + 252 w2
     pp = alg.product(xp, xm)
     det = F(15, 32) * 252 - F(21, 16) * 135
     w1 = (s.scale(F(252)) - pp.scale(F(21, 16))).scale(1 / det)

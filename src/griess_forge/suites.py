@@ -348,26 +348,23 @@ def suite_properties():
     from .linalg import is_positive_definite
     rep = Report("properties")
     alg = root_algebra("A", 2)
-    comm = all(alg.product(alg.basis_element(i), alg.basis_element(j))
-               == alg.product(alg.basis_element(j), alg.basis_element(i))
-               for i in range(alg.dim) for j in range(alg.dim))
+    n = alg.dim
+    basis = [alg.scaled(alg.basis_element(i)) for i in range(n)]
+    # the ordered basis products, each taken once and converted once for
+    # the forms below
+    table = [[alg.scaled(alg.product(a, b)) for b in basis] for a in basis]
+    comm = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     rep.add("commutative", "basis products commute (doubled A2 space)",
             "theta-even product", "true", comm)
-    inv = all(alg.form(alg.product(alg.basis_element(i), alg.basis_element(j)),
-                       alg.basis_element(k))
-              == alg.form(alg.basis_element(j),
-                          alg.product(alg.basis_element(i), alg.basis_element(k)))
-              for i in range(alg.dim) for j in range(alg.dim)
-              for k in range(alg.dim))
+    inv = all(alg.form(table[i][j], basis[k]) == alg.form(basis[j], table[i][k])
+              for i in range(n) for j in range(n) for k in range(n))
     rep.add("invariant", "form invariance on basis triples (doubled A2 space)",
             "associativity of the form", "true", inv)
-    w = conformal_vector(alg)
+    w = alg.scaled(conformal_vector(alg))
     rep.add("conformal", "conformal vector acts as 2 on every basis element",
             "grading axiom", "true",
-            all(alg.product(w, alg.basis_element(k))
-                == alg.basis_element(k).scale(F(2)) for k in range(alg.dim)))
-    gram = [[alg.form(alg.basis_element(i), alg.basis_element(j))
-             for j in range(alg.dim)] for i in range(alg.dim)]
+            all(alg.product(w, b) == b.scale(F(2)) for b in basis))
+    gram = [[alg.form(a, b) for b in basis] for a in basis]
     rep.add("positive-definite", "the form Gram matrix is positive definite",
             "exact pivot test", "true", is_positive_definite(gram))
     # complex-conjugation swaps the coset-sum pairs; positivity is the
@@ -377,10 +374,9 @@ def suite_properties():
               ("u3a", u3a_table(), {"Xp": "Xm"}),
               ("u6a", u6a_table(), {"X1": "X5", "X2": "X4"}))
     for label, fd, swaps in tables:
-        fd.check_invariance()
         rep.add("invariant-%s" % label,
                 "form invariance of the %s table algebra" % label,
-                "tensor identity", "true", True)
+                "tensor identity", "true", not fd.check_invariance())
         sigma = list(range(fd.dim))
         for a, b in swaps.items():
             sigma[fd.index(a)] = fd.index(b)
@@ -393,10 +389,11 @@ def suite_properties():
     rng = random.Random(11)
     norton_ok = True
     for _ in range(120):
-        a = _random_even(alg, rng)
-        b = _random_even(alg, rng)
+        a = alg.scaled(_random_even(alg, rng))
+        b = alg.scaled(_random_even(alg, rng))
+        ab = alg.scaled(alg.product(a, b))
         lhs = alg.form(alg.product(a, a), alg.product(b, b))
-        mid = alg.form(alg.product(a, b), alg.product(a, b))
+        mid = alg.form(ab, ab)
         if not (lhs >= mid >= 0):
             norton_ok = False
             break

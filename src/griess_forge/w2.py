@@ -56,6 +56,13 @@ smaller operand's exponentials and looks each neighbour up in the other,
 so pairs with <beta, gamma> >= 0, which contribute nothing, are never
 visited.
 
+A CosetCharacter chi of exponent m multiplies each e^beta by a power of
+zeta_m and fixes the rest.  Its eigen_parts split an element by that power:
+chi^i is then the sum of zeta_m^(ik) times part k, and the parts of a
+rational element stay rational, so a caller can close the span of a
+character orbit on the parts and multiply rational elements, each with
+about 1/m of the exponentials, in place of the twisted Q(z) ones.
+
 root_algebra builds each root lattice's algebra once per process and hands
 every caller the same object, which callers therefore treat as read-only.
 """
@@ -569,7 +576,7 @@ class CosetCharacter:
     Heisenberg part.  This is an automorphism of the signed weight-two
     space (and of the full lattice algebra it shadows).  Each vector is
     classified once per quotient: the characters that with_weights and
-    power derive share the table.
+    power derive share the table, and eigen_parts reads it too.
     """
 
     def __init__(self, alg, sub_rows, weights=None):
@@ -613,6 +620,17 @@ class CosetCharacter:
             m = step * self.exponent_of(beta)
             exps[beta] = _times_zpow(v, m) if m else v
         return W2Element(dict(elem.heis), exps, dict(elem.d2))
+
+    def eigen_parts(self, elem):
+        """The parts of elem by eigenvalue: part k keeps the e^beta with
+        chi(e^beta) = zeta^k, and part 0 also the Heisenberg and b(-2)
+        parts, so elem is their sum and chi^i(elem) is the sum of zeta^(ik)
+        times part k.  The coefficients are elem's, untouched."""
+        exps = [{} for _ in range(self.exponent)]
+        for beta, v in elem.exps.items():
+            exps[self.exponent_of(beta)][beta] = v
+        return ([W2Element(elem.heis, exps[0], elem.d2)]
+                + [W2Element(exps=e) for e in exps[1:]])
 
     def with_weights(self, weights):
         """The character of the same quotient with the given weights."""

@@ -40,7 +40,7 @@ def test_2a_matches_reference_table(case_2a):
     assert fd.names == ref.names
     assert fd.mult == ref.mult
     assert fd.gram == ref.gram
-    fd.check_invariance()
+    assert fd.check_invariance() == []
     fd.check_embedding()
 
 
@@ -54,7 +54,7 @@ def test_3a_matches_reference_table(case_3a):
     assert fd.names == ref.names
     assert fd.mult == ref.mult
     assert fd.gram == ref.gram
-    fd.check_invariance()
+    assert fd.check_invariance() == []
     fd.check_embedding()
 
 

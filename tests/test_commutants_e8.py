@@ -50,7 +50,7 @@ def test_vnx_1a_is_the_dihedral_table(side):
     ref = u3a_table()
     assert fd.mult == ref.mult
     assert fd.gram == ref.gram
-    fd.check_invariance()
+    assert fd.check_invariance() == []
 
 
 def test_vnx_2a_is_the_order6_table(side):
@@ -101,6 +101,67 @@ def test_u3a_orbit_mode_matches_table(side):
     # the recovered frame vectors are the two distinguished tilde vectors
     assert fd.embedding[0] == side.omega_q
     assert fd.embedding[1] == side.omega_e6
+
+
+def _eta(side):
+    rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
+    return side.character(rows, orders=3)
+
+
+def reference_u3a_orbit(side):
+    """The orbit-basis construction: close span{e, eta e, eta^2 e} and take
+    the Fourier sums of the three orbit vectors over Q(z)."""
+    from griess_forge.commutants import span_closure, fd_from_elements
+    from griess_forge.exact import zeta
+    alg = side.alg
+    eta = _eta(side)
+    e0 = side.ehat
+    e1 = eta.apply(e0)
+    e2 = eta.power(2).apply(e0)
+    assert len(span_closure(alg.product, alg.signed_coords, [e0, e1, e2])) == 4
+    z, z2, third = zeta(3), zeta(3, 2), F(32, 3)
+    xp = (e0 + e1.scale(z2) + e2.scale(z)).scale(third)
+    xm = (e0 + e1.scale(z) + e2.scale(z2)).scale(third)
+    s = e0 + e1 + e2
+    pp = alg.product(xp, xm)
+    det = F(15, 32) * 252 - F(21, 16) * 135
+    w1 = (s.scale(F(252)) - pp.scale(F(21, 16))).scale(1 / det)
+    w2 = (pp.scale(F(15, 32)) - s.scale(F(135))).scale(1 / det)
+    if alg.product(xp, xp) != xm.scale(F(20)):
+        xp, xm = xm, xp
+    return fd_from_elements(alg, [w1, w2, xp, xm], ["w1", "w2", "Xp", "Xm"])
+
+
+def test_u3a_orbit_equals_the_orbit_basis_construction(side):
+    from griess_forge.exact import zeta
+    fd = u3a_griess("e8_orbit")
+    ref = reference_u3a_orbit(side)
+    assert fd.names == ref.names
+    assert fd.mult == ref.mult and fd.gram == ref.gram
+    assert len(fd.embedding) == len(ref.embedding) == 4
+    for mine, want in zip(fd.embedding, ref.embedding):
+        assert mine == want
+    # X+ and X- are the zeta_3 and zeta_3^2 eigenvectors of eta
+    eta = _eta(side)
+    xp, xm = fd.embedding[2], fd.embedding[3]
+    assert eta.apply(xp) == xp.scale(zeta(3))
+    assert eta.apply(xm) == xm.scale(zeta(3, 2))
+
+
+def test_orbit_and_its_fourier_sums_span_the_same_space(side):
+    from griess_forge.linalg import rank
+    alg = side.alg
+    eta = _eta(side)
+    e = side.ehat
+    orbit = [e, eta.apply(e), eta.power(2).apply(e)]
+    p0, p1, p2 = eta.eigen_parts(e)
+    assert [len(p.exps) for p in (p0, p1, p2)] == [78, 81, 81]
+    fourier = [p0.scale(3), p1.scale(32), p2.scale(32)]
+    # the Fourier sums are rational, where the twisted vectors are not
+    assert all(type(c) is F for x in fourier
+               for part in (x.heis, x.exps, x.d2) for c in part.values())
+    for vecs in (orbit, fourier, orbit + fourier):
+        assert rank([alg.signed_coords(x) for x in vecs]) == 3
 
 
 def test_u3a_table_mode():

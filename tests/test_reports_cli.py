@@ -355,6 +355,32 @@ def test_cli_report_all_records_v_two_ways_mismatch(tmp_path, monkeypatch):
     assert written == sorted("report-%s.json" % name for name in suites.SUITES)
 
 
+def test_cli_properties_records_a_broken_invariance(tmp_path, monkeypatch):
+    # a table constant that breaks the invariance of the form is a failed
+    # invariant check in a written report, and the exit status is 1
+    from griess_forge import commutants
+    table = commutants.u3a_table
+
+    def broken():
+        # w1 . X+ = X+ where the table has 2/3 X+
+        fd = table()
+        w1, xp = fd.index("w1"), fd.index("Xp")
+        fd.mult[w1][xp] = fd.mult[xp][w1] = [F(int(k == xp)) for k in range(fd.dim)]
+        return fd
+
+    assert table().check_invariance() == []
+    assert ("w1", "Xp", "Xm") in broken().check_invariance()
+    monkeypatch.setattr(commutants, "u3a_table", broken)
+    assert cli.main(["--out", str(tmp_path), "properties"]) == 1
+    data = json.loads((tmp_path / "report-properties.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["invariant-u3a"]["status"] == "fail"
+    assert by_id["invariant-u3a"]["computed"] == "false"
+    assert by_id["positive-u3a"]["status"] == "pass"
+    for label in ("g2a", "g3a", "u6a"):
+        assert by_id["invariant-%s" % label]["status"] == "pass"
+
+
 def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
     # an exception inside one suite is one failed "error" check in its
     # report; every other report is still written and the exit status is 1

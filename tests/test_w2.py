@@ -429,6 +429,30 @@ def test_character_apply_matches_value_times_coefficient(data, m):
                       for beta, v in x.exps.items()}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 4, 6, 12]))
+def test_eigen_parts_sum_to_each_power_of_the_character(data, m):
+    from griess_forge.w2 import CosetCharacter
+    alg = small_algebra("D4")
+    rows = [[m if i == j == 0 else int(i == j) for j in range(4)] for i in range(4)]
+    chi = CosetCharacter(alg, rows)
+    x = data.draw(elements(alg))
+    # always a Heisenberg and a b(-2) part, which stay in part 0
+    heis, d2 = dict(x.heis), dict(x.d2)
+    heis.setdefault((0, 1), data.draw(_fractions.filter(bool)))
+    d2.setdefault(2, data.draw(_fractions.filter(bool)))
+    x = W2Element(heis, x.exps, d2)
+    parts = chi.eigen_parts(x)
+    assert len(parts) == chi.exponent == m
+    assert parts[0].heis == x.heis and parts[0].d2 == x.d2
+    assert all(not p.heis and not p.d2 for p in parts[1:])
+    for i in range(m):
+        total = W2Element()
+        for k, p in enumerate(parts):
+            total = total + p.scale(zeta(m, i * k % m))
+        assert total == chi.power(i).apply(x)
+
+
 def test_character_apply_rejects_levels_outside_twelve():
     from griess_forge.w2 import CosetCharacter
     alg = small_algebra("D4")
