@@ -135,7 +135,7 @@ def cmd_lattice(args):
     from .linalg import det
     try:
         lat, theta = _load_lattice(args.which)
-    except (ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     rep = Report("lattice-%s" % (lat.name or args.which))
@@ -192,7 +192,7 @@ def cmd_fusion(args):
 def cmd_code(args):
     try:
         code = _load_code(args.file)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     rep = Report("code")

@@ -32,8 +32,9 @@ fd_from_elements reduces such rows with the fraction-free step of the
 ``linalg`` core, each stored row with a rational integer pivot.  One
 closure routine, span_closure, serves weight-two elements and coordinate
 vectors alike: the caller passes the product and the coordinate map.
-fd_from_elements converts each weight-two element to its integer
-components once (W2Algebra.scaled) for all its products and forms.
+A weight-two element keeps its integer components from its first product
+or form (``w2``), so fd_from_elements converts each element once for all
+its products and forms.
 u3a_griess closes the orbit of the special Ising vector under the order-3
 character in the character's eigenbasis, where the three spanning vectors
 are rational, instead of on the three twisted Q(z) vectors.
@@ -49,11 +50,10 @@ from functools import cache
 from itertools import islice, product as iproduct
 
 from .exact import _cyc_row, _zdiv, _zmul
-from .lattices import (_COXETER, affine_e6, punctured_components, Sublattice,
-                       annihilator, quotient_structure, isometry_test)
+from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
+                       punctured_components, quotient_structure, Sublattice)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
-from .gluing import e8_glue
-from .w2 import (W2Algebra, W2Element, root_algebra, tilde_omega, coset_sum,
+from .w2 import (W2Element, root_algebra, tilde_omega, coset_sum,
                  virasoro_check, CosetCharacter)
 
 F = Fraction
@@ -294,11 +294,8 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     Raises with the offending pair when some product leaves the span.
     When frame_size is given, the sum of the first frame_size elements
     must act as 2 on every basis element (the commutant frame condition).
-    Each element is converted to its integer components once
-    (W2Algebra.scaled) for all its products and forms; the embedding keeps
-    the converted elements.
+    The embedding keeps the given elements.
     """
-    elems = [alg.scaled(e) for e in elems]
     rows = [alg.signed_coords(e) for e in elems]
     dim = len(elems)
     span = _IncrementalSpan()
@@ -324,7 +321,6 @@ def fd_from_elements(alg, elems, names, frame_size=None):
         total = W2Element()
         for e in elems[:frame_size]:
             total = total + e
-        total = alg.scaled(total)
         for i, e in enumerate(elems):
             if alg.product(total, e) != e.scale(F(2)):
                 raise ValueError("frame sum does not act as 2 on %s" % names[i])
@@ -582,39 +578,24 @@ def weight2_dimension_census(case):
 
 
 # ---------------------------------------------------------------------------
-# the E8-side: Q + E6 inside the glued E8
+# the E8-side: Q + E6 inside the root-basis E8
 
 class E8Side:
-    """The glued sqrt(2)E8 weight-two algebra with its fixed A2 + E6 split."""
+    """The root-basis sqrt(2)E8 weight-two algebra with its fixed A2 + E6
+    split: E6 on the simple roots 0..5, whose diagram is affine_e6's, and
+    Q = A2 its annihilator."""
 
     def __init__(self):
-        self.glue = e8_glue()
-        e8 = self.glue.lattice
-        self.e8 = e8
-        self.alg = W2Algebra(e8.scaled(2), name="W2(sqrt2 E8)")
-        space = self.glue.space
-        q_rows_third = [space.block_row(0, 0), space.block_row(0, 1)]
-        self.q_sub = self.glue.sublattice_in_basis(q_rows_third)
-        self.e6_sub = annihilator(e8, self.q_sub)
-        if self.e6_sub.rank != 6:
-            raise AssertionError("annihilator of Q is not rank 6")
-        aff = affine_e6()
-        t = isometry_test(self.e6_sub.as_lattice(), aff.lattice)
-        if t is None:
-            raise AssertionError("annihilator of Q is not of type E6")
-        self.aff = aff
-        # images of the seven affine-diagram roots in E8 coordinates
-        self._node_images = {}
-        for j in range(7):
-            root = aff.node_root(j)
-            img = [0] * 8
-            for k, c in enumerate(root):
-                if c:
-                    for tcol, tv in enumerate(t[k]):
-                        if tv:
-                            for a, b in enumerate(self.e6_sub.basis[tcol]):
-                                img[a] += c * tv * b
-            self._node_images[j] = tuple(img)
+        self.e8 = e8 = build_root_lattice("E", 8)
+        self.alg = root_algebra("E", 8)
+        self.e6_sub = Sublattice(e8, [[int(i == k) for i in range(8)]
+                                      for k in range(6)])
+        self.aff = affine_e6()
+        if self.e6_sub.gram() != self.aff.lattice.gram:
+            raise AssertionError("simple roots 0..5 of E8 are not affine_e6's E6")
+        self.q_sub = annihilator(e8, self.e6_sub)
+        if self.q_sub.rank != 2:
+            raise AssertionError("annihilator of E6 is not rank 2")
         self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
         # the frame of the A2 + E6 split; split_charge checks each charge on
         # first use, since the first product of the algebra builds its table
@@ -629,7 +610,8 @@ class E8Side:
         return _frame(self.alg, [self.split[k]], [w])[1][0]
 
     def node_image(self, j):
-        return self._node_images[j]
+        """The affine E6 node root j in E8 coordinates."""
+        return self.aff.node_root(j) + (0, 0)
 
     def ltilde_rows(self, node):
         i = _NODE_INDEX[node]

@@ -16,8 +16,8 @@ Powers and products are integer matrix products divided by their content,
 so every pair is again unique for its matrix: the identity test is a
 comparison with the identity pair, and the pairs themselves are the keys
 of the group closure.  Only matrices that are returned are converted back.
-is_automorphism scales each column of its map once for all the products
-it takes.
+is_automorphism compares with the algebra's own mult and gram tables and
+scales each column of its map once for all the products it takes.
 
 The adjoint matrices of a weight-two space are mostly zeros, and so are
 the coordinate rows of its subspaces.  restrict_map takes each row's image
@@ -40,7 +40,7 @@ bases are the ones the full shifts give.
 from fractions import Fraction
 
 from .exact import _ZRow
-from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref,
+from .linalg import (mat_mul, mat_vec, kernel, inverse, rref,
                      solve_matrix, transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
 
@@ -83,14 +83,14 @@ class W2Space:
 def ad_matrix(space, v):
     """Matrix of the adjoint action x -> v . x; columns are basis images.
 
-    On a W2Space v becomes a weight-two element, scaled to Z[z], once, and
-    each column is its product with a basis element read back in class
-    coordinates.
+    On a W2Space v becomes one weight-two element, which keeps its Z[z]
+    form for all the columns, and each column is its product with a basis
+    element read back in class coordinates.
     """
     n = space.dim
     if isinstance(space, W2Space):
         alg = space.alg
-        a = alg.scaled(alg.from_class_coords(v))
+        a = alg.from_class_coords(v)
         cols = [alg.class_coords(alg.product(a, alg.basis_element(j)))
                 for j in range(n)]
     else:
@@ -203,60 +203,60 @@ def _signed_map(space, eigen, minus_values):
 
 def tau_involution(space, e, verify=True):
     """The involution negating the 1/16 sector of an Ising vector."""
-    ok, c = space.is_virasoro(e)
-    if not ok or c != F(1, 2):
-        raise ValueError("tau needs a central charge 1/2 Virasoro vector")
-    eigen = ad_spectrum(space, e)
-    allowed = {F(2), F(0), F(1, 2), F(1, 16)}
-    if not set(eigen) <= allowed:
-        raise ValueError("adjoint spectrum %s is not of Ising type"
-                         % sorted(eigen))
-    mat = _signed_map(space, eigen, {F(1, 16)})
-    if verify and not is_automorphism(space, mat):
-        raise AssertionError("tau map failed the automorphism check")
-    return mat
+    def admit(ok, c):
+        if not ok or c != F(1, 2):
+            raise ValueError("tau needs a central charge 1/2 Virasoro vector")
+        return ({F(2), F(0), F(1, 2), F(1, 16)}, {F(1, 16)},
+                "adjoint spectrum %s is not of Ising type")
+    return _sector_involution(space, e, "tau", admit, verify)
+
+
+_SIGMA = {1: (F(1, 2), {F(1, 2)}), 4: (F(6, 7), {F(5), F(12, 7), F(1, 7)})}
 
 
 def sigma_involution(space, v, m, verify=True):
     """The parity involution of a sigma-type Virasoro vector (m = 1 or 4)."""
-    ok, c = space.is_virasoro(v)
-    if not ok:
-        raise ValueError("sigma needs a Virasoro vector")
-    if m == 1:
-        if c != F(1, 2):
-            raise ValueError("m = 1 sigma needs central charge 1/2")
-        minus = {F(1, 2)}
-    elif m == 4:
-        if c != F(6, 7):
-            raise ValueError("m = 4 sigma needs central charge 6/7")
-        minus = {F(5), F(12, 7), F(1, 7)}
-    else:
-        raise ValueError("sigma is implemented for m in {1, 4}")
+    def admit(ok, c):
+        if not ok:
+            raise ValueError("sigma needs a Virasoro vector")
+        if m not in _SIGMA:
+            raise ValueError("sigma is implemented for m in {1, 4}")
+        charge, minus = _SIGMA[m]
+        if c != charge:
+            raise ValueError("m = %d sigma needs central charge %s" % (m, charge))
+        return ({F(2)} | sigma_type_set(m), minus,
+                "vector is not of sigma type: spectrum %s")
+    return _sector_involution(space, v, "sigma", admit, verify)
+
+
+def _sector_involution(space, v, kind, admit, verify):
+    """The map negating some sectors of ad(v), for tau and sigma.  admit
+    takes is_virasoro's (ok, c) for v, raises if v does not qualify, and
+    returns the allowed weights, the negated ones, and the message for a
+    spectrum outside the allowed weights."""
+    allowed, minus, outside = admit(*space.is_virasoro(v))
     eigen = ad_spectrum(space, v)
-    allowed = {F(2)} | sigma_type_set(m)
     if not set(eigen) <= allowed:
-        raise ValueError("vector is not of sigma type: spectrum %s"
-                         % sorted(eigen))
+        raise ValueError(outside % sorted(eigen))
     mat = _signed_map(space, eigen, minus)
     if verify and not is_automorphism(space, mat):
-        raise AssertionError("sigma map failed the automorphism check")
+        raise AssertionError("%s map failed the automorphism check" % kind)
     return mat
 
 
 def is_automorphism(space, mat):
-    """f(a.b) = f(a).f(b) and <fa, fb> = <a, b> on all basis pairs."""
+    """f(a.b) = f(a).f(b) and <fa, fb> = <a, b> on all basis pairs, against
+    the structure constants space.mult and the form space.gram."""
     n = space.dim
-    # each column and basis vector is converted to Z[z] once, not per product
+    # each column is converted to Z[z] once, not per product
     cols = [_ZRow([mat[i][j] for i in range(n)]) for j in range(n)]
-    basis = [_ZRow(row) for row in identity(n)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     # f(e_i . e_j) for every pair, as the columns of one product
-    images = transpose(mat_mul(mat, transpose(
-        [space.product_vec(basis[i], basis[j]) for i, j in pairs])))
+    images = transpose(mat_mul(mat, transpose([space.mult[i][j] for i, j in pairs])))
     for (i, j), lhs in zip(pairs, images):
         if lhs != space.product_vec(cols[i], cols[j]):
             return False
-        if space.form_vec(cols[i], cols[j]) != space.form_vec(basis[i], basis[j]):
+        if space.form_vec(cols[i], cols[j]) != space.gram[i][j]:
             return False
     return True
 

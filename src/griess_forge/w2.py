@@ -41,8 +41,9 @@ each output entry once at the end, to a Fraction when it is rational and a
 CycNum otherwise.  A rational operand has one component, a zeta_3-valued
 one two (z^0 and z^2).  Z[z] is a ring and each scale is one exact
 rational, so the result equals the term-by-term sum over Q(z).  An element
-from W2Algebra.scaled keeps its components, so an operand of many
-products, such as v in the columns of ad(v), is converted once.
+keeps its components from its first product or form in an algebra
+(W2Element._z), so an operand of many products, such as v in the columns
+of ad(v), is converted once; its parts must not change after that.
 
 short_vectors puts each norm-4 vector just before its negative, so the
 negative of vectors4[i] is vectors4[i ^ 1]; the form pairs index i with
@@ -86,14 +87,20 @@ _HALF = Fraction(1, 2)
 
 
 class W2Element:
-    """Sparse weight-two vector: Heisenberg pairs, signed exponentials, b(-2) part."""
+    """Sparse weight-two vector: Heisenberg pairs, signed exponentials, b(-2) part.
 
-    __slots__ = ("heis", "exps", "d2")
+    _z holds (alg, integer components) from the element's last algebra
+    (W2Algebra._zform), so its parts must not change once it has been used
+    in a product or form; every operation here builds a new element.
+    """
+
+    __slots__ = ("heis", "exps", "d2", "_z")
 
     def __init__(self, heis=None, exps=None, d2=None):
         self.heis = {k: v for k, v in (heis or {}).items() if v}
         self.exps = {k: v for k, v in (exps or {}).items() if v}
         self.d2 = {k: v for k, v in (d2 or {}).items() if v}
+        self._z = None
 
     def __add__(self, other):
         h = dict(self.heis)
@@ -159,14 +166,6 @@ class W2Element:
         return "W2Element(%s)" % "; ".join(bits)
 
 
-class _ScaledElement(W2Element):
-    """An element that keeps its integer components in one algebra, so that
-    an operand of many products is converted once, as exact._ZRow does for
-    rows; W2Algebra.scaled builds it.  Its parts must not change."""
-
-    __slots__ = ("alg", "z")
-
-
 def _gather(outs, n, den):
     """Part n of the sums outs, {r: (heis, exps, d2)} of int dicts for the
     powers z^r, as one dict of Q(z) entries, each divided by den once."""
@@ -189,10 +188,10 @@ def _gather(outs, n, den):
 class W2Algebra:
     """The weight-two machinery of one doubly even lattice."""
 
-    def __init__(self, lattice, name=None):
+    def __init__(self, lattice):
         self.lattice = lattice
         self.rank = lattice.rank
-        self.name = name or (lattice.name and "W2(%s)" % lattice.name)
+        self.name = lattice.name and "W2(%s)" % lattice.name
         g = lattice.gram
         for i in range(self.rank):
             if g[i][i] % 4:
@@ -277,13 +276,6 @@ class W2Algebra:
 
     # -- product and form ----------------------------------------------------
 
-    def scaled(self, elem):
-        """elem, keeping its integer components for the products it takes
-        part in."""
-        out = _ScaledElement(elem.heis, elem.exps, elem.d2)
-        out.alg, out.z = self, self._zform(elem)
-        return out
-
     def _indices(self, exps):
         """The indices into vectors4 of the exponential keys; raises on a key
         that is not a norm-4 vector of the lattice."""
@@ -298,9 +290,11 @@ class W2Algebra:
         """(comps, s): elem times one positive rational s, split by powers of
         z.  comps lists (p, (heis, exps, d2)) for the p in 0..3 whose
         component is not zero, each part an int dict, exps keyed by index
-        into vectors4; elem * s is the sum of the components times z^p."""
-        if type(elem) is _ScaledElement and elem.alg is self:
-            return elem.z
+        into vectors4; elem * s is the sum of the components times z^p.
+        Kept on elem for its later products and forms in this algebra."""
+        z = elem._z
+        if z is not None and z[0] is self:
+            return z[1]
         parts = (elem.heis,
                  dict(zip(self._indices(elem.exps), elem.exps.values())),
                  elem.d2)
@@ -315,7 +309,9 @@ class W2Algebra:
                             comps[p][n][k] = q.numerator * (d // q.denominator)
                 else:
                     comps[0][n][k] = x.numerator * (d // x.denominator)
-        return [(p, c) for p, c in enumerate(comps) if any(c)], Fraction(d)
+        out = [(p, c) for p, c in enumerate(comps) if any(c)], Fraction(d)
+        elem._z = self, out
+        return out
 
     def _neighbours(self):
         """Row i is (gammas, keys): the indices into vectors4 of the gamma

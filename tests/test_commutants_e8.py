@@ -270,3 +270,102 @@ def test_six_vector_tau_shadow(side):
     assert mat_eq(t_half, identity(8))
     n, _elems = group_closure(maps[:2])
     assert n == 6
+
+
+# -- the root-basis E8 side against the glued-basis construction it replaced
+
+def test_e8_side_shares_the_root_algebra(side):
+    from griess_forge.lattices import affine_e6
+    from griess_forge.w2 import root_algebra
+    assert side.alg is root_algebra("E", 8)
+    assert side.e6_sub.gram() == affine_e6().lattice.gram
+    assert side.q_sub.rank == 2
+    assert all(side.e8.dot(q, e) == 0
+               for q in side.q_sub.basis for e in side.e6_sub.basis)
+
+
+class _GluedE8Side:
+    """The E8 side as it was built before, in the basis of E8 glued from
+    four A2 blocks along the tetracode: Q is the first A2 block, E6 its
+    annihilator, and the affine E6 node roots are carried over by an
+    isometry from affine_e6's E6."""
+
+    def __init__(self):
+        from griess_forge.commutants import _frame_vectors
+        from griess_forge.gluing import e8_glue
+        from griess_forge.lattices import affine_e6, annihilator, isometry_test
+        from griess_forge.w2 import W2Algebra, tilde_omega
+        self.glue = e8_glue()
+        e8 = self.glue.lattice
+        self.e8 = e8
+        self.alg = W2Algebra(e8.scaled(2))
+        space = self.glue.space
+        q_rows_third = [space.block_row(0, 0), space.block_row(0, 1)]
+        self.q_sub = self.glue.sublattice_in_basis(q_rows_third)
+        self.e6_sub = annihilator(e8, self.q_sub)
+        assert self.e6_sub.rank == 6
+        aff = affine_e6()
+        t = isometry_test(self.e6_sub.as_lattice(), aff.lattice)
+        assert t is not None
+        self._node_images = {}
+        for j in range(7):
+            root = aff.node_root(j)
+            img = [0] * 8
+            for k, c in enumerate(root):
+                if c:
+                    for tcol, tv in enumerate(t[k]):
+                        if tv:
+                            for a, b in enumerate(self.e6_sub.basis[tcol]):
+                                img[a] += c * tv * b
+            self._node_images[j] = tuple(img)
+        self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
+        self.split = [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)]
+        self.omega_q, self.omega_e6 = _frame_vectors(self.alg, self.split)
+
+    def split_charge(self, k):
+        from griess_forge.commutants import _frame
+        w = (self.omega_q, self.omega_e6)[k]
+        return _frame(self.alg, [self.split[k]], [w])[1][0]
+
+    def node_image(self, j):
+        return self._node_images[j]
+
+    def ltilde_rows(self, node):
+        from griess_forge.commutants import E8Side
+        return E8Side.ltilde_rows(self, node)
+
+
+def test_vnx_griess_matches_the_glued_basis_construction(monkeypatch):
+    from itertools import product
+    from griess_forge import commutants
+    root = {node: vnx_griess(node)[0] for node in ("1A", "2A", "3A")}
+    glued_side = _GluedE8Side()
+    monkeypatch.setattr(commutants, "e8_side", lambda: glued_side)
+    glued = {node: vnx_griess(node)[0] for node in ("1A", "2A", "3A")}
+    for node in ("1A", "2A"):
+        assert glued[node].names == root[node].names
+        assert glued[node].mult == root[node].mult
+        assert glued[node].gram == root[node].gram
+    # at 3A the eight X classes of (Z/3)^2 may be labelled differently: the
+    # tables agree once the labels are moved by some g in GL2(F3)
+    a, b = root["3A"], glued["3A"]
+    assert a.names == b.names
+    frame = [n for n in a.names if not n.startswith("X")]
+    found = []
+    for g in product(range(3), repeat=4):
+        if (g[0] * g[3] - g[1] * g[2]) % 3 == 0:
+            continue
+        perm = [b.index(n) for n in frame]
+        for n in a.names[len(frame):]:
+            x, y = int(n[1]), int(n[2])
+            perm.append(b.index("X%d%d" % ((g[0] * x + g[1] * y) % 3,
+                                            (g[2] * x + g[3] * y) % 3)))
+        if (all(b.gram[perm[i]][perm[j]] == a.gram[i][j]
+                for i in range(a.dim) for j in range(a.dim))
+                and all(b.mult[perm[i]][perm[j]][perm[k]] == a.mult[i][j][k]
+                        for i in range(a.dim) for j in range(a.dim)
+                        for k in range(a.dim))):
+            found.append(g)
+    # g and -g: X_c and X_-c play the same part in the table
+    assert len(found) == 2
+    assert found[1] == tuple(-t % 3 for t in found[0])

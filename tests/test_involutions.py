@@ -7,13 +7,13 @@ from griess_forge.commutants import (
     node_case, tilde_v_pair, u3a_table, vnx_griess, nine_orbit_algebra, e8_side,
 )
 from griess_forge import involutions
-from griess_forge.exact import CycNum, zeta
+from griess_forge.exact import CycNum, _ZRow, zeta
 from griess_forge.involutions import (
     ad_spectrum, ad_matrix, tau_involution, sigma_involution, is_automorphism,
     map_order, transposition_scan, group_closure, restrict_map, eigenspace_rows,
 )
 from griess_forge.linalg import (det, identity, inverse, mat_mul, mat_vec, mat_eq,
-                                 row_span_coords, kernel, solve_matrix)
+                                 row_span_coords, kernel, solve_matrix, transpose)
 from griess_forge.w2 import CosetCharacter, W2Element
 
 F = Fraction
@@ -191,6 +191,44 @@ def test_identity_is_automorphism(case2):
     assert is_automorphism(case2.fd, identity(3))
 
 
+def reference_is_automorphism(space, mat):
+    """is_automorphism as it was when it took the products and forms of
+    unit vectors in place of reading mult and gram."""
+    n = space.dim
+    cols = [_ZRow([mat[i][j] for i in range(n)]) for j in range(n)]
+    basis = [_ZRow(row) for row in identity(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    images = transpose(mat_mul(mat, transpose(
+        [space.product_vec(basis[i], basis[j]) for i, j in pairs])))
+    for (i, j), lhs in zip(pairs, images):
+        if lhs != space.product_vec(cols[i], cols[j]):
+            return False
+        if space.form_vec(cols[i], cols[j]) != space.form_vec(basis[i], basis[j]):
+            return False
+    return True
+
+
+def test_is_automorphism_matches_the_unit_vector_reference(case2):
+    # the sigma, rho and tau maps that report-all --skip-slow checks, and
+    # two maps that are not automorphisms: 2 I and a transvection
+    from griess_forge.suites import nine_orbit_scan, rho_orders
+    maps = []
+    for node in ("1A", "2A", "3A"):
+        case = node_case(node)
+        for x in case.fd.coordinates(list(tilde_v_pair(case))):
+            maps.append((case.fd, sigma_involution(case.fd, x, 4, verify=False)))
+        maps.append((case.fd, rho_orders(node)[0]))
+    fd12, _orders, _violations, taus = nine_orbit_scan()
+    maps += [(fd12, t) for t in taus]
+    bad = identity(3)
+    bad[0][2] = F(1)
+    maps += [(case2.fd, [[2 * x for x in row] for row in identity(3)]),
+             (case2.fd, bad)]
+    got = [is_automorphism(fd, m) for fd, m in maps]
+    assert got == [reference_is_automorphism(fd, m) for fd, m in maps]
+    assert got == [True] * (len(maps) - 2) + [False, False]
+
+
 def test_map_order_cap():
     m = [[F(1), F(1)], [F(0), F(1)]]
     with pytest.raises(ValueError):
@@ -307,12 +345,16 @@ def restrict_vec(fd, rows, vec):
 
 
 class _Restricted:
-    """A product-closed subspace of an FDAlgebra, as its own space."""
+    """A product-closed subspace of an FDAlgebra, as its own space, with
+    the mult and gram tables is_automorphism reads."""
 
     def __init__(self, fd, rows):
         self.fd = fd
         self.rows = rows
         self.dim = len(rows)
+        basis = identity(self.dim)
+        self.mult = [[self.product_vec(a, b) for b in basis] for a in basis]
+        self.gram = [[self.form_vec(a, b) for b in basis] for a in basis]
 
     def _up(self, u):
         out = [F(0)] * self.fd.dim

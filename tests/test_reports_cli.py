@@ -136,6 +136,21 @@ def test_cli_zero_code_exits_2(tmp_path):
     assert not (tmp_path / "report-code.json").exists()
 
 
+def test_cli_missing_code_file_exits_2(tmp_path):
+    r = _cli("--out", str(tmp_path), "code", str(tmp_path / "missing.txt"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "missing.txt" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_lattice_directory_exits_2(tmp_path):
+    r = _cli("--out", str(tmp_path / "out"), "lattice", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkeypatch):
     # det is integer Bareiss elimination against elimination over Q, and the
     # code size is the word count against 3^(rank of the generators mod 3)
@@ -437,6 +452,7 @@ def test_report_all_builds_each_fixed_object_once(tmp_path, monkeypatch):
             ("GlueLattice", n) for n in ("N(A2^12)", "N0", "Leech", "L")]:
         assert built[key] == 1, key
     algebras = {k: n for k, n in built.items() if k[0] == "W2Algebra"}
-    # sqrt(2) A1, A2, A5, D4, E6, E7, E8 in the root basis; E8 in the glued basis
-    assert len(algebras) == 8
+    # sqrt(2) A1, A2, A5, D4, E6, E7, E8, all in the root basis: the E8 side
+    # shares root_algebra("E", 8)
+    assert len(algebras) == 7
     assert set(algebras.values()) == {1}

@@ -279,6 +279,11 @@ def elements(draw, alg):
     return W2Element(heis, exps, d2)
 
 
+def fresh(x):
+    """A copy of x that has not been converted to Z[z] yet."""
+    return W2Element(x.heis, x.exps, x.d2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from(["A2", "D4", "E6"]))
 def test_product_matches_pairwise_reference(data, name):
@@ -287,8 +292,11 @@ def test_product_matches_pairwise_reference(data, name):
     b = data.draw(elements(alg))
     want = reference_product(alg, a, b)
     assert alg.product(a, b) == want
-    # an operand that keeps its Z[z] form gives the same product
-    assert alg.product(alg.scaled(a), b) == want == alg.product(a, alg.scaled(b))
+    # each operand now keeps its Z[z] form in alg; a kept form on either
+    # side, or on both, gives the same product
+    assert a._z[0] is alg and b._z[0] is alg
+    assert alg.product(a, fresh(b)) == want == alg.product(fresh(a), b)
+    assert alg.product(a, b) == want
 
 
 def test_product_matches_reference_on_the_3a_orbit():
@@ -318,7 +326,9 @@ def test_product_rejects_keys_outside_the_norm4_vectors():
 def test_a_scaled_element_is_scaled_again_in_another_algebra():
     # the kept Z[z] form belongs to one algebra; another checks the keys anew
     a2, d4 = small_algebra("A2"), small_algebra("D4")
-    x = a2.scaled(a2.basis_element(a2.dim - 1))
+    x = a2.basis_element(a2.dim - 1)
+    a2.form(x, x)
+    assert x._z[0] is a2
     with pytest.raises(ValueError, match="not a norm-4 vector"):
         d4.product(x, d4.basis_element(d4.dim - 1))
 
@@ -351,8 +361,11 @@ def test_form_matches_pairwise_reference(data, name):
     b = data.draw(elements(alg))
     want = reference_form(alg, a, b)
     assert alg.form(a, b) == want
-    assert alg.form(alg.scaled(a), b) == want == alg.form(a, alg.scaled(b))
-    assert alg.form(alg.scaled(a), alg.scaled(b)) == want
+    assert alg.form(a, fresh(b)) == want == alg.form(fresh(a), b)
+    assert alg.form(a, b) == want
+    # a second conversion returns the kept form itself
+    z = alg._zform(a)
+    assert alg._zform(a) is z
 
 
 def test_form_matches_reference_on_the_3a_orbit():
@@ -366,7 +379,9 @@ def test_form_matches_reference_on_the_3a_orbit():
     for a, b in ((e1, e2), (e1, e1), (e2, side.ehat)):
         want = reference_form(alg, a, b)
         assert alg.form(a, b) == want
-        assert alg.form(alg.scaled(a), alg.scaled(b)) == want
+        # both operands now keep their Z[z] forms
+        assert a._z[0] is alg and b._z[0] is alg
+        assert alg.form(a, b) == want
 
 
 # -- the index neighbour table against brute-force pairings
