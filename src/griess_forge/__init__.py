@@ -36,7 +36,7 @@ from .commutants import (FDAlgebra, node_case, g2a_table, g3a_table,
 from .involutions import (ad_spectrum, tau_involution, sigma_involution,
                           is_automorphism, map_order, transposition_scan,
                           group_closure, restrict_map, W2Space)
-from .su3 import su3_data, theta_matrix_relations
+from .su3 import su3_data, su3_identities, theta_matrix_relations
 from .appendix import e8_perp_e8_triple, leech_embedding_check
 
 __version__ = "0.1.0"

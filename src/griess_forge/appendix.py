@@ -41,8 +41,9 @@ def e8_perp_e8_triple():
 
     R is the diagonal, R1 and R2 the graphs of h1 and h2; each is
     isometric to the doubled E8 and L is their sum, returned with its
-    Gram matrix.  The record lists the exact checks performed.  Built once
-    per process and shared read-only.
+    Gram matrix.  The record maps each exact check performed to whether it
+    holds; a false entry is returned, not raised.  Built once per process
+    and shared read-only.
     """
     eg = e8_glue()
     space8 = eg.space
@@ -82,9 +83,6 @@ def e8_perp_e8_triple():
     ref = direct_sum(build_root_lattice("E", 6), build_root_lattice("A", 2))
     record["pattern kernel is E6 + A2"] = (
         isometry_test(e6a2.lattice, ref) is not None)
-    bad = [k for k, v in record.items() if not v]
-    if bad:
-        raise AssertionError("triple construction failed: %s" % ", ".join(bad))
     return r_lat, r1_lat, r2_lat, l_lat, record
 
 
@@ -115,7 +113,7 @@ def _k_sublattice_rows(eg):
 
 def leech_embedding_check():
     """Builds the Golay-side triple inside the rootless sublattice and
-    verifies the full embedding record."""
+    returns the embedding record, {check name: whether it holds}."""
     record = {}
     niem = niemeier_a2_12()
     space = niem.space
@@ -153,7 +151,4 @@ def leech_embedding_check():
     else:
         record["Lt isometric to L"] = (
             isometry_test(l_t.lattice, l_lat.lattice) is not None)
-    bad = [k for k, v in record.items() if not v]
-    if bad:
-        raise AssertionError("embedding checks failed: %s" % ", ".join(bad))
     return record

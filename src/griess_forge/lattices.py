@@ -5,9 +5,10 @@ tuples in the lattice basis.  Short vectors come from Fincke-Pohst
 enumeration on a basis reduced by exact integral LLL (Cohen, Alg. 2.6.7),
 with the quadratic completion read off the LLL's leading minors and
 Gram-Schmidt integers, so the vector lists are provably complete; each
-(Gram, norm) is enumerated once per process.  Isometries are found by
-backtracking over images of basis vectors among short vectors of the
-right norm, on bases size-reduced by a greedy pairwise pass.
+(Gram, norm) is enumerated once per process.  Isometries are found by a
+forward-checking search over images of basis vectors among short vectors
+of the right norm; exact LLL is the one reduction it uses, on the target's
+basis.
 
 The affine E6 diagram is walked in one place, punctured_components: it
 gives each component of the diagram with a node deleted, its root type
@@ -17,9 +18,10 @@ read off the diagram shape, and the order that the commutant frames of
 
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 from .intmat import (hnf, snf_with_transform, int_matmul, int_matvec, int_det,
-                     int_positive_definite)
+                     int_positive_definite, int_inverse_unimodular)
 
 __all__ = [
     "IntegralLattice", "Sublattice", "build_root_lattice", "direct_sum",
@@ -556,128 +558,84 @@ def kernel_sublattice(ambient_basis_rows, values, modulus):
 # ---------------------------------------------------------------------------
 # isometry search
 
-def _size_reduce_basis(gram):
-    """Greedy pairwise size reduction of the abstract basis.
-
-    Works on the Gram matrix alone; returns (new_gram, U) with
-    new_gram = U G U^T.  Repeatedly shortens b_i against b_j by integer
-    multiples and sorts by norm; this is plain Lagrange-style reduction
-    (no swap-condition bookkeeping), used by the isometry search.
-    """
-    n = len(gram)
-    g = [row[:] for row in gram]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def reduce_once():
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or g[j][j] == 0:
-                    continue
-                # nearest integer to g[i][j]/g[j][j]
-                num, den = g[i][j], g[j][j]
-                q = (2 * num + den) // (2 * den)
-                if q:
-                    new_norm = g[i][i] - 2 * q * g[i][j] + q * q * g[j][j]
-                    if new_norm < g[i][i]:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-                        for k in range(n):
-                            g[i][k] -= q * g[j][k]
-                        for k in range(n):
-                            g[k][i] -= q * g[k][j]
-                        changed = True
-        return changed
-
-    for _ in range(64):
-        if not reduce_once():
-            break
-    order = sorted(range(n), key=lambda i: g[i][i])
-    g2 = [[g[a][b] for b in order] for a in order]
-    u2 = [u[a] for a in order]
-    return g2, u2
-
-
 def isometry_test(lat_l, lat_m, max_nodes=2_000_000):
     """An integer basis change P with P G_L P^T = G_M, or None.
 
     P's rows are the images in L-coordinates of M's basis vectors; when it
-    exists it is unimodular because the determinants agree.  Both bases
-    are size-reduced first (greedily, not by LLL: on the scrambled rank-16
-    test basis the LLL basis made the search far slower), then the answer
-    is transported back.  The search is backtracking over short vectors
-    of the right norm with inner-product pruning.  Target rows are taken
-    by the candidate count of their norm, smallest first; when all basis
-    norms agree, as on lattices spanned by norm-4 vectors, that is just
-    the basis order.
+    exists it is unimodular because the determinants agree.  Only M is
+    reduced, by lll_reduce; the search runs in L's own coordinates, whose
+    candidates come from short_vectors, and the answer is transported back
+    through M's reduction.  The search places one image at a time with
+    forward checking (Plesken-Souvignier): every unplaced basis vector keeps
+    its candidates in L and the matching vectors of M, both narrowed by the
+    pairings with what is placed, and a branch is cut as soon as the two
+    counts differ.  max_nodes bounds the number of search nodes; past it
+    the search raises RuntimeError.
     """
     if lat_l.rank != lat_m.rank:
         raise ValueError("rank mismatch: %d vs %d" % (lat_l.rank, lat_m.rank))
     if lat_l.det() != lat_m.det():
         return None
     n = lat_l.rank
-    gl_red, ul = _size_reduce_basis(lat_l.gram)
-    gm_red, um = _size_reduce_basis(lat_m.gram)
-    red_l = IntegralLattice(gl_red, check=False)
-    red_m = IntegralLattice(gm_red, check=False)
-    p_red = _isometry_search(red_l, red_m, max_nodes)
+    gm, um = lll_reduce(lat_m.gram)[:2]
+    p_red = _isometry_search(lat_l, IntegralLattice(gm, check=False), max_nodes)
     if p_red is None:
         return None
-    # transport: rows of P_red are images of (U_M basis) in U_L coordinates
-    from .intmat import int_inverse_unimodular, int_matmul
-    p = int_matmul(int_matmul(int_inverse_unimodular(um), p_red), ul)
+    # rows of P_red are the images of the reduced basis U_M b
+    p = int_matmul(int_inverse_unimodular(um), p_red)
     # final exactness check in the original coordinates
-    gm = lat_m.gram
     for i in range(n):
         for j in range(n):
-            if lat_l.dot(p[i], p[j]) != gm[i][j]:
+            if lat_l.dot(p[i], p[j]) != lat_m.gram[i][j]:
                 raise AssertionError("isometry transport failed")
     return p
 
 
 def _isometry_search(lat_l, lat_m, max_nodes):
-    gm = lat_m.gram
-    n = lat_l.rank
-    cands = {}
-    for j in range(n):
-        nm = gm[j][j]
-        if nm not in cands:
-            cands[nm] = short_vectors(lat_l, nm)
-            if not cands[nm]:
-                return None
-    # scarce norms first: fewer candidates prune earlier
-    order = sorted(range(n), key=lambda j: len(cands[gm[j][j]]))
-    gl = lat_l.gram
-    images = [None] * n
-    gram_rows = {}
-    nodes = [0]
+    """Images in L of M's basis vectors b_k, or None.
 
-    def try_level(t):
-        nodes[0] += 1
-        if nodes[0] > max_nodes:
+    For each unplaced k the search keeps two lists: the vectors of L that
+    may still be the image of b_k, and the vectors of M that pair with
+    every placed b_j as b_k does.  An isometry that extends the placed
+    images maps each M-list onto its L-list, so a branch whose list lengths
+    differ anywhere has no extension.
+    """
+    gl, gm = lat_l.gram, lat_m.gram
+    n = lat_l.rank
+    by_norm = {}
+    for nm in {gm[k][k] for k in range(n)}:
+        by_norm[nm] = short_vectors(lat_l, nm), short_vectors(lat_m, nm)
+        if len(by_norm[nm][0]) != len(by_norm[nm][1]):
+            return None
+    lists = {k: by_norm[gm[k][k]] for k in range(n)}
+    images = [None] * n
+    nodes = 0
+
+    def extend(lists):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
             raise RuntimeError("isometry search exceeded node budget")
-        if t == n:
+        if not lists:
             return True
-        j = order[t]
-        for v in cands[gm[j][j]]:
-            ok = True
-            for k in order[:t]:
-                s = 0
-                gr = gram_rows[k]
-                for idx in range(n):
-                    if v[idx]:
-                        s += gr[idx] * v[idx]
-                if s != gm[j][k]:
-                    ok = False
+        j = min(lists, key=lambda k: len(lists[k][0]))
+        row = gm[j]
+        rest = {k: [w for w in cm if sum(map(mul, w, row)) == row[k]]
+                for k, (_cl, cm) in lists.items() if k != j}
+        for v in lists[j][0]:
+            gv = int_matvec(gl, v)
+            narrowed = {}
+            for k, cm in rest.items():
+                cl = [u for u in lists[k][0] if sum(map(mul, u, gv)) == row[k]]
+                if len(cl) != len(cm):
                     break
-            if ok:
+                narrowed[k] = (cl, cm)
+            else:
                 images[j] = v
-                gram_rows[j] = int_matvec(gl, v)
-                if try_level(t + 1):
+                if extend(narrowed):
                     return True
-        images[order[t]] = None
-        gram_rows.pop(order[t], None)
         return False
 
-    if not try_level(0):
+    if not extend(lists):
         return None
     return [list(v) for v in images]

@@ -182,6 +182,20 @@ def test_isometry_determinant_reject():
     assert isometry_test(a1a1, a2) is None
 
 
+@pytest.mark.parametrize("gl, gm", [
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 4]], [[1, 0, 0], [0, 3, 1], [0, 1, 3]]),
+    ([[1, 0, 0], [0, 3, 0], [0, 0, 4]], [[1, 0, 0], [0, 4, 2], [0, 2, 4]]),
+])
+def test_isometry_count_cut_at_the_root(gl, gm):
+    # same determinant and the same counts at M's basis norms, yet placing
+    # the norm-1 vector leaves L fewer candidates for the others than M has
+    lat_l, lat_m = IntegralLattice(gl), IntegralLattice(gm)
+    assert lat_l.det() == lat_m.det()
+    for k in range(3):
+        assert len(short_vectors(lat_l, gm[k][k])) == len(short_vectors(lat_m, gm[k][k]))
+    assert isometry_test(lat_l, lat_m, max_nodes=1) is None
+
+
 def test_index_and_coset_count_a2_e6_in_e8():
     e8 = build_root_lattice("E", 8)
     e6rows = [[1 if j == i else 0 for j in range(8)] for i in range(6)]

@@ -370,6 +370,50 @@ def test_cli_report_all_records_v_two_ways_mismatch(tmp_path, monkeypatch):
     assert written == sorted("report-%s.json" % name for name in suites.SUITES)
 
 
+def test_cli_report_all_records_a_failed_isometry(tmp_path, monkeypatch):
+    # an isometry search that finds nothing is a failed triple check and a
+    # failed embedding record in written reports, not an "error" check
+    from griess_forge import appendix
+
+    monkeypatch.setattr(appendix, "isometry_test", lambda lat_l, lat_m: None)
+    appendix.e8_perp_e8_triple.cache_clear()
+    try:
+        assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    finally:
+        appendix.e8_perp_e8_triple.cache_clear()
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+    checks = {}
+    for name in ("appendix", "leech"):
+        data = json.loads((tmp_path / ("report-%s.json" % name)).read_text())
+        assert "error" not in {c["id"] for c in data["checks"]}, name
+        checks.update({c["id"]: c for c in data["checks"]})
+    assert checks["triple-R-is-doubled-E8"]["status"] == "fail"
+    assert checks["triple-h1-has-order-3"]["status"] == "pass"
+    assert checks["embedding-record"]["status"] == "fail"
+    assert checks["embedding-record"]["computed"].startswith(
+        "false: Rt is doubled E8, ")
+    assert checks["leech-det"]["status"] == "pass"
+
+
+def test_cli_appendix_names_a_broken_su3_identity(tmp_path, monkeypatch):
+    # the conjugate diagonal of cube roots breaks s^{-1} tau s = r alone,
+    # and the su3-identities check names it
+    from griess_forge import su3
+    tau, s, r = su3.su3_data()
+
+    assert su3.su3_identities()["s^{-1} tau s = r"]
+    monkeypatch.setattr(su3, "su3_data",
+                        lambda: (tau, s, su3.conj_transpose(r)))
+    assert cli.main(["--out", str(tmp_path), "appendix"]) == 1
+    data = json.loads((tmp_path / "report-appendix.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["su3-identities"]["status"] == "fail"
+    assert by_id["su3-identities"]["computed"] == "false: s^{-1} tau s = r"
+    assert [c["id"] for c in data["checks"] if c["status"] == "fail"] == [
+        "su3-identities"]
+
+
 def test_cli_properties_records_a_broken_invariance(tmp_path, monkeypatch):
     # a table constant that breaks the invariance of the form is a failed
     # invariant check in a written report, and the exit status is 1

@@ -4,7 +4,8 @@ import pytest
 
 from griess_forge.exact import zeta
 from griess_forge.linalg import mat_mul, mat_eq, identity, inverse, transpose, mat_pow
-from griess_forge.su3 import su3_data, theta_matrix_relations, is_unitary
+from griess_forge.su3 import (su3_data, su3_identities, theta_matrix_relations,
+                              is_unitary)
 from griess_forge.appendix import e8_perp_e8_triple, leech_embedding_check
 
 F = Fraction
@@ -19,6 +20,7 @@ def test_su3_identities():
     assert mat_eq(transpose(s), s)
     assert mat_eq(mat_pow(s, 4), identity(3))
     assert is_unitary(s)
+    assert all(su3_identities().values())
 
 
 def test_theta_relations():
@@ -71,3 +73,30 @@ def test_rank16_isometry_with_scrambled_basis():
     for i in range(n):
         for j in range(n):
             assert scrambled.dot(t[i], t[j]) == lat.gram[i][j]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_rank16_isometry_scrambled_seeds_within_node_budget(seed):
+    # the seed-5 scramble above with other seeds: the forward-checking
+    # search finds each isometry within 200 nodes
+    import random
+    from griess_forge.lattices import IntegralLattice, isometry_test
+    from griess_forge.intmat import int_matmul
+    _r, _r1, _r2, l, _rec = e8_perp_e8_triple()
+    lat = l.lattice
+    rng = random.Random(seed)
+    n = lat.rank
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(40):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice([-1, 1])
+            for k in range(n):
+                u[i][k] += c * u[j][k]
+    g2 = int_matmul(int_matmul(u, lat.gram), [list(col) for col in zip(*u)])
+    scrambled = IntegralLattice(g2, name="scrambled")
+    t = isometry_test(scrambled, lat, max_nodes=200)
+    assert t is not None
+    assert int_matmul(int_matmul(t, scrambled.gram),
+                      [list(col) for col in zip(*t)]) == lat.gram
