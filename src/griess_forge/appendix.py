@@ -13,10 +13,10 @@ from functools import cache
 
 from .codes import golay12
 from .gluing import (BlockSpace, GlueLattice, e8_glue, niemeier_a2_12,
-                     n0_sublattice, leech, codeword_isometry, e_copies_rows)
+                     n0_sublattice, leech, codeword_isometry, e_copies_rows,
+                     pattern_kernel_rows)
 from .intmat import int_matvec, int_matmul, int_identity
-from .lattices import (build_root_lattice, direct_sum, isometry_test,
-                       kernel_sublattice, short_vectors)
+from .lattices import build_root_lattice, direct_sum, isometry_test, short_vectors
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def e8_perp_e8_triple():
     a2_4 = direct_sum(*[build_root_lattice("A", 2) for _ in range(4)])
     record["K is A2^4"] = isometry_test(k_lat.lattice, a2_4) is not None
     # the single-pattern kernel is E6 + A2
-    e6a2_rows = _pattern_kernel_rows(space8, eg.basis, (0, 1, 1, 1))
+    e6a2_rows = pattern_kernel_rows(space8, eg.basis, (0, 1, 1, 1))
     e6a2 = GlueLattice(space8, e6a2_rows, name="ker(0,d,d,d)")
     ref = direct_sum(build_root_lattice("E", 6), build_root_lattice("A", 2))
     record["pattern kernel is E6 + A2"] = (
@@ -86,29 +86,9 @@ def e8_perp_e8_triple():
     return r_lat, r1_lat, r2_lat, l_lat, record
 
 
-def _weyl_pattern(space, pattern):
-    v = [0] * space.dim
-    for b, t in enumerate(pattern):
-        v[2 * b] = 3 * t
-        v[2 * b + 1] = 3 * t
-    return v
-
-
-def _pattern_kernel_rows(space, rows, pattern):
-    """HNF rows of the vectors of span(rows) pairing into 3Z with the Weyl
-    pattern."""
-    w = _weyl_pattern(space, pattern)
-    vals = []
-    for row in rows:
-        p = space.dot9(row, w)
-        assert p % 9 == 0
-        vals.append((p // 9) % 3)
-    return kernel_sublattice(rows, vals, 3)
-
-
 def _k_sublattice_rows(eg):
-    rows = _pattern_kernel_rows(eg.space, eg.basis, (0, 1, 1, 1))
-    return _pattern_kernel_rows(eg.space, rows, (1, 1, -1, 0))
+    rows = pattern_kernel_rows(eg.space, eg.basis, (0, 1, 1, 1))
+    return pattern_kernel_rows(eg.space, rows, (1, 1, -1, 0))
 
 
 def leech_embedding_check():

@@ -26,7 +26,7 @@ from .lattices import IntegralLattice, Sublattice, kernel_sublattice
 __all__ = [
     "BlockSpace", "GlueLattice", "glue_lattice", "e8_glue", "niemeier_a2_12",
     "n0_sublattice", "leech", "codeword_isometry", "tau_bar_matrix",
-    "delta_hat", "e_copies_rows",
+    "delta_hat", "weyl_pattern", "pattern_kernel_rows", "e_copies_rows",
 ]
 
 _A2 = ((2, -1), (-1, 2))
@@ -146,32 +146,45 @@ def niemeier_a2_12():
     return glue_lattice(12, golay12(), name="N(A2^12)")
 
 
+_DELTA_SIGNS = (1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1)
+
+
+def weyl_pattern(space, pattern):
+    """The sum of block Weyl vectors weighted by the pattern, one integer
+    per block: 3 t in both third coordinates of a block with weight t."""
+    v = [0] * space.dim
+    for b, t in enumerate(pattern):
+        v[2 * b] = 3 * t
+        v[2 * b + 1] = 3 * t
+    return v
+
+
+def pattern_kernel_rows(space, rows, pattern):
+    """HNF rows of the vectors of span(rows) pairing into 3Z with the Weyl
+    pattern."""
+    w = weyl_pattern(space, pattern)
+    vals = []
+    for row in rows:
+        p = space.dot9(row, w)
+        if p % 9:
+            raise ValueError("Weyl pattern %s does not pair integrally" % (pattern,))
+        vals.append((p // 9) % 3)
+    return kernel_sublattice(rows, vals, 3)
+
+
 def delta_hat(space):
     """The signed sum of block Weyl vectors (d, d, d, d, -d, -d, -d, -d, d, d, d, d)."""
     if space.blocks != 12:
         raise ValueError("delta_hat lives in the twelve-block space")
-    signs = (1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1)
-    v = [0] * space.dim
-    for b, s in enumerate(signs):
-        v[2 * b] = 3 * s
-        v[2 * b + 1] = 3 * s
-    return v
+    return weyl_pattern(space, _DELTA_SIGNS)
 
 
 @cache
 def n0_sublattice():
     """The index-3 rootless kernel {x : <x, delta_hat> in 3Z} of N."""
     niem = niemeier_a2_12()
-    space = niem.space
-    dh = delta_hat(space)
-    vals = []
-    for row in niem.basis:
-        p = space.dot9(row, dh)
-        if p % 9:
-            raise ValueError("delta_hat does not pair integrally")
-        vals.append((p // 9) % 3)
-    rows = kernel_sublattice(niem.basis, vals, 3)
-    return GlueLattice(space, rows, name="N0")
+    rows = pattern_kernel_rows(niem.space, niem.basis, _DELTA_SIGNS)
+    return GlueLattice(niem.space, rows, name="N0")
 
 
 @cache

@@ -4,10 +4,20 @@ A map is a square matrix over Q or Q(z) whose columns are the images of
 the basis of a finite-dimensional algebra (or of the theta-even basis of
 a weight-two algebra, through the adapter).  tau-involutions negate the
 1/16 eigenspace of the adjoint action of a central-charge-1/2 Virasoro
-vector; sigma-involutions of sigma-type vectors negate the parity-odd
-sectors.  Eigenspaces are found by kernel computations over the closed
-candidate weight list of the matching unitary series, and every
-constructed involution can be pushed through the full automorphism check.
+vector; sigma-involutions of c = 6/7 sigma-type vectors negate the
+parity-odd sectors.  One table, _KINDS, gives each kind its central
+charge, its allowed and negated weights and its scan bound, and
+tau_involution, sigma_involution and transposition_scan all read it.
+
+Each check runs once per map.  The constructor checks that the vector is
+Virasoro of the kind's charge (one is_virasoro call) and that its
+spectrum lies in the allowed weights; it does not check the map it
+returns.  The automorphism check runs in the caller that uses the map:
+transposition_scan checks every map it builds, and the involutions suites
+record the check as a report entry, so a map that is not an automorphism
+is a failed check there, not an exception.  Eigenspaces are found by
+kernel computations over the closed candidate weight list of the
+matching unitary series.
 
 Orders, pairwise scans and group closures run over Z[z12] integers in the
 format of ``exact``: each map is converted once to (rows, s), its entries
@@ -25,7 +35,7 @@ once, with mat_vec summing over the support of the row, and uses it both
 for the solve and for the exact back-check, which adds up the solved
 combination of the rows over each row's nonzero entries.
 
-ad_spectrum deflates.  After the kernel of S = A - l for a candidate l, it
+eigenspaces deflates.  After the kernel of S = A - l for a candidate l, it
 goes on with the matrix Abar = R A[:, P] of A on im S, where R is the
 reduced row echelon form of S and P its pivot columns: with C = S[:, P],
 A C = C Abar, and every eigenvector of A for another weight m lies in
@@ -43,14 +53,22 @@ from .exact import _ZRow
 from .linalg import (mat_mul, mat_vec, kernel, inverse, rref,
                      solve_matrix, transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
+from .w2 import virasoro_check
 
 F = Fraction
 
 __all__ = [
-    "W2Space", "ad_matrix", "ad_spectrum", "tau_involution", "sigma_involution",
-    "is_automorphism", "map_order", "transposition_scan", "group_closure",
-    "restrict_map", "eigenspace_rows",
+    "W2Space", "ad_matrix", "ad_spectrum", "eigenspaces", "tau_involution",
+    "sigma_involution", "is_automorphism", "map_order", "transposition_scan",
+    "group_closure", "restrict_map", "eigenspace_rows",
 ]
+
+# kind: (central charge, allowed weights, negated weights, scan bound)
+_KINDS = {
+    "tau_ising": (F(1, 2), {F(2), F(0), F(1, 2), F(1, 16)}, {F(1, 16)}, 6),
+    "sigma_c67": (F(6, 7), {F(2)} | sigma_type_set(4),
+                  {F(5), F(12, 7), F(1, 7)}, 3),
+}
 
 
 class W2Space:
@@ -59,7 +77,6 @@ class W2Space:
     def __init__(self, alg):
         self.alg = alg
         self.dim = alg.dim
-        self.names = ["b%d" % k for k in range(alg.dim)]
 
     def product_vec(self, u, v):
         a = self.alg.from_class_coords(u)
@@ -72,9 +89,7 @@ class W2Space:
         return self.alg.form(a, b)
 
     def is_virasoro(self, u):
-        from .w2 import virasoro_check
-        ok, c = virasoro_check(self.alg, self.alg.from_class_coords(u))
-        return ok, c
+        return virasoro_check(self.alg, self.alg.from_class_coords(u))
 
     def element_vec(self, w2elem):
         return self.alg.class_coords(w2elem)
@@ -102,14 +117,36 @@ def ad_matrix(space, v):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def ad_spectrum(space, v, candidates=None):
+def ad_spectrum(space, v):
     """Eigenspace decomposition of ad(v) over the closed candidate list.
 
     v must be a simple Virasoro vector of unitary central charge; the
-    candidates, which must be distinct, default to {2} union the weights
-    of the matching series.  Raises if the eigenspaces do not fill the
-    space (reporting the residual dimension), or if the eigenvalue-2 space
-    is not the line through v itself.
+    candidates are {2} union the weights of the matching series.  Raises
+    if the eigenspaces do not fill the space (reporting the residual
+    dimension), or if the eigenvalue-2 space is not the line through v.
+    """
+    ok, c = space.is_virasoro(v)
+    if not ok:
+        raise ValueError("ad_spectrum needs a Virasoro vector")
+    return _spectrum(space, v, c)
+
+
+def _spectrum(space, v, c):
+    """ad_spectrum for a vector already known to be Virasoro of charge c."""
+    m = charge_to_m(c)
+    if m is None:
+        raise ValueError("central charge %s is not in the unitary series" % (c,))
+    hset = {highest_weight(m, r, s) for r, s in all_labels(m)}
+    eigen = eigenspaces(ad_matrix(space, v), sorted({F(2)} | hset))
+    if F(2) not in hset and F(2) in eigen and len(eigen[F(2)]) != 1:
+        raise ValueError("eigenvalue-2 space has dimension %d"
+                         % len(eigen[F(2)]))
+    return eigen
+
+
+def eigenspaces(mat, candidates):
+    """{weight: kernel basis of mat - weight} over the distinct candidates
+    with a nonzero kernel; raises unless the eigenspaces fill the space.
 
     Each candidate's kernel is taken on the quotient left by the earlier
     ones.  For A, a candidate l and S = A - l with reduced row echelon form
@@ -122,24 +159,12 @@ def ad_spectrum(space, v, candidates=None):
     eigenspace is brought to the basis kernel(A - m) would give by one
     reduced row echelon form of its column-reversed vectors.
     """
-    ok, c = space.is_virasoro(v)
-    if not ok:
-        raise ValueError("ad_spectrum needs a Virasoro vector")
-    check_two = False
-    if candidates is None:
-        m = charge_to_m(c)
-        if m is None:
-            raise ValueError("central charge %s is not in the unitary series" % (c,))
-        hset = {highest_weight(m, r, s) for r, s in all_labels(m)}
-        candidates = sorted({F(2)} | hset)
-        check_two = F(2) not in hset
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate weights must be distinct")
-    mat = ad_matrix(space, v)
     lift = None         # the space itself until the first deflation
     eigen = {}
     total = 0
-    n = space.dim
+    n = len(mat)
     for lam in candidates:
         r = len(mat)
         shifted = [row[:] for row in mat]
@@ -165,9 +190,6 @@ def ad_spectrum(space, v, candidates=None):
     if total != n:
         raise ValueError("adjoint action is not semisimple over the candidate "
                          "list: eigenspaces fill %d of %d" % (total, n))
-    if check_two and F(2) in eigen and len(eigen[F(2)]) != 1:
-        raise ValueError("eigenvalue-2 space has dimension %d"
-                         % len(eigen[F(2)]))
     return eigen
 
 
@@ -201,47 +223,30 @@ def _signed_map(space, eigen, minus_values):
     return mat_mul(bmat, scaled)
 
 
-def tau_involution(space, e, verify=True):
+def tau_involution(space, e):
     """The involution negating the 1/16 sector of an Ising vector."""
-    def admit(ok, c):
-        if not ok or c != F(1, 2):
-            raise ValueError("tau needs a central charge 1/2 Virasoro vector")
-        return ({F(2), F(0), F(1, 2), F(1, 16)}, {F(1, 16)},
-                "adjoint spectrum %s is not of Ising type")
-    return _sector_involution(space, e, "tau", admit, verify)
+    return _sector_involution(space, e, "tau_ising")
 
 
-_SIGMA = {1: (F(1, 2), {F(1, 2)}), 4: (F(6, 7), {F(5), F(12, 7), F(1, 7)})}
+def sigma_involution(space, v):
+    """The parity involution of a c = 6/7 sigma-type Virasoro vector."""
+    return _sector_involution(space, v, "sigma_c67")
 
 
-def sigma_involution(space, v, m, verify=True):
-    """The parity involution of a sigma-type Virasoro vector (m = 1 or 4)."""
-    def admit(ok, c):
-        if not ok:
-            raise ValueError("sigma needs a Virasoro vector")
-        if m not in _SIGMA:
-            raise ValueError("sigma is implemented for m in {1, 4}")
-        charge, minus = _SIGMA[m]
-        if c != charge:
-            raise ValueError("m = %d sigma needs central charge %s" % (m, charge))
-        return ({F(2)} | sigma_type_set(m), minus,
-                "vector is not of sigma type: spectrum %s")
-    return _sector_involution(space, v, "sigma", admit, verify)
-
-
-def _sector_involution(space, v, kind, admit, verify):
-    """The map negating some sectors of ad(v), for tau and sigma.  admit
-    takes is_virasoro's (ok, c) for v, raises if v does not qualify, and
-    returns the allowed weights, the negated ones, and the message for a
-    spectrum outside the allowed weights."""
-    allowed, minus, outside = admit(*space.is_virasoro(v))
-    eigen = ad_spectrum(space, v)
+def _sector_involution(space, v, kind):
+    """The map negating the kind's sectors of ad(v).  Raises unless v is
+    Virasoro of the kind's charge with its spectrum in the allowed weights;
+    the map is not checked to be an automorphism here."""
+    charge, allowed, minus, _bound = _KINDS[kind]
+    ok, c = space.is_virasoro(v)
+    if not ok or c != charge:
+        raise ValueError("%s needs a Virasoro vector of central charge %s"
+                         % (kind, charge))
+    eigen = _spectrum(space, v, c)
     if not set(eigen) <= allowed:
-        raise ValueError(outside % sorted(eigen))
-    mat = _signed_map(space, eigen, minus)
-    if verify and not is_automorphism(space, mat):
-        raise AssertionError("%s map failed the automorphism check" % kind)
-    return mat
+        raise ValueError("adjoint spectrum %s is not of %s type"
+                         % (sorted(eigen), kind))
+    return _signed_map(space, eigen, minus)
 
 
 def is_automorphism(space, mat):
@@ -281,18 +286,19 @@ def transposition_scan(space, vectors, kind, cap=24):
     """Pairwise orders of the involutions attached to the given vectors.
 
     kind 'tau_ising' builds tau maps and flags orders above 6; kind
-    'sigma_c67' builds m = 4 sigma maps and flags orders above 3.
-    Returns (orders, violations, maps) with orders[i][j] the order of
-    map_i . map_j.
+    'sigma_c67' builds sigma maps and flags orders above 3.  Each map is
+    checked once to be an automorphism; a failure raises AssertionError
+    naming the kind and the vector's index.  Returns (orders, violations,
+    maps) with orders[i][j] the order of map_i . map_j.
     """
-    if kind == "tau_ising":
-        maps = [tau_involution(space, v) for v in vectors]
-        bound = 6
-    elif kind == "sigma_c67":
-        maps = [sigma_involution(space, v, 4) for v in vectors]
-        bound = 3
-    else:
+    if kind not in _KINDS:
         raise ValueError("kind must be tau_ising or sigma_c67")
+    bound = _KINDS[kind][3]
+    maps = [_sector_involution(space, v, kind) for v in vectors]
+    for i, mat in enumerate(maps):
+        if not is_automorphism(space, mat):
+            raise AssertionError("%s map of vector %d failed the automorphism "
+                                 "check" % (kind, i))
     zmaps = [_zmat(m) for m in maps]
     k = len(maps)
     orders = [[None] * k for _ in range(k)]

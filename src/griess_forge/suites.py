@@ -105,7 +105,8 @@ def suite_commutant(node):
         u = orthogonal_complement_virasoro(case)
         ok, c = fd.is_virasoro(u)
         rep.add("complement-charge", "complement Virasoro vector charge",
-                "orthogonal frame pair", F(25, 28), c)
+                "orthogonal frame pair", F(25, 28),
+                c if ok else fmt(c) + " (not Virasoro)")
         vc, = fd.coordinates([v])
         rep.add("complement-orthogonal", "<v, u> = 0", "orthogonal frame pair",
                 0, fd.form_vec(vc, u))
@@ -123,7 +124,7 @@ def suite_u3a(from_orbit=False):
     rep.add("table-gram", "<X+, X->", "four-dim table", 81,
             fd.gram[fd.index("Xp")][fd.index("Xm")])
     if from_orbit:
-        orb = u3a_griess("e8_orbit")
+        orb = u3a_griess()
         rep.add("orbit-dim", "orbit closure dimension", "span closure", 4, orb.dim)
         rep.add("orbit-match", "orbit algebra matches the table",
                 "structure-constant comparison", "true",
@@ -176,8 +177,8 @@ def suite_involutions(node):
     fd = case.fd
     v, vp = tilde_v_pair(case)
     vc, vpc = fd.coordinates([v, vp])
-    s1 = sigma_involution(fd, vc, 4)
-    s2 = sigma_involution(fd, vpc, 4)
+    s1 = sigma_involution(fd, vc)
+    s2 = sigma_involution(fd, vpc)
     rep.add("sigma-automorphism", "both sigma maps pass the automorphism check",
             "parity involution", "true",
             is_automorphism(fd, s1) and is_automorphism(fd, s2))

@@ -95,7 +95,7 @@ def test_tilde_v_in_2a_side(side):
 
 
 def test_u3a_orbit_mode_matches_table(side):
-    fd = u3a_griess("e8_orbit")
+    fd = u3a_griess()
     ref = u3a_table()
     assert fd.mult == ref.mult and fd.gram == ref.gram
     # the recovered frame vectors are the two distinguished tilde vectors
@@ -134,7 +134,7 @@ def reference_u3a_orbit(side):
 
 def test_u3a_orbit_equals_the_orbit_basis_construction(side):
     from griess_forge.exact import zeta
-    fd = u3a_griess("e8_orbit")
+    fd = u3a_griess()
     ref = reference_u3a_orbit(side)
     assert fd.names == ref.names
     assert fd.mult == ref.mult and fd.gram == ref.gram
@@ -162,13 +162,6 @@ def test_orbit_and_its_fourier_sums_span_the_same_space(side):
                for part in (x.heis, x.exps, x.d2) for c in part.values())
     for vecs in (orbit, fourier, orbit + fourier):
         assert rank([alg.signed_coords(x) for x in vecs]) == 3
-
-
-def test_u3a_table_mode():
-    fd = u3a_griess("table")
-    assert fd.dim == 4
-    with pytest.raises(ValueError):
-        u3a_griess("nonsense")
 
 
 def test_nine_orbit_dimension(side):

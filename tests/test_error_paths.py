@@ -28,12 +28,8 @@ def test_tau_rejects_wrong_charge():
 
 def test_sigma_rejects_wrong_m_and_charge():
     fd = u3a_table()
-    with pytest.raises(ValueError):
-        sigma_involution(fd, fd.element("w1"), 1)   # m = 1 needs charge 1/2
-    with pytest.raises(ValueError):
-        sigma_involution(fd, fd.element("w1"), 3)   # only m = 1, 4 supported
-    with pytest.raises(ValueError):
-        sigma_involution(fd, fd.element("w2"), 1)   # 6/7 is not 1/2 either
+    with pytest.raises(ValueError, match="sigma_c67 .* central charge 6/7"):
+        sigma_involution(fd, fd.element("w1"))      # charge 4/5, not 6/7
 
 
 def test_ad_spectrum_needs_virasoro():

@@ -9,8 +9,9 @@ from griess_forge.commutants import (
 from griess_forge import involutions
 from griess_forge.exact import CycNum, _ZRow, zeta
 from griess_forge.involutions import (
-    ad_spectrum, ad_matrix, tau_involution, sigma_involution, is_automorphism,
-    map_order, transposition_scan, group_closure, restrict_map, eigenspace_rows,
+    ad_spectrum, ad_matrix, eigenspaces, tau_involution, sigma_involution,
+    is_automorphism, map_order, transposition_scan, group_closure, restrict_map,
+    eigenspace_rows,
 )
 from griess_forge.linalg import (det, identity, inverse, mat_mul, mat_vec, mat_eq,
                                  row_span_coords, kernel, solve_matrix, transpose)
@@ -97,7 +98,7 @@ def test_sigma_swaps_x_on_3a(case3):
     fd = case3.fd
     v, vp = tilde_v_pair(case3)
     vc = fd_coords(case3, v)
-    s = sigma_involution(fd, vc, 4)
+    s = sigma_involution(fd, vc)
     assert mat_vec(s, fd.element("X1")) == fd.element("X2")
     assert mat_vec(s, fd.element("X2")) == fd.element("X1")
     assert mat_vec(s, vc) == vc
@@ -119,15 +120,15 @@ def test_sigma_orders_per_node(case2, case3):
     # order of the coset character, not of this restriction
     fd2 = case2.fd
     v2, vp2 = tilde_v_pair(case2)
-    s1 = sigma_involution(fd2, fd_coords(case2, v2), 4)
-    s2 = sigma_involution(fd2, fd_coords(case2, vp2), 4)
+    s1 = sigma_involution(fd2, fd_coords(case2, v2))
+    s2 = sigma_involution(fd2, fd_coords(case2, vp2))
     assert mat_eq(s1, identity(3)) and mat_eq(s2, identity(3))
     assert map_order(mat_mul(s1, s2)) == 1
     # 3A: the product has order 3 on the five-dimensional algebra
     fd3 = case3.fd
     v3, vp3 = tilde_v_pair(case3)
-    t1 = sigma_involution(fd3, fd_coords(case3, v3), 4)
-    t2 = sigma_involution(fd3, fd_coords(case3, vp3), 4)
+    t1 = sigma_involution(fd3, fd_coords(case3, v3))
+    t2 = sigma_involution(fd3, fd_coords(case3, vp3))
     assert map_order(mat_mul(t1, t2)) == 3
     n, _ = group_closure([t1, t2])
     assert n == 6
@@ -174,8 +175,8 @@ def test_sigma_product_is_rho_inverse_squared(case2, case3):
     assert all(annihilates((F(1, 7), F(8, 7)), x) for x in odd)
     for case in (node_case("1A"), case2, case3):
         v, vp = tilde_v_pair(case)
-        s1 = sigma_involution(case.fd, fd_coords(case, v), 4)
-        s2 = sigma_involution(case.fd, fd_coords(case, vp), 4)
+        s1 = sigma_involution(case.fd, fd_coords(case, v))
+        s2 = sigma_involution(case.fd, fd_coords(case, vp))
         rho_inv = inverse(rho_matrix(case))
         assert mat_eq(mat_mul(s1, s2), mat_mul(rho_inv, rho_inv))
 
@@ -216,7 +217,7 @@ def test_is_automorphism_matches_the_unit_vector_reference(case2):
     for node in ("1A", "2A", "3A"):
         case = node_case(node)
         for x in case.fd.coordinates(list(tilde_v_pair(case))):
-            maps.append((case.fd, sigma_involution(case.fd, x, 4, verify=False)))
+            maps.append((case.fd, sigma_involution(case.fd, x)))
         maps.append((case.fd, rho_orders(node)[0]))
     fd12, _orders, _violations, taus = nine_orbit_scan()
     maps += [(fd12, t) for t in taus]
@@ -262,6 +263,50 @@ def test_singleton_scan(case3):
     assert violations == []
 
 
+def test_scan_names_the_map_that_is_not_an_automorphism(case3, monkeypatch):
+    # -sigma is not an automorphism
+    fd = case3.fd
+    vc = fd_coords(case3, tilde_v_pair(case3)[0])
+    signed = involutions._signed_map
+    monkeypatch.setattr(involutions, "_signed_map", lambda space, eigen, minus: [
+        [-x for x in row] for row in signed(space, eigen, minus)])
+    with pytest.raises(AssertionError, match="sigma_c67 map of vector 0"):
+        transposition_scan(fd, [vc], "sigma_c67")
+
+
+def test_scan_rejects_an_unknown_kind(case3):
+    with pytest.raises(ValueError, match="kind must be"):
+        transposition_scan(case3.fd, [], "tau_c45")
+
+
+def test_each_map_checks_virasoro_and_automorphism_once(case2, monkeypatch):
+    # the constructor checks the vector once and the map not at all; the
+    # suite checks each sigma map and the character once
+    from griess_forge.commutants import FDAlgebra
+    from griess_forge.suites import run_suite
+    calls = {"is_virasoro": 0, "is_automorphism": 0}
+    virasoro, automorphism = FDAlgebra.is_virasoro, involutions.is_automorphism
+
+    def counted_virasoro(self, u):
+        calls["is_virasoro"] += 1
+        return virasoro(self, u)
+
+    def counted_automorphism(space, mat):
+        calls["is_automorphism"] += 1
+        return automorphism(space, mat)
+
+    monkeypatch.setattr(FDAlgebra, "is_virasoro", counted_virasoro)
+    monkeypatch.setattr(involutions, "is_automorphism", counted_automorphism)
+    fd = case2.fd
+    vc = fd_coords(case2, tilde_v_pair(case2)[0])
+    sigma_involution(fd, vc)
+    assert calls == {"is_virasoro": 1, "is_automorphism": 0}
+    calls["is_automorphism"] = 0
+    rep = run_suite("involutions-2A")
+    assert all(c.status == "pass" for c in rep.checks)
+    assert calls["is_automorphism"] == 3
+
+
 # ---------------------------------------------------------------------------
 # the E8-side involution suite
 
@@ -303,7 +348,7 @@ def test_psi_restriction_is_sigma(orbit_data):
         return c
 
     wq = coords(side.omega_q)
-    eig = ad_spectrum(fd12, wq, candidates=None)
+    eig = ad_spectrum(fd12, wq)
     ker5 = eigenspace_rows(eig, [F(0)])
     assert len(ker5) == 5
     # identify eta = the character trivial on the E6 annihilator of Q
@@ -331,7 +376,7 @@ def test_psi_restriction_is_sigma(orbit_data):
     ok, c = virasoro_check(alg, derived)
     assert ok and c == F(6, 7)
     sig = sigma_involution(
-        _Restricted(fd12, ker5), restrict_vec(fd12, ker5, coords(derived)), 4)
+        _Restricted(fd12, ker5), restrict_vec(fd12, ker5, coords(derived)))
     for ei in es:
         t = tau_involution(fd12, coords(ei))
         r = restrict_map(fd12, t, ker5)
@@ -433,7 +478,7 @@ def test_derived_sigma_scan_on_slice(orbit_data):
                 assert orders[i][j] == 3
 
 
-# -- restrict_map and ad_spectrum against the dense loops they replaced ---------------
+# -- restrict_map and eigenspaces against the dense loops they replaced ---------------
 
 def ref_mat_vec(a, v):
     return [sum((x * y for x, y in zip(row, v) if x and y), F(0)) for row in a]
@@ -462,7 +507,7 @@ def ref_restrict_map(mat, rows):
 
 
 def ref_eigen(mat, candidates):
-    """ad_spectrum's loop with the full shifted matrix rebuilt per candidate."""
+    """eigenspaces' loop with the full shifted matrix rebuilt per candidate."""
     n = len(mat)
     eigen = {}
     total = 0
@@ -477,20 +522,6 @@ def ref_eigen(mat, candidates):
         raise ValueError("adjoint action is not semisimple over the candidate "
                          "list: eigenspaces fill %d of %d" % (total, n))
     return eigen
-
-
-class _MatrixSpace:
-    """A space whose adjoint action is one fixed matrix, whatever the vector."""
-
-    def __init__(self, mat):
-        self.mat = mat
-        self.dim = len(mat)
-
-    def product_vec(self, v, e):
-        return mat_vec(self.mat, e)
-
-    def is_virasoro(self, v):
-        return True, F(1, 2)
 
 
 def _outcome(fn, *args):
@@ -538,8 +569,7 @@ def test_ad_spectrum_matches_the_full_shift(mpw, data):
                                     min_size=1))
     if data.draw(st.booleans()):
         candidates = sorted(candidates)
-    space = _MatrixSpace(mat)
-    got = _outcome(ad_spectrum, space, None, candidates)
+    got = _outcome(eigenspaces, mat, candidates)
     want = _outcome(ref_eigen, mat, candidates)
     assert got == want
     assert repr(got) == repr(want)
@@ -557,7 +587,7 @@ def test_ad_spectrum_on_jordan_blocks_reports_the_filled_dimension():
     for p in ([[1, 2, 0], [0, 1, 3], [1, 0, 1]], [[1, z, 0], [0, 1, 3], [z, 0, 1]]):
         j = [[0, 1, 0], [0, 0, 0], [0, 0, F(1, 2)]]
         mat = mat_mul(mat_mul(p, j), inverse(p))
-        got = _outcome(ad_spectrum, _MatrixSpace(mat), None, _WEIGHTS)
+        got = _outcome(eigenspaces, mat, _WEIGHTS)
         assert got == _outcome(ref_eigen, mat, _WEIGHTS)
         assert got == ("ValueError: adjoint action is not semisimple over the "
                        "candidate list: eigenspaces fill 2 of 3")
@@ -579,14 +609,14 @@ def test_ad_spectrum_stops_once_the_space_is_filled(monkeypatch):
             ([[F(1, 2), 0], [0, F(1, 2)]], [F(1, 2), F(0), F(2)], [2]),
             ([[F(1, 2), 1], [0, F(1, 2)]], [F(0), F(1, 2), F(2)], [2, 2, 1])):
         calls.clear()
-        got = _outcome(ad_spectrum, _MatrixSpace(mat), None, candidates)
+        got = _outcome(eigenspaces, mat, candidates)
         assert repr(got) == repr(_outcome(ref_eigen, mat, candidates))
         assert calls == sizes
 
 
 def test_ad_spectrum_rejects_repeated_candidates():
     with pytest.raises(ValueError, match="distinct"):
-        ad_spectrum(_MatrixSpace([[F(0)]]), None, [F(0), F(1, 2), F(0)])
+        eigenspaces([[F(0)]], [F(0), F(1, 2), F(0)])
 
 
 def test_ad_matrix_on_a_w2_space_matches_the_product_columns(case2):
@@ -617,7 +647,7 @@ def test_restrict_map_matches_the_dense_check_on_eigenvector_spans(mpw, data):
     got = restrict_map(None, mat, rows)
     assert got == ref_restrict_map(mat, rows)
     # the restricted map has the chosen eigenvalues
-    assert sorted(ad_spectrum(_MatrixSpace(got), None, _WEIGHTS)) == \
+    assert sorted(eigenspaces(got, _WEIGHTS)) == \
         sorted(set(weights[c] for c in cols))
 
 

@@ -266,6 +266,48 @@ def test_cli_involutions_2a_reports_failure(tmp_path, monkeypatch, capsys):
     assert r.returncode == 0, r.stdout
 
 
+def test_cli_involutions_records_a_sigma_map_that_is_not_an_automorphism(
+        tmp_path, monkeypatch):
+    # -sigma is not an automorphism, but (-s1)(-s2) = s1 s2: the constructor
+    # does not check the map, so the suite's own check fails and the
+    # product order still passes
+    from griess_forge import involutions
+    signed = involutions._signed_map
+
+    def negated(space, eigen, minus):
+        return [[-x for x in row] for row in signed(space, eigen, minus)]
+
+    monkeypatch.setattr(involutions, "_signed_map", negated)
+    assert cli.main(["--out", str(tmp_path), "involutions", "2A"]) == 1
+    data = json.loads((tmp_path / "report-involutions-2A.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert "error" not in by_id
+    assert by_id["sigma-automorphism"]["status"] == "fail"
+    assert by_id["sigma-automorphism"]["computed"] == "false"
+    assert by_id["sigma-product-order"]["status"] == "pass"
+
+
+def test_cli_commutant_records_a_complement_that_is_not_virasoro(
+        tmp_path, monkeypatch):
+    # a wrong X coefficient in the complement vector is a failed
+    # complement-charge check in a written report, not an exception
+    from griess_forge.commutants import FDAlgebra
+    combo = FDAlgebra.combo
+
+    def wrong_x(self, **coeffs):
+        if "X" in coeffs:
+            coeffs["X"] = 2 * coeffs["X"]
+        return combo(self, **coeffs)
+
+    monkeypatch.setattr(FDAlgebra, "combo", wrong_x)
+    assert cli.main(["--out", str(tmp_path), "commutant", "2A"]) == 1
+    data = json.loads((tmp_path / "report-commutant-2A.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert "error" not in by_id
+    assert by_id["complement-charge"]["status"] == "fail"
+    assert by_id["complement-charge"]["computed"].endswith(" (not Virasoro)")
+
+
 def test_cli_minimal_exports(tmp_path):
     r = _cli("--out", str(tmp_path), "minimal", "--export-tables")
     assert r.returncode == 0
@@ -339,7 +381,7 @@ def test_cli_u3a_orbit_reports_mismatch(tmp_path, monkeypatch):
     # written report, not a crash
     from griess_forge import commutants
 
-    def wrong_orbit(source="table"):
+    def wrong_orbit():
         fd = commutants.u3a_table()
         xp, xm = fd.index("Xp"), fd.index("Xm")
         fd.mult[xp][xp] = [F(21) if k == xm else F(0) for k in range(fd.dim)]
@@ -445,7 +487,7 @@ def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
     # report; every other report is still written and the exit status is 1
     from griess_forge import commutants
 
-    def raising(source="table"):
+    def raising():
         raise ValueError("orbit closure has dimension 3, expected 4")
 
     monkeypatch.setattr(commutants, "u3a_griess", raising)

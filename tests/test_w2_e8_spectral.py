@@ -21,7 +21,7 @@ def test_ising_spectrum_on_even_weight_two():
     assert len(eig[F(2)]) == 1
     # no 1/16 sector on the theta-even space: tau is the identity here
     assert F(1, 16) not in eig
-    t = tau_involution(sp, ec, verify=False)
+    t = tau_involution(sp, ec)
     assert mat_eq(t, identity(156))
     assert map_order(t) == 1
 
