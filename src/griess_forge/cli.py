@@ -231,7 +231,7 @@ def _suite_cmd(names):
 def _export_scan(outdir):
     from .report import scan_to_json
     from .suites import nine_orbit_scan
-    _fd12, orders, violations, _maps = nine_orbit_scan()
+    _fd12, _dim, orders, violations, _maps = nine_orbit_scan()
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "scan-e8-orbit.json"), "w") as f:
         f.write(scan_to_json(orders, violations))

@@ -9,10 +9,14 @@ E6, yields the finite-dimensional algebras of dimension 4, 8 and 12 that
 model the node pairs; all of them are extracted as explicit
 structure-constant algebras and checked for closure on the nose.  Both
 sides take the components from ``lattices.punctured_components`` and
-build their frames with one helper, _frame, which checks each frame
-vector is Virasoro and computes its central charge.  The E8 side builds
-omega_Q and omega_E6, the frame of its A2 + E6 split, once; vnx_griess
-takes omega_Q and its computed charge from it.  An element of the
+build their frame vectors with one helper, _frame_vectors.  The frame is
+checked on the table that fd_from_elements extracts: each member w_s is
+Virasoro there, the frame sum acts as 2 on every basis element, and the
+charge of w_s is 2 <w_s, w_s>.  The embedding rows are independent, so
+the table holds the unique coordinates of each product, and
+w_s . w_s = 2 w_s holds there exactly when it holds on the lattice.  The
+E8 side builds omega_Q and omega_E6, the frame of its A2 + E6 split,
+once; vnx_griess takes omega_Q from it.  An element of the
 ambient space is expressed over an algebra's basis by
 FDAlgebra.coordinates.
 
@@ -53,8 +57,7 @@ from .exact import _cyc_row, _zdiv, _zmul
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, quotient_structure, Sublattice)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
-from .w2 import (W2Element, root_algebra, tilde_omega, coset_sum,
-                 virasoro_check, CosetCharacter)
+from .w2 import W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter
 
 F = Fraction
 _F0 = Fraction(0)
@@ -202,26 +205,6 @@ class FDAlgebra:
                             (self.names[i], self.names[j], self.names[k]))
         return violations
 
-    def check_embedding(self):
-        """Embedded products and forms must match the structure constants."""
-        if self.space is None or self.embedding is None:
-            raise ValueError("algebra has no embedding")
-        alg = self.space
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                p = alg.product(self.embedding[i], self.embedding[j])
-                want = W2Element()
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        want = want + self.embedding[k].scale(c)
-                if p != want:
-                    raise AssertionError("embedded product %s.%s mismatch"
-                                         % (self.names[i], self.names[j]))
-                if alg.form(self.embedding[i], self.embedding[j]) != self.gram[i][j]:
-                    raise AssertionError("embedded form %s,%s mismatch"
-                                         % (self.names[i], self.names[j]))
-        return True
-
 
 class _IncrementalSpan:
     """Forward-eliminated integer rows for fast membership tests.
@@ -292,9 +275,10 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     """Extract the structure-constant algebra of a product-closed span.
 
     Raises with the offending pair when some product leaves the span.
-    When frame_size is given, the sum of the first frame_size elements
-    must act as 2 on every basis element (the commutant frame condition).
-    The embedding keeps the given elements.
+    When frame_size is given, the first frame_size elements form the
+    frame, which is checked on the extracted table: each member must be
+    Virasoro, and their sum must act as 2 on every basis element (the
+    commutant frame condition).  The embedding keeps the given elements.
     """
     rows = [alg.signed_coords(e) for e in elems]
     dim = len(elems)
@@ -302,28 +286,28 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     for r in rows:
         if not span.add(r):
             raise ValueError("basis elements are linearly dependent")
-    products = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            products[(i, j)] = alg.product(elems[i], elems[j])
+    keys = [(i, j) for i in range(dim) for j in range(i, dim)]
+    products = [alg.signed_coords(alg.product(elems[i], elems[j])) for i, j in keys]
     # one batched solve: the products expressed over the span
-    keys = sorted(products)
-    coords, bad = _solve_over(rows, [alg.signed_coords(products[k]) for k in keys])
+    coords, bad = _solve_over(rows, products)
     if coords is None:
         i, j = keys[bad]
         raise ValueError("product %s . %s leaves the span" % (names[i], names[j]))
     mult = [[None] * dim for _ in range(dim)]
+    gram = [[None] * dim for _ in range(dim)]
     for (i, j), c in zip(keys, coords):
         mult[i][j] = mult[j][i] = c
-    gram = [[alg.form(elems[i], elems[j]) for j in range(dim)] for i in range(dim)]
+        gram[i][j] = gram[j][i] = alg.form(elems[i], elems[j])
     fd = FDAlgebra(names, mult, gram, space=alg, embedding=elems)
     if frame_size is not None:
-        total = W2Element()
-        for e in elems[:frame_size]:
-            total = total + e
-        for i, e in enumerate(elems):
-            if alg.product(total, e) != e.scale(F(2)):
-                raise ValueError("frame sum does not act as 2 on %s" % names[i])
+        for name in names[:frame_size]:
+            if not fd.is_virasoro(fd.element(name))[0]:
+                raise AssertionError("frame member %s is not Virasoro" % name)
+        total = [F(int(k < frame_size)) for k in range(dim)]
+        for name in names:
+            e = fd.element(name)
+            if fd.product_vec(total, e) != [2 * t for t in e]:
+                raise ValueError("frame sum does not act as 2 on %s" % name)
     return fd
 
 
@@ -440,7 +424,7 @@ class NodeCase:
         self.sub = Sublattice(self.alg.lattice, [list(self.aff.node_root(j))
                                                  for j in range(7) if j != i])
         self.moduli, self.classify = quotient_structure(self.sub)
-        self.frame, self.frame_charges = _frame(self.alg, [
+        self.frame = _frame_vectors(self.alg, [
             ([list(self.aff.node_root(j)) for j in nodes], kind, n)
             for nodes, kind, n in punctured_components(i)])
         self.xs = []
@@ -453,6 +437,7 @@ class NodeCase:
             names[-1] = "X"
         self.fd = fd_from_elements(self.alg, self.frame + self.xs, names,
                                    frame_size=len(self.frame))
+        self.frame_charges = [2 * self.fd.gram[s][s] for s in range(len(self.frame))]
         self.rho = CosetCharacter(self.alg, self.sub.basis)
         # orient the character so X1 is multiplied by zeta_m, not its inverse
         if self.mark > 1:
@@ -465,22 +450,6 @@ def _frame_vectors(alg, components):
     """tilde_omega over the scaled roots of each (rows, kind, n) component."""
     return [tilde_omega(alg, alg.scaled_roots(rows), _COXETER[kind](n))
             for rows, kind, n in components]
-
-
-def _frame(alg, components, vectors=None):
-    """(vectors, charges): the frame vectors of the (rows, kind, n)
-    components (built here unless given), each with its central charge;
-    raises naming the first component whose vector is not Virasoro."""
-    if vectors is None:
-        vectors = _frame_vectors(alg, components)
-    charges = []
-    for s, (w, (_rows, kind, n)) in enumerate(zip(vectors, components)):
-        ok, c = virasoro_check(alg, w)
-        if not ok:
-            raise AssertionError("frame member %d (%s%d) is not Virasoro"
-                                 % (s + 1, kind, n))
-        charges.append(c)
-    return vectors, charges
 
 
 @cache
@@ -593,17 +562,9 @@ class E8Side:
         if self.q_sub.rank != 2:
             raise AssertionError("annihilator of E6 is not rank 2")
         self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
-        # the frame of the A2 + E6 split; split_charge checks each charge on
-        # first use, since the first product of the algebra builds its table
-        self.split = [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)]
-        self.omega_q, self.omega_e6 = _frame_vectors(self.alg, self.split)
-
-    @cache
-    def split_charge(self, k):
-        """The central charge of omega_Q (k = 0, 4/5) or omega_E6 (k = 1,
-        6/7), computed through _frame once per process."""
-        w = (self.omega_q, self.omega_e6)[k]
-        return _frame(self.alg, [self.split[k]], [w])[1][0]
+        # the frame of the A2 + E6 split
+        self.omega_q, self.omega_e6 = _frame_vectors(
+            self.alg, [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)])
 
     def node_image(self, j):
         """The affine E6 node root j in E8 coordinates."""
@@ -635,25 +596,26 @@ def vnx_griess(node):
     """The E8-side commutant algebra of a node: frame + coset sums.
 
     Dimensions 4, 8, 12 for 1A, 2A, 3A.  Returns (FDAlgebra, side, classify
-    data) with the frame ordered Q first, then the node components by rank.
+    data) with the frame ordered Q first, then the node components by rank;
+    the frame charges at the end of the classify data are read off the
+    checked table.
     """
     side = e8_side()
     alg = side.alg
     rows = side.ltilde_rows(node)
     sub = Sublattice(side.e8, rows)
     moduli, classify = quotient_structure(sub)
-    frame, charges = _frame(alg, [
+    # Q first, then the components of the punctured diagram
+    frame = [side.omega_q] + _frame_vectors(alg, [
         ([list(side.node_image(j)) for j in nodes], kind, n)
         for nodes, kind, n in punctured_components(_NODE_INDEX[node])])
-    # Q first, then the components of the punctured diagram
-    frame = [side.omega_q] + frame
-    charges = [side.split_charge(0)] + charges
     classes = sorted(set(classify(v) for v in alg.vectors4) - {tuple(0 for _ in moduli)})
     xs = [coset_sum(alg, classify, cls) for cls in classes]
     names = ["w%d" % (s + 1) for s in range(len(frame))]
     names += ["X%s" % ("".join(map(str, cls)) if len(cls) > 1 else cls[0])
               for cls in classes]
     fd = fd_from_elements(alg, frame + xs, names, frame_size=len(frame))
+    charges = [2 * fd.gram[s][s] for s in range(len(frame))]
     return fd, side, (sub, moduli, classify, classes, charges)
 
 
@@ -706,10 +668,11 @@ def nine_orbit_algebra():
 
     The nine twisted Ising vectors are expressed in the (product-closed,
     lattice-verified) 3A-node commutant and their span is closed there in
-    coordinates; the result is the whole 12-dimensional algebra, so the
-    lattice-level closure of the orbit is exactly that commutant.
-    Returns (FDAlgebra, side, (chi1, chi2), orbit_coords); computed once
-    per process, like e8_side.
+    coordinates; when the closure has dimension 12 it is the whole
+    algebra, so the lattice-level closure of the orbit is exactly that
+    commutant.  Returns (FDAlgebra, closure dimension, (chi1, chi2),
+    orbit_coords); the involutions-e8-orbit suite checks the dimension.
+    Computed once per process, like e8_side.
     """
     side = e8_side()
     alg = side.alg
@@ -724,7 +687,5 @@ def nine_orbit_algebra():
     orbit = fd12.coordinates([base.with_weights((a, b)).apply(side.ehat)
                               for a in range(3) for b in range(3)])
     # close the span of the nine coordinate vectors under the table product
-    elems = span_closure(fd12.product_vec, list, orbit)
-    if len(elems) != 12:
-        raise ValueError("nine-vector closure has dimension %d" % len(elems))
-    return fd12, side, (chi1, chi2), orbit
+    closed = span_closure(fd12.product_vec, list, orbit)
+    return fd12, len(closed), (chi1, chi2), orbit

@@ -58,7 +58,8 @@ from .w2 import virasoro_check
 F = Fraction
 
 __all__ = [
-    "W2Space", "ad_matrix", "ad_spectrum", "eigenspaces", "tau_involution",
+    "W2Space", "ad_matrix", "ad_spectrum", "series_weights", "eigenspaces",
+    "tau_involution",
     "sigma_involution", "is_automorphism", "map_order", "transposition_scan",
     "group_closure", "restrict_map", "eigenspace_rows",
 ]
@@ -131,12 +132,17 @@ def ad_spectrum(space, v):
     return _spectrum(space, v, c)
 
 
-def _spectrum(space, v, c):
-    """ad_spectrum for a vector already known to be Virasoro of charge c."""
+def series_weights(c):
+    """The highest weights of the unitary minimal series of central charge c."""
     m = charge_to_m(c)
     if m is None:
         raise ValueError("central charge %s is not in the unitary series" % (c,))
-    hset = {highest_weight(m, r, s) for r, s in all_labels(m)}
+    return {highest_weight(m, r, s) for r, s in all_labels(m)}
+
+
+def _spectrum(space, v, c):
+    """ad_spectrum for a vector already known to be Virasoro of charge c."""
+    hset = series_weights(c)
     eigen = eigenspaces(ad_matrix(space, v), sorted({F(2)} | hset))
     if F(2) not in hset and F(2) in eigen and len(eigen[F(2)]) != 1:
         raise ValueError("eigenvalue-2 space has dimension %d"

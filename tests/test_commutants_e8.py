@@ -17,30 +17,30 @@ def side():
 
 
 def test_frame_vectors(side):
-    for v, want in ((side.ehat, F(1, 2)), (side.omega_q, F(4, 5)),
-                    (side.omega_e6, F(6, 7))):
-        ok, c = virasoro_check(side.alg, v)
-        assert ok and c == want
+    ok, c = virasoro_check(side.alg, side.ehat)
+    assert ok and c == F(1, 2)
     assert side.alg.form(side.omega_q, side.omega_e6) == 0
     assert side.alg.product(side.omega_q, side.omega_e6).is_zero()
-    assert [side.split_charge(k) for k in (0, 1)] == [F(4, 5), F(6, 7)]
+    # the 1A frame is the A2 + E6 split: omega_Q, then the E6 of the
+    # punctured diagram, whose charges the checked table gives
+    fd, _side, (*_rest, charges) = vnx_griess("1A")
+    assert fd.embedding[1] == side.omega_e6
+    assert charges == [F(4, 5), F(6, 7)]
+    assert all(fd.is_virasoro(fd.element(w)) == (True, c)
+               for w, c in zip(("w1", "w2"), charges))
 
 
-def test_vnx_takes_omega_q_and_its_charge_from_the_side(side, monkeypatch):
-    from griess_forge import commutants
-    side.split_charge(0)
-    checked = []
+def test_vnx_takes_omega_q_from_the_side_and_checks_the_frame_on_its_table(
+        side, monkeypatch):
+    from griess_forge import w2
 
-    def counted(alg, w):
-        checked.append(w)
-        return virasoro_check(alg, w)
+    def unexpected(alg, w):
+        raise AssertionError("lattice-level virasoro_check")
 
-    monkeypatch.setattr(commutants, "virasoro_check", counted)
+    monkeypatch.setattr(w2, "virasoro_check", unexpected)
     fd, _side, (*_rest, charges) = vnx_griess("2A")
-    # only the punctured-diagram components are built and checked again
-    assert fd.embedding[0] == side.omega_q
-    assert len(checked) == len(charges) - 1
-    assert all(w != side.omega_q for w in checked)
+    assert fd.embedding[0] is side.omega_q
+    assert charges == [F(4, 5), F(1, 2), F(5, 4)]
 
 
 def test_vnx_1a_is_the_dihedral_table(side):
@@ -165,8 +165,8 @@ def test_orbit_and_its_fourier_sums_span_the_same_space(side):
 
 
 def test_nine_orbit_dimension(side):
-    fd12, _side, (chi1, chi2), orbit = nine_orbit_algebra()
-    assert fd12.dim == 12
+    fd12, dim, (chi1, chi2), orbit = nine_orbit_algebra()
+    assert fd12.dim == 12 and dim == 12
     assert len(orbit) == 9
     assert chi1.order() == 3 and chi2.order() == 3
 
@@ -312,13 +312,8 @@ class _GluedE8Side:
                                 img[a] += c * tv * b
             self._node_images[j] = tuple(img)
         self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
-        self.split = [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)]
-        self.omega_q, self.omega_e6 = _frame_vectors(self.alg, self.split)
-
-    def split_charge(self, k):
-        from griess_forge.commutants import _frame
-        w = (self.omega_q, self.omega_e6)[k]
-        return _frame(self.alg, [self.split[k]], [w])[1][0]
+        self.omega_q, self.omega_e6 = _frame_vectors(
+            self.alg, [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)])
 
     def node_image(self, j):
         return self._node_images[j]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from griess_forge.commutants import (_frame, u3a_table, fd_from_elements, e8_side)
+from griess_forge.commutants import (_frame_vectors, u3a_table, fd_from_elements,
+                                     e8_side, node_case)
 from griess_forge.involutions import (tau_involution, sigma_involution,
                                       group_closure, ad_spectrum)
 from griess_forge.lattices import (build_root_lattice, Sublattice, cosets,
@@ -47,13 +48,26 @@ def test_not_closed_span_reports_pair():
         fd_from_elements(alg, [side.ehat, side.omega_q], ["e", "wq"])
 
 
-def test_frame_names_a_component_that_is_not_virasoro():
-    # the A2 roots with the Coxeter number of A3 give no Virasoro vector
+def test_frame_names_a_member_that_is_not_virasoro():
+    # the A2 roots with the Coxeter number of A3 give no Virasoro vector;
+    # the two vectors span a product-closed space, so the frame check on
+    # the extracted table is what fails
     alg = W2Algebra(build_root_lattice("A", 2, scale=2))
-    _vectors, charges = _frame(alg, [([[1, 0], [0, 1]], "A", 2)])
-    assert charges == [F(4, 5)]
-    with pytest.raises(AssertionError, match=r"frame member 2 \(A3\)"):
-        _frame(alg, [([[1, 0], [0, 1]], "A", 2), ([[1, 0], [0, 1]], "A", 3)])
+    a2 = [[1, 0], [0, 1]]
+    w1, = _frame_vectors(alg, [(a2, "A", 2)])
+    fd = fd_from_elements(alg, [w1], ["w1"], frame_size=1)
+    assert fd.is_virasoro(fd.element("w1")) == (True, F(4, 5))
+    with pytest.raises(AssertionError, match="frame member w2 is not Virasoro"):
+        fd_from_elements(alg, _frame_vectors(alg, [(a2, "A", 2), (a2, "A", 3)]),
+                         ["w1", "w2"], frame_size=2)
+
+
+def test_frame_sum_names_an_element_it_does_not_fix():
+    # w1 alone is not the 2A frame: it kills w2 where the sum must double it
+    case = node_case("2A")
+    with pytest.raises(ValueError, match="frame sum does not act as 2 on w2"):
+        fd_from_elements(case.alg, case.frame + case.xs, case.fd.names,
+                         frame_size=1)
 
 
 def test_dependent_elements_rejected():

@@ -219,7 +219,7 @@ def test_is_automorphism_matches_the_unit_vector_reference(case2):
         for x in case.fd.coordinates(list(tilde_v_pair(case))):
             maps.append((case.fd, sigma_involution(case.fd, x)))
         maps.append((case.fd, rho_orders(node)[0]))
-    fd12, _orders, _violations, taus = nine_orbit_scan()
+    fd12, _dim, _orders, _violations, taus = nine_orbit_scan()
     maps += [(fd12, t) for t in taus]
     bad = identity(3)
     bad[0][2] = F(1)
@@ -316,7 +316,7 @@ def orbit_data():
 
 
 def test_nine_orbit_tau_scan(orbit_data):
-    fd12, side, (chi1, chi2), orbit = orbit_data
+    fd12, _dim, (chi1, chi2), orbit = orbit_data
     orders, violations, maps = transposition_scan(fd12, orbit, "tau_ising")
     assert violations == []
     for i in range(9):
@@ -328,7 +328,7 @@ def test_nine_orbit_tau_scan(orbit_data):
 
 
 def test_nine_orbit_group_closure(orbit_data):
-    fd12, side, chars, orbit = orbit_data
+    fd12, _dim, chars, orbit = orbit_data
     maps = [tau_involution(fd12, orbit[k]) for k in (0, 1, 3)]
     n, elems = group_closure(maps)
     assert 18 % n == 0
@@ -338,7 +338,8 @@ def test_nine_orbit_group_closure(orbit_data):
 def test_psi_restriction_is_sigma(orbit_data):
     # restricting tau of any Ising vector of one eta-orbit to the
     # commutant slice gives the sigma of that orbit's derived vector
-    fd12, side, (chi1, chi2), orbit = orbit_data
+    fd12, _dim, (chi1, chi2), orbit = orbit_data
+    side = e8_side()
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd12.embedding]
 
@@ -427,7 +428,8 @@ class _Restricted:
 def test_derived_sigma_scan_on_slice(orbit_data):
     # the three derived c=6/7 vectors (one per eta-orbit) have pairwise
     # sigma-orders exactly 3 on the commutant slice
-    fd12, side, (chi1, chi2), orbit = orbit_data
+    fd12, _dim, (chi1, chi2), orbit = orbit_data
+    side = e8_side()
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd12.embedding]
 

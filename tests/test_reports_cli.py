@@ -283,7 +283,7 @@ def test_cli_involutions_records_a_sigma_map_that_is_not_an_automorphism(
     by_id = {c["id"]: c for c in data["checks"]}
     assert "error" not in by_id
     assert by_id["sigma-automorphism"]["status"] == "fail"
-    assert by_id["sigma-automorphism"]["computed"] == "false"
+    assert by_id["sigma-automorphism"]["computed"] == "false: sigma_v, sigma_v'"
     assert by_id["sigma-product-order"]["status"] == "pass"
 
 
@@ -374,6 +374,52 @@ def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
     assert cli.main(["--out", str(tmp_path), "involutions", "e8-orbit"]) == 0
     assert (tmp_path / "scan-e8-orbit.json").exists()
     assert calls == {"closure": 1, "scan": 1}
+
+
+def test_cli_report_all_records_a_short_nine_orbit_closure(tmp_path, monkeypatch):
+    # a coordinate closure one vector short is a failed orbit-dim check in
+    # a written report; every other report is still written and passes
+    from griess_forge import commutants
+    closure = commutants.span_closure
+
+    def short(product, coords, gens):
+        closed = closure(product, coords, gens)
+        return closed[:-1] if coords is list else closed
+
+    monkeypatch.setattr(commutants, "span_closure", short)
+    commutants.nine_orbit_algebra.cache_clear()
+    suites.nine_orbit_scan.cache_clear()
+    try:
+        assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    finally:
+        commutants.nine_orbit_algebra.cache_clear()
+        suites.nine_orbit_scan.cache_clear()
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+    failed = {}
+    for name in suites.SUITES:
+        data = json.loads((tmp_path / ("report-%s.json" % name)).read_text())
+        failed.update({(name, c["id"]): c["computed"]
+                       for c in data["checks"] if c["status"] == "fail"})
+    assert failed == {("involutions-e8-orbit", "orbit-dim"): "11"}
+
+
+def test_cli_properties_records_eigenspaces_that_do_not_fill(tmp_path, monkeypatch):
+    # twice the adjoint matrix of v has eigenvalues outside the candidate
+    # weights: a failed eigen-complete count in a written report
+    from griess_forge import involutions
+    ad = involutions.ad_matrix
+
+    monkeypatch.setattr(involutions, "ad_matrix",
+                        lambda space, v: [[2 * x for x in row] for row in ad(space, v)])
+    assert cli.main(["--out", str(tmp_path), "properties"]) == 1
+    data = json.loads((tmp_path / "report-properties.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert "error" not in by_id
+    assert by_id["eigen-complete"]["status"] == "fail"
+    assert int(by_id["eigen-complete"]["computed"]) < 5
+    assert [c["id"] for c in data["checks"] if c["status"] == "fail"] == [
+        "eigen-complete"]
 
 
 def test_cli_u3a_orbit_reports_mismatch(tmp_path, monkeypatch):
