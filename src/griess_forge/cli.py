@@ -64,7 +64,8 @@ def _load_lattice(arg):
     The coefficients are the classical ones of the named lattices: the
     n h roots of a root lattice of rank n and Coxeter number h (at norm 4
     once scaled by sqrt 2), the 72 roots of twelve A2 blocks and the
-    rootless Leech lattice's 196560 minimal vectors.  Files have none.
+    rootless Leech lattice's 196560 minimal vectors.  Files have none, and
+    are named by their name line or else their base name.
     """
     from .lattices import build_root_lattice, IntegralLattice
     from .gluing import niemeier_a2_12, leech
@@ -80,7 +81,10 @@ def _load_lattice(arg):
         gram = fields.get("gram")
         if gram is None:
             raise ValueError("lattice file needs a gram block")
-        lat = IntegralLattice(gram, name=fields.get("name"))
+        name = fields.get("name", os.path.basename(arg))
+        if os.path.basename(name) != name:
+            raise ValueError("lattice name %r contains a path separator" % name)
+        lat = IntegralLattice(gram, name=name)
         if int(fields.get("rank", lat.rank)) != lat.rank:
             raise ValueError("declared rank does not match the Gram matrix")
         return lat, {}
@@ -134,6 +138,9 @@ def cmd_lattice(args):
     from .lattices import lll_reduce, short_vectors
     from .linalg import det
     try:
+        if args.short_vectors < 0:
+            raise ValueError("--short-vectors needs a norm >= 0, not %d"
+                             % args.short_vectors)
         lat, theta = _load_lattice(args.which)
     except (OSError, ValueError, KeyError, IndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -167,11 +174,11 @@ def cmd_fusion(args):
     from .minimal import fusion, central_charge, highest_weight
     a, b = (args.r1, args.s1), (args.r2, args.s2)
     try:
+        c = central_charge(args.m)
         result, swapped = fusion(args.m, a, b), fusion(args.m, b, a)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    c = central_charge(args.m)
 
     def terms(res):
         out = []

@@ -34,14 +34,14 @@ and divides each output entry once, to a Fraction when it is rational and
 a CycNum otherwise.  The incremental span behind span_closure and
 fd_from_elements reduces such rows with the fraction-free step of the
 ``linalg`` core, each stored row with a rational integer pivot.  One
-closure routine, span_closure, serves weight-two elements and coordinate
-vectors alike: the caller passes the product and the coordinate map.
-A weight-two element keeps its integer components from its first product
-or form (``w2``), so fd_from_elements converts each element once for all
-its products and forms.
-u3a_griess closes the orbit of the special Ising vector under the order-3
-character in the character's eigenbasis, where the three spanning vectors
-are rational, instead of on the three twisted Q(z) vectors.
+closure routine, span_closure, and one extraction, fd_from_elements, serve
+a W2Algebra and an FDAlgebra alike, through the ambient's product, form
+and signed_coords.  A weight-two element keeps its integer components
+from its first product or form (``w2``), so fd_from_elements converts
+each element once for all its products and forms.  nine_orbit_algebra
+and u3a_griess close twisted Ising vectors in coordinates over the 3A
+commutant, whose exact table was solved on the lattice, so products and
+forms there are the coordinates of the lattice ones.
 
 node_case, e8_side and nine_orbit_algebra build their objects once per
 process (per node for node_case) and hand every caller the same ones, so
@@ -51,9 +51,9 @@ each call and may be changed by their caller.
 
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product as iproduct
+from itertools import islice
 
-from .exact import _cyc_row, _zdiv, _zmul
+from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, quotient_structure, Sublattice)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
@@ -169,6 +169,11 @@ class FDAlgebra:
                     t3 += d
         return _zdiv((t0, t1, t2, t3), su * sv * sg)
 
+    # the ambient protocol of span_closure and fd_from_elements
+    product = product_vec
+    form = form_vec
+    signed_coords = staticmethod(list)
+
     def is_virasoro(self, u):
         sq = self.product_vec(u, u)
         two_u = [2 * t for t in u]
@@ -244,17 +249,16 @@ def _solve_over(rows, cols):
                       if solve_matrix(a, [[t] for t in col]) is None)
 
 
-def span_closure(product, coords, gens, max_dim=64):
-    """Product-closure of the span of the given elements.
+def span_closure(alg, gens, max_dim=64):
+    """Product-closure of the span of the given elements of alg.
 
-    product multiplies two elements and coords gives an element's
-    coordinate vector, against which independence is tested.  Returns the
-    closed list of basis elements: the independent generators first, then
-    whichever products escape the running span.  Each product of basis
-    elements is computed exactly once.
+    Independence is tested on alg.signed_coords.  Returns the closed list
+    of basis elements: the independent generators first, then whichever
+    products escape the running span.  Each product of basis elements is
+    computed exactly once.
     """
     span = _IncrementalSpan()
-    elems = [g for g in gens if span.add(coords(g))]
+    elems = [g for g in gens if span.add(alg.signed_coords(g))]
     done = set()
     while True:
         n = len(elems)
@@ -264,15 +268,16 @@ def span_closure(product, coords, gens, max_dim=64):
             return elems
         for i, j in todo:
             done.add((i, j))
-            p = product(elems[i], elems[j])
-            if span.add(coords(p)):
+            p = alg.product(elems[i], elems[j])
+            if span.add(alg.signed_coords(p)):
                 elems.append(p)
                 if len(elems) > max_dim:
                     raise ValueError("closure exceeded dimension bound %d" % max_dim)
 
 
 def fd_from_elements(alg, elems, names, frame_size=None):
-    """Extract the structure-constant algebra of a product-closed span.
+    """Extract the structure-constant algebra of a product-closed span of
+    elements of alg, a W2Algebra or an FDAlgebra.
 
     Raises with the offending pair when some product leaves the span.
     When frame_size is given, the first frame_size elements form the
@@ -576,16 +581,6 @@ class E8Side:
         rows += [list(self.node_image(j)) for j in range(7) if j != i]
         return rows
 
-    def character(self, sub_rows, orders):
-        """The first coset character of the quotient by sub_rows, in the
-        order of its weight tuples, whose order is the given one."""
-        base = CosetCharacter(self.alg, sub_rows)
-        for w in iproduct(*[range(m) for m in base.moduli]):
-            chi = base.with_weights(w)
-            if chi.order() == orders:
-                return chi
-        raise ValueError("no character of order %d" % orders)
-
 
 @cache
 def e8_side():
@@ -621,45 +616,37 @@ def vnx_griess(node):
 
 def u3a_griess():
     """The 3A dihedral Griess algebra from the orbit (u3a_table is the
-    literal table).
+    literal table), and the dimension of the orbit's closure; the u3a-orbit
+    suite checks both.
 
-    It closes span{e, chi e, chi^2 e} for the special Ising vector
-    e of sqrt(2)E8 and the order-3 character chi of E8/(A2 + E6), checks
-    the closure is four-dimensional, and returns the algebra on the basis
-    (w1, w2, X+, X-) recovered from the orbit.  Its structure constants are
-    computed, not compared: the u3a-orbit suite checks them against the
-    table.
-
-    The orbit is closed in chi's eigenbasis.  With P_k(e) the part of e on
-    which chi is zeta_3^k (chi.eigen_parts), chi^i e = sum_k zeta_3^(ik)
-    P_k(e); the Vandermonde matrix of zeta_3 is invertible, so the orbit
-    spans what P_0(e), P_1(e), P_2(e) span, and the Fourier sums are
-    s = e + chi e + chi^2 e = 3 P_0(e) and
-    X+- = 32/3 (e + zeta_3^-+ chi e + zeta_3^+- chi^2 e) = 32 P_1(e), 32 P_2(e).
-    These are rational, with 78 or 81 exponentials each, so each closure
-    product is one integer kernel over a third of the orbit vectors.
+    The orbit e, eta e, eta^2 e of the special Ising vector e, with eta the
+    character of the 3A quotient that is trivial on E6 (simple roots 0..5)
+    and zeta_3 on simple root 6, is closed in coordinates over the 3A
+    commutant.  The basis (w1, w2, X+, X-) comes from the Fourier sums
+    s = e + eta e + eta^2 e and X+- = 32/3 (e + zeta_3^-+ eta e +
+    zeta_3^+- eta^2 e); the table is symmetric under X+ <-> X-, so eta's
+    value on root 6 is what tells them apart.
     """
-    side = e8_side()
-    alg = side.alg
-    rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
-    eta = side.character(rows, orders=3)
-    p0, p1, p2 = eta.eigen_parts(side.ehat)
-    s = p0.scale(3)
-    xp = p1.scale(32)
-    xm = p2.scale(32)
-    closed = span_closure(alg.product, alg.signed_coords, [s, xp, xm])
-    if len(closed) != 4:
-        raise ValueError("orbit closure has dimension %d, expected 4" % len(closed))
-    # solve for w1, w2 from  s = e + chi e + chi^2 e = 3(5/32 w1 + 7/16 w2)
+    fd12, _dim, (chi1, _chi2), orbit = nine_orbit_algebra()
+    simple = [tuple(int(i == k) for i in range(8)) for k in range(7)]
+    a, b = next((a, b) for a in range(3) for b in range(3)
+                if [chi1.with_weights((a, b)).exponent_of(r) for r in simple]
+                == [0] * 6 + [1])
+    # orbit[3a + b] is the vector twisted by the weights (a, b)
+    e0, e1, e2 = orbit[0], orbit[3 * a + b], orbit[3 * (2 * a % 3) + 2 * b % 3]
+    closed = span_closure(fd12, [e0, e1, e2])
+    z, z2 = zeta(3), zeta(3, 2)
+    s = [x + y + t for x, y, t in zip(e0, e1, e2)]
+    xp = [F(32, 3) * (x + z2 * y + z * t) for x, y, t in zip(e0, e1, e2)]
+    xm = [F(32, 3) * (x + z * y + z2 * t) for x, y, t in zip(e0, e1, e2)]
+    # solve for w1, w2 from  s = 3(5/32 w1 + 7/16 w2)
     # and  X+ . X- = 135 w1 + 252 w2
-    pp = alg.product(xp, xm)
+    pp = fd12.product_vec(xp, xm)
     det = F(15, 32) * 252 - F(21, 16) * 135
-    w1 = (s.scale(F(252)) - pp.scale(F(21, 16))).scale(1 / det)
-    w2 = (pp.scale(F(15, 32)) - s.scale(F(135))).scale(1 / det)
-    if alg.product(xp, xp) != xm.scale(F(20)):
-        xp, xm = xm, xp
-    elems = [w1, w2, xp, xm]
-    return fd_from_elements(alg, elems, ["w1", "w2", "Xp", "Xm"])
+    w1 = [(252 * x - F(21, 16) * y) / det for x, y in zip(s, pp)]
+    w2 = [(F(15, 32) * y - 135 * x) / det for x, y in zip(s, pp)]
+    fd = fd_from_elements(fd12, [w1, w2, xp, xm], ["w1", "w2", "Xp", "Xm"])
+    return fd, len(closed)
 
 
 @cache
@@ -671,7 +658,8 @@ def nine_orbit_algebra():
     coordinates; when the closure has dimension 12 it is the whole
     algebra, so the lattice-level closure of the orbit is exactly that
     commutant.  Returns (FDAlgebra, closure dimension, (chi1, chi2),
-    orbit_coords); the involutions-e8-orbit suite checks the dimension.
+    orbit_coords), with orbit_coords[3a + b] the vector twisted by the
+    weights (a, b); the involutions-e8-orbit suite checks the dimension.
     Computed once per process, like e8_side.
     """
     side = e8_side()
@@ -687,5 +675,5 @@ def nine_orbit_algebra():
     orbit = fd12.coordinates([base.with_weights((a, b)).apply(side.ehat)
                               for a in range(3) for b in range(3)])
     # close the span of the nine coordinate vectors under the table product
-    closed = span_closure(fd12.product_vec, list, orbit)
+    closed = span_closure(fd12, orbit)
     return fd12, len(closed), (chi1, chi2), orbit

@@ -124,8 +124,8 @@ def suite_u3a(from_orbit=False):
     rep.add("table-gram", "<X+, X->", "four-dim table", 81,
             fd.gram[fd.index("Xp")][fd.index("Xm")])
     if from_orbit:
-        orb = u3a_griess()
-        rep.add("orbit-dim", "orbit closure dimension", "span closure", 4, orb.dim)
+        orb, dim = u3a_griess()
+        rep.add("orbit-dim", "orbit closure dimension", "span closure", 4, dim)
         rep.add("orbit-match", "orbit algebra matches the table",
                 "structure-constant comparison", "true",
                 orb.mult == fd.mult and orb.gram == fd.gram)

@@ -151,13 +151,13 @@ def test_orthogonal_complement(case_2a):
 
 def test_2a_generated_by_pair(case_2a):
     v, vp = tilde_v_pair(case_2a)
-    closed = span_closure(case_2a.alg.product, case_2a.alg.signed_coords, [v, vp])
+    closed = span_closure(case_2a.alg, [v, vp])
     assert len(closed) == 3
 
 
 def test_3a_not_generated_by_pair(case_3a):
     v, vp = tilde_v_pair(case_3a)
-    closed = span_closure(case_3a.alg.product, case_3a.alg.signed_coords, [v, vp])
+    closed = span_closure(case_3a.alg, [v, vp])
     assert len(closed) == 3      # the diagram-symmetry fixed subalgebra
     # the fixed subalgebra is spanned by w1+w2+w3, X1, X2
     alg = case_3a.alg

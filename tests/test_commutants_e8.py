@@ -95,17 +95,21 @@ def test_tilde_v_in_2a_side(side):
 
 
 def test_u3a_orbit_mode_matches_table(side):
-    fd = u3a_griess()
+    fd, dim = u3a_griess()
     ref = u3a_table()
+    assert dim == 4
     assert fd.mult == ref.mult and fd.gram == ref.gram
-    # the recovered frame vectors are the two distinguished tilde vectors
-    assert fd.embedding[0] == side.omega_q
-    assert fd.embedding[1] == side.omega_e6
+    assert all(type(c) is F for row in fd.mult for cell in row for c in cell)
+    # the orbit is closed in coordinates over the 3A commutant, and the
+    # recovered frame vectors are the two distinguished tilde vectors
+    fd12 = nine_orbit_algebra()[0]
+    assert fd.space is fd12
+    assert fd.embedding[:2] == fd12.coordinates([side.omega_q, side.omega_e6])
 
 
 def _eta(side):
     rows = [list(r) for r in side.q_sub.basis] + [list(r) for r in side.e6_sub.basis]
-    return side.character(rows, orders=3)
+    return CosetCharacter(side.alg, rows)
 
 
 def reference_u3a_orbit(side):
@@ -118,7 +122,7 @@ def reference_u3a_orbit(side):
     e0 = side.ehat
     e1 = eta.apply(e0)
     e2 = eta.power(2).apply(e0)
-    assert len(span_closure(alg.product, alg.signed_coords, [e0, e1, e2])) == 4
+    assert len(span_closure(alg, [e0, e1, e2])) == 4
     z, z2, third = zeta(3), zeta(3, 2), F(32, 3)
     xp = (e0 + e1.scale(z2) + e2.scale(z)).scale(third)
     xm = (e0 + e1.scale(z) + e2.scale(z2)).scale(third)
@@ -134,32 +138,28 @@ def reference_u3a_orbit(side):
 
 def test_u3a_orbit_equals_the_orbit_basis_construction(side):
     from griess_forge.exact import zeta
-    fd = u3a_griess()
+    fd, _dim = u3a_griess()
     ref = reference_u3a_orbit(side)
     assert fd.names == ref.names
     assert fd.mult == ref.mult and fd.gram == ref.gram
     assert len(fd.embedding) == len(ref.embedding) == 4
-    for mine, want in zip(fd.embedding, ref.embedding):
-        assert mine == want
+    assert fd.space.coordinates(ref.embedding) == fd.embedding
     # X+ and X- are the zeta_3 and zeta_3^2 eigenvectors of eta
     eta = _eta(side)
-    xp, xm = fd.embedding[2], fd.embedding[3]
+    xp, xm = ref.embedding[2], ref.embedding[3]
     assert eta.apply(xp) == xp.scale(zeta(3))
     assert eta.apply(xm) == xm.scale(zeta(3, 2))
 
 
 def test_orbit_and_its_fourier_sums_span_the_same_space(side):
+    from griess_forge.exact import zeta
     from griess_forge.linalg import rank
     alg = side.alg
     eta = _eta(side)
     e = side.ehat
     orbit = [e, eta.apply(e), eta.power(2).apply(e)]
-    p0, p1, p2 = eta.eigen_parts(e)
-    assert [len(p.exps) for p in (p0, p1, p2)] == [78, 81, 81]
-    fourier = [p0.scale(3), p1.scale(32), p2.scale(32)]
-    # the Fourier sums are rational, where the twisted vectors are not
-    assert all(type(c) is F for x in fourier
-               for part in (x.heis, x.exps, x.d2) for c in part.values())
+    fourier = [orbit[0] + orbit[1].scale(z) + orbit[2].scale(z * z)
+               for z in (zeta(3, 0), zeta(3), zeta(3, 2))]
     for vecs in (orbit, fourier, orbit + fourier):
         assert rank([alg.signed_coords(x) for x in vecs]) == 3
 
@@ -212,9 +212,8 @@ def test_two_ising_vectors_generate_dihedral_algebra(side):
     from griess_forge.commutants import span_closure
     rows = [list(r) for r in side.q_sub.basis] + \
         [list(r) for r in side.e6_sub.basis]
-    eta = side.character(rows, orders=3)
-    closed = span_closure(side.alg.product, side.alg.signed_coords,
-                          [side.ehat, eta.apply(side.ehat)])
+    eta = CosetCharacter(side.alg, rows)
+    closed = span_closure(side.alg, [side.ehat, eta.apply(side.ehat)])
     assert len(closed) == 4
 
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from griess_forge.commutants import (
     node_case, tilde_v_pair, u3a_table, vnx_griess, nine_orbit_algebra, e8_side,
+    fd_from_elements,
 )
 from griess_forge import involutions
 from griess_forge.exact import CycNum, _ZRow, zeta
@@ -15,7 +16,7 @@ from griess_forge.involutions import (
 )
 from griess_forge.linalg import (det, identity, inverse, mat_mul, mat_vec, mat_eq,
                                  row_span_coords, kernel, solve_matrix, transpose)
-from griess_forge.w2 import CosetCharacter, W2Element
+from griess_forge.w2 import W2Element
 
 F = Fraction
 
@@ -335,149 +336,79 @@ def test_nine_orbit_group_closure(orbit_data):
     assert n == 18   # the restriction is faithful on the twelve-dim algebra
 
 
-def test_psi_restriction_is_sigma(orbit_data):
-    # restricting tau of any Ising vector of one eta-orbit to the
-    # commutant slice gives the sigma of that orbit's derived vector
-    fd12, _dim, (chi1, chi2), orbit = orbit_data
-    side = e8_side()
-    alg = side.alg
-    rows = [alg.signed_coords(e) for e in fd12.embedding]
+@pytest.fixture(scope="module")
+def eta_reps(orbit_data):
+    """eta, the nonzero character of the 3A quotient that is trivial on E6,
+    and one representative per coset of <eta> among the nine characters,
+    the trivial one first."""
+    _fd12, _dim, (chi1, _chi2), _orbit = orbit_data
+    weights = [(a, b) for a in range(3) for b in range(3)]
+    eta = next(chi for chi in map(chi1.with_weights, weights[1:])
+               if all(chi.exponent_of(v) == 0 for v in e8_side().e6_sub.basis))
+    reps, seen = [], set()
+    for w in weights:
+        if w not in seen:
+            reps.append(chi1.with_weights(w))
+            seen.update(tuple((x + k * e) % 3 for x, e in zip(w, eta.weights))
+                        for k in range(3))
+    assert len(reps) == 3
+    return eta, reps
 
-    def coords(w2e):
-        c = row_span_coords(rows, alg.signed_coords(w2e))
-        assert c is not None
-        return c
 
-    wq = coords(side.omega_q)
-    eig = ad_spectrum(fd12, wq)
-    ker5 = eigenspace_rows(eig, [F(0)])
+@pytest.fixture(scope="module")
+def c67_slice(orbit_data):
+    """ker ad(omega_Q) in the 3A commutant, the slice where the derived
+    c = 6/7 vectors live: its rows over fd12 and its own FDAlgebra."""
+    fd12 = orbit_data[0]
+    wq, = fd12.coordinates([e8_side().omega_q])
+    ker5 = eigenspace_rows(ad_spectrum(fd12, wq), [F(0)])
     assert len(ker5) == 5
-    # identify eta = the character trivial on the E6 annihilator of Q
-    e6vec = side.e6_sub.basis[0]
-    base = CosetCharacter(alg, side.ltilde_rows("3A"))
-    eta = None
-    rho1 = None
-    for a in range(3):
-        for b in range(3):
-            chi = base.with_weights((a, b))
-            if (a, b) == (0, 0):
-                continue
-            trivial = all(chi.exponent_of(v) == 0 for v in side.e6_sub.basis)
-            if trivial and eta is None:
-                eta = chi
-            if not trivial and rho1 is None:
-                rho1 = chi
-    assert eta is not None and rho1 is not None
-    # the eta-orbit of rho1(ehat) is one 3A dihedral copy
-    e = rho1.apply(side.ehat)
+    return ker5, fd_from_elements(fd12, ker5, ["k%d" % i for i in range(1, 6)])
+
+
+def _eta_orbit(eta, chi):
+    """The eta-orbit of chi(ehat) and its derived c = 6/7 vector."""
+    side = e8_side()
+    e = chi.apply(side.ehat)
     es = [e, eta.apply(e), eta.power(2).apply(e)]
     total = es[0] + es[1] + es[2]
-    derived = (total - side.omega_q.scale(F(15, 32))).scale(F(16, 21))
+    return es, (total - side.omega_q.scale(F(15, 32))).scale(F(16, 21))
+
+
+def test_psi_restriction_is_sigma(orbit_data, eta_reps, c67_slice):
+    # restricting tau of any Ising vector of one eta-orbit to the
+    # commutant slice gives the sigma of that orbit's derived vector
+    fd12 = orbit_data[0]
+    eta, reps = eta_reps
+    ker5, slice5 = c67_slice
+    # the eta-orbit of rho1(ehat) is one 3A dihedral copy
+    es, derived = _eta_orbit(eta, reps[1])
     from griess_forge.w2 import virasoro_check
-    ok, c = virasoro_check(alg, derived)
+    ok, c = virasoro_check(e8_side().alg, derived)
     assert ok and c == F(6, 7)
-    sig = sigma_involution(
-        _Restricted(fd12, ker5), restrict_vec(fd12, ker5, coords(derived)))
-    for ei in es:
-        t = tau_involution(fd12, coords(ei))
-        r = restrict_map(fd12, t, ker5)
+    sig = sigma_involution(slice5, slice5.coordinates(fd12.coordinates([derived]))[0])
+    for ei in fd12.coordinates(es):
+        r = restrict_map(fd12, tau_involution(fd12, ei), ker5)
         assert mat_eq(r, sig)
 
 
-def restrict_vec(fd, rows, vec):
-    c = row_span_coords(rows, vec)
-    assert c is not None
-    return c
-
-
-class _Restricted:
-    """A product-closed subspace of an FDAlgebra, as its own space, with
-    the mult and gram tables is_automorphism reads."""
-
-    def __init__(self, fd, rows):
-        self.fd = fd
-        self.rows = rows
-        self.dim = len(rows)
-        basis = identity(self.dim)
-        self.mult = [[self.product_vec(a, b) for b in basis] for a in basis]
-        self.gram = [[self.form_vec(a, b) for b in basis] for a in basis]
-
-    def _up(self, u):
-        out = [F(0)] * self.fd.dim
-        for c, row in zip(u, self.rows):
-            if c:
-                for i, x in enumerate(row):
-                    if x:
-                        out[i] = out[i] + c * x
-        return out
-
-    def product_vec(self, u, v):
-        p = self.fd.product_vec(self._up(u), self._up(v))
-        c = row_span_coords(self.rows, p)
-        if c is None:
-            raise ValueError("subspace is not product-closed")
-        return c
-
-    def form_vec(self, u, v):
-        return self.fd.form_vec(self._up(u), self._up(v))
-
-    def is_virasoro(self, u):
-        return self.fd.is_virasoro(self._up(u))
-
-
-def test_derived_sigma_scan_on_slice(orbit_data):
+def test_derived_sigma_scan_on_slice(orbit_data, eta_reps, c67_slice):
     # the three derived c=6/7 vectors (one per eta-orbit) have pairwise
-    # sigma-orders exactly 3 on the commutant slice
-    fd12, _dim, (chi1, chi2), orbit = orbit_data
-    side = e8_side()
-    alg = side.alg
-    rows = [alg.signed_coords(e) for e in fd12.embedding]
-
-    def coords(w2e):
-        c = row_span_coords(rows, alg.signed_coords(w2e))
-        assert c is not None
-        return c
-
-    wq = coords(side.omega_q)
-    eig = ad_spectrum(fd12, wq)
-    ker5 = eigenspace_rows(eig, [F(0)])
-    base = CosetCharacter(alg, side.ltilde_rows("3A"))
-    eta = None
-    for a in range(3):
-        for b in range(3):
-            chi = base.with_weights((a, b))
-            if (a, b) != (0, 0) and all(chi.exponent_of(v) == 0
-                                        for v in side.e6_sub.basis):
-                eta = chi
-                break
-        if eta:
-            break
-    reps = [base.power(0)]  # identity twist
-    # coset representatives of <eta> in the character group
-    seen = {(0, 0), eta.weights, tuple((2 * w) % 3 for w in eta.weights)}
-    for a in range(3):
-        for b in range(3):
-            if (a, b) not in seen:
-                chi = base.with_weights((a, b))
-                reps.append(chi)
-                for k in (0, 1, 2):
-                    seen.add(tuple((w + k * e) % 3
-                                   for w, e in zip((a, b), eta.weights)))
-    assert len(reps) == 3
-    space = _Restricted(fd12, ker5)
-    derived_vecs = []
-    for chi in reps:
-        e = chi.apply(side.ehat)
-        es = [e, eta.apply(e), eta.power(2).apply(e)]
-        total = es[0] + es[1] + es[2]
-        derived = (total - side.omega_q.scale(F(15, 32))).scale(F(16, 21))
-        derived_vecs.append(restrict_vec(fd12, ker5, coords(derived)))
-    orders, violations, maps = transposition_scan(space, derived_vecs, "sigma_c67")
+    # sigma-orders exactly 3 on the commutant slice, and their sigmas
+    # generate S3
+    fd12 = orbit_data[0]
+    eta, reps = eta_reps
+    _ker5, slice5 = c67_slice
+    derived = [_eta_orbit(eta, chi)[1] for chi in reps]
+    vecs = slice5.coordinates(fd12.coordinates(derived))
+    orders, violations, maps = transposition_scan(slice5, vecs, "sigma_c67")
     assert violations == []
     for i in range(3):
         for j in range(3):
             if i != j:
                 assert orders[i][j] == 3
+    n, _elems = group_closure(maps)
+    assert n == 6
 
 
 # -- restrict_map and eigenspaces against the dense loops they replaced ---------------

@@ -74,6 +74,15 @@ def test_cli_bad_fusion(tmp_path):
     assert r.returncode == 2
 
 
+def test_cli_fusion_below_the_unitary_series_exits_2(tmp_path):
+    r = _cli("--out", str(tmp_path), "fusion", "0", "1", "1", "1", "1")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "m >= 1" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "report-fusion.json").exists()
+
+
 def test_cli_usage_error():
     r = _cli("definitely-not-a-command")
     assert r.returncode == 2
@@ -92,6 +101,36 @@ def test_cli_lattice_file(tmp_path):
     spec.write_text("name: demo\nrank: 2\ngram:\n2 -1\n-1 2\n")
     r = _cli("--out", str(tmp_path), "lattice", str(spec), "--short-vectors", "2")
     assert r.returncode == 0
+
+
+def test_cli_lattice_file_without_a_name_is_named_by_its_base_name(tmp_path):
+    spec = tmp_path / "specs" / "latt.txt"
+    spec.parent.mkdir()
+    spec.write_text("rank: 2\ngram:\n2 -1\n-1 2\n")
+    r = _cli("--out", str(tmp_path / "out"), "lattice", str(spec))
+    assert r.returncode == 0, r.stderr
+    data = json.loads((tmp_path / "out" / "report-lattice-latt.txt.json").read_text())
+    assert data["suite"] == "lattice-latt.txt"
+
+
+def test_cli_lattice_name_with_a_path_separator_exits_2(tmp_path):
+    spec = tmp_path / "latt.txt"
+    spec.write_text("name: sub/demo\nrank: 2\ngram:\n2 -1\n-1 2\n")
+    r = _cli("--out", str(tmp_path / "out"), "lattice", str(spec))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "path separator" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_short_vector_norm_exits_2(tmp_path):
+    r = _cli("--out", str(tmp_path), "lattice", "A2", "--short-vectors", "-2")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert "-2" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "report-lattice-A2.json").exists()
 
 
 def test_cli_lattice_bad_file(tmp_path):
@@ -377,14 +416,14 @@ def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
 
 
 def test_cli_report_all_records_a_short_nine_orbit_closure(tmp_path, monkeypatch):
-    # a coordinate closure one vector short is a failed orbit-dim check in
+    # a nine-vector closure one vector short is a failed orbit-dim check in
     # a written report; every other report is still written and passes
     from griess_forge import commutants
     closure = commutants.span_closure
 
-    def short(product, coords, gens):
-        closed = closure(product, coords, gens)
-        return closed[:-1] if coords is list else closed
+    def short(alg, gens):
+        closed = closure(alg, gens)
+        return closed[:-1] if len(gens) == 9 else closed
 
     monkeypatch.setattr(commutants, "span_closure", short)
     commutants.nine_orbit_algebra.cache_clear()
@@ -402,6 +441,31 @@ def test_cli_report_all_records_a_short_nine_orbit_closure(tmp_path, monkeypatch
         failed.update({(name, c["id"]): c["computed"]
                        for c in data["checks"] if c["status"] == "fail"})
     assert failed == {("involutions-e8-orbit", "orbit-dim"): "11"}
+
+
+def test_cli_report_all_records_a_short_u3a_orbit_closure(tmp_path, monkeypatch):
+    # a three-vector closure one vector short is a failed orbit-dim check
+    # with the algebra still matching the table; every report is written
+    from griess_forge import commutants
+    closure = commutants.span_closure
+
+    def short(alg, gens):
+        closed = closure(alg, gens)
+        return closed[:-1] if len(gens) == 3 else closed
+
+    monkeypatch.setattr(commutants, "span_closure", short)
+    assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+    failed = {}
+    for name in suites.SUITES:
+        data = json.loads((tmp_path / ("report-%s.json" % name)).read_text())
+        failed.update({(name, c["id"]): c["computed"]
+                       for c in data["checks"] if c["status"] == "fail"})
+    assert failed == {("u3a-orbit", "orbit-dim"): "3"}
+    data = json.loads((tmp_path / "report-u3a-orbit.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["orbit-match"]["status"] == "pass"
 
 
 def test_cli_properties_records_eigenspaces_that_do_not_fill(tmp_path, monkeypatch):
@@ -431,7 +495,7 @@ def test_cli_u3a_orbit_reports_mismatch(tmp_path, monkeypatch):
         fd = commutants.u3a_table()
         xp, xm = fd.index("Xp"), fd.index("Xm")
         fd.mult[xp][xp] = [F(21) if k == xm else F(0) for k in range(fd.dim)]
-        return fd
+        return fd, 4
 
     monkeypatch.setattr(commutants, "u3a_griess", wrong_orbit)
     assert cli.main(["--out", str(tmp_path), "u3a", "--from-orbit"]) == 1
@@ -534,7 +598,7 @@ def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
     from griess_forge import commutants
 
     def raising():
-        raise ValueError("orbit closure has dimension 3, expected 4")
+        raise ValueError("product Xp . Xp leaves the span")
 
     monkeypatch.setattr(commutants, "u3a_griess", raising)
     assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
@@ -543,7 +607,7 @@ def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
     assert data["checks"] == [{
         "id": "error", "description": "the suite runs to its end",
         "anchor": "suite completion", "expected": "no exception",
-        "computed": "ValueError: orbit closure has dimension 3, expected 4",
+        "computed": "ValueError: product Xp . Xp leaves the span",
         "status": "fail"}]
     written = sorted(p.name for p in tmp_path.glob("report-*.json"))
     assert written == sorted("report-%s.json" % name for name in suites.SUITES)
