@@ -9,6 +9,7 @@ the command line or an input file could not be parsed.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .report import Report, fmt, skipped
@@ -88,14 +89,14 @@ def _load_lattice(arg):
         if int(fields.get("rank", lat.rank)) != lat.rank:
             raise ValueError("declared rank does not match the Gram matrix")
         return lat, {}
-    # names like A2, D4, E8, sqrt2E8
-    scale = 1
-    if key.startswith("sqrt2"):
-        scale = 2
-        key = key[5:]
-    kind = key[0].upper()
-    n = int(key[1:])
-    lat = build_root_lattice(kind, n, scale=scale)
+    m = re.fullmatch(r"(sqrt2)?([ADE])(\d+)", arg, re.IGNORECASE)
+    if m is None:
+        raise ValueError("unknown lattice %r: name leech, niemeier-a2-12, a "
+                         "lattice file, or A/D/E<n> with an optional sqrt2 "
+                         "prefix, as in A2 or sqrt2E8" % arg)
+    scale = 2 if m[1] else 1
+    n = int(m[3])
+    lat = build_root_lattice(m[2].upper(), n, scale=scale)
     return lat, {2 * scale: n * lat.coxeter}
 
 

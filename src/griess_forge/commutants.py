@@ -7,18 +7,22 @@ with the coset sums X^r over the nonzero classes of E6/L.  The same recipe
 inside sqrt(2)E8, applied to Q + L with Q the A2 annihilator of a fixed
 E6, yields the finite-dimensional algebras of dimension 4, 8 and 12 that
 model the node pairs; all of them are extracted as explicit
-structure-constant algebras and checked for closure on the nose.  Both
-sides take the components from ``lattices.punctured_components`` and
-build their frame vectors with one helper, _frame_vectors.  The frame is
-checked on the table that fd_from_elements extracts: each member w_s is
-Virasoro there, the frame sum acts as 2 on every basis element, and the
-charge of w_s is 2 <w_s, w_s>.  The embedding rows are independent, so
-the table holds the unique coordinates of each product, and
-w_s . w_s = 2 w_s holds there exactly when it holds on the lattice.  The
-E8 side builds omega_Q and omega_E6, the frame of its A2 + E6 split,
-once; vnx_griess takes omega_Q from it.  An element of the
-ambient space is expressed over an algebra's basis by
-FDAlgebra.coordinates.
+structure-constant algebras and checked for closure on the nose.  One
+builder, _commutant, makes the algebras of both sides: it takes the
+components from ``lattices.punctured_components`` for the frame, and the
+quotient by the node sublattice once, as a ``w2.CosetCharacter`` whose
+classes index the coset sums.  That character is the node's rho and the
+source of the nine twisted Ising vectors, so it multiplies X1 by zeta_m
+by construction, and the dimension is the frame length plus the
+quotient order less one.  The frame is checked on the table that
+fd_from_elements extracts: each member w_s is Virasoro there, the frame
+sum acts as 2 on every basis element, and the charge of w_s is
+2 <w_s, w_s>.  The embedding rows are independent, so the table holds
+the unique coordinates of each product, and w_s . w_s = 2 w_s holds
+there exactly when it holds on the lattice.  The E8 side builds omega_Q
+and omega_E6, the frame of its A2 + E6 split, once; vnx_griess takes
+omega_Q from it.  An element of the ambient space is expressed over an
+algebra's basis by FDAlgebra.coordinates.
 
 The reference tables (node algebras, the four-dimensional two-generator
 algebra, the eight-dimensional order-6 algebra) are shipped as literal
@@ -55,7 +59,7 @@ from itertools import islice
 
 from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
-                       punctured_components, quotient_structure, Sublattice)
+                       punctured_components, Sublattice)
 from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
 from .w2 import W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter
 
@@ -67,7 +71,6 @@ __all__ = [
     "g2a_table", "g3a_table", "u3a_table", "u6a_table", "tilde_v_pair",
     "orthogonal_complement_virasoro", "weight2_dimension_census",
     "E8Side", "e8_side", "vnx_griess", "u3a_griess", "nine_orbit_algebra",
-    "commutant_kernel_dimension",
 ]
 
 
@@ -249,7 +252,7 @@ def _solve_over(rows, cols):
                       if solve_matrix(a, [[t] for t in col]) is None)
 
 
-def span_closure(alg, gens, max_dim=64):
+def span_closure(alg, gens):
     """Product-closure of the span of the given elements of alg.
 
     Independence is tested on alg.signed_coords.  Returns the closed list
@@ -271,8 +274,8 @@ def span_closure(alg, gens, max_dim=64):
             p = alg.product(elems[i], elems[j])
             if span.add(alg.signed_coords(p)):
                 elems.append(p)
-                if len(elems) > max_dim:
-                    raise ValueError("closure exceeded dimension bound %d" % max_dim)
+                if len(elems) > 64:
+                    raise ValueError("closure exceeded dimension bound 64")
 
 
 def fd_from_elements(alg, elems, names, frame_size=None):
@@ -415,40 +418,20 @@ _NODE_INDEX = {"1A": 0, "2A": 2, "3A": 3}
 
 
 class NodeCase:
-    """One node of the affine E6 diagram with its commutant data."""
+    """One node of the affine E6 diagram with its commutant algebra fd and
+    rho, the character of E6 modulo the node sublattice."""
 
     def __init__(self, node):
         if node not in _NODE_INDEX:
             raise ValueError("node must be one of 1A, 2A, 3A")
         self.node = node
-        self.aff = affine_e6()
         self.alg = root_algebra("E", 6)
+        aff = affine_e6()
         i = _NODE_INDEX[node]
-        self.mark = self.aff.mark(i)
-        self.node_root = self.aff.node_root(i)
-        self.sub = Sublattice(self.alg.lattice, [list(self.aff.node_root(j))
-                                                 for j in range(7) if j != i])
-        self.moduli, self.classify = quotient_structure(self.sub)
-        self.frame = _frame_vectors(self.alg, [
-            ([list(self.aff.node_root(j)) for j in nodes], kind, n)
-            for nodes, kind, n in punctured_components(i)])
-        self.xs = []
-        for r in range(1, self.mark):
-            cls = self.classify([r * t for t in self.node_root])
-            self.xs.append(coset_sum(self.alg, self.classify, cls))
-        names = ["w%d" % (s + 1) for s in range(len(self.frame))]
-        names += ["X%d" % r for r in range(1, self.mark)]
-        if self.mark == 2:
-            names[-1] = "X"
-        self.fd = fd_from_elements(self.alg, self.frame + self.xs, names,
-                                   frame_size=len(self.frame))
-        self.frame_charges = [2 * self.fd.gram[s][s] for s in range(len(self.frame))]
-        self.rho = CosetCharacter(self.alg, self.sub.basis)
-        # orient the character so X1 is multiplied by zeta_m, not its inverse
-        if self.mark > 1:
-            e = self.rho.exponent_of(next(iter(self.xs[0].exps)))
-            if self.mark == 3 and e == 2:
-                self.rho = self.rho.power(2)
+        self.mark = aff.mark(i)
+        self.node_root = aff.node_root(i)
+        self.fd, self.rho, n = _commutant(self.alg, aff.node_root, i)
+        self.frame, self.xs = self.fd.embedding[:n], self.fd.embedding[n:]
 
 
 def _frame_vectors(alg, components):
@@ -457,49 +440,33 @@ def _frame_vectors(alg, components):
             for rows, kind, n in components]
 
 
+def _commutant(alg, root, i, head=(), head_rows=()):
+    """The commutant algebra at node i of the affine E6 diagram, with
+    root(j) the node root j in the coordinates of alg's lattice.
+
+    The frame is head followed by the frame vectors of the punctured
+    diagram's components; the coset sums run over the nonzero classes of
+    alg's lattice modulo head_rows and the other node roots, in sorted
+    order, named X when there is one class and X<class digits> otherwise.
+    Returns (FDAlgebra, chi, frame length), with chi the character of that
+    quotient, so at a cyclic quotient of order m chi multiplies X1 by zeta_m.
+    """
+    chi = CosetCharacter(alg, list(head_rows) + [root(j) for j in range(7) if j != i])
+    frame = list(head) + _frame_vectors(alg, [
+        ([root(j) for j in nodes], kind, n)
+        for nodes, kind, n in punctured_components(i)])
+    classes = sorted(set(map(chi.classify, alg.vectors4)) - {(0,) * len(chi.moduli)})
+    names = ["w%d" % (s + 1) for s in range(len(frame))]
+    names += ["X" + "".join(map(str, cls)) if len(classes) > 1 else "X"
+              for cls in classes]
+    xs = [coset_sum(alg, chi.classify, cls) for cls in classes]
+    fd = fd_from_elements(alg, frame + xs, names, frame_size=len(frame))
+    return fd, chi, len(frame)
+
+
 @cache
 def node_case(node):
     return NodeCase(node)
-
-
-def commutant_kernel_dimension(case):
-    """Dimension of ker ad(omega - sum of frame vectors) on the ambient space.
-
-    The complement of the frame inside the full conformal vector is itself
-    a Virasoro vector; the weight-two part of its commutant is exactly the
-    kernel of its adjoint action (the form is positive definite and the
-    eigenvalues are nonnegative).  Equality with the span dimension shows
-    the frame-plus-coset-sum basis is the whole commutant, not just a
-    subalgebra of it.
-    """
-    from .involutions import W2Space, ad_matrix
-    from .linalg import kernel, rank as qrank
-    from .w2 import conformal_vector, virasoro_check
-    alg = case.alg
-    omega = conformal_vector(alg)
-    comp = omega
-    for w in case.frame:
-        comp = comp - w
-    ok, c = virasoro_check(alg, comp)
-    if not ok:
-        raise AssertionError("frame complement is not a Virasoro vector")
-    sp = W2Space(alg)
-    ker = kernel(ad_matrix(sp, sp.element_vec(comp)))
-    # the even projections of the commutant basis must fill the kernel
-    # (for odd marks the coset sums pair off under the lattice involution,
-    # so only their symmetric combinations live in the even space)
-    rows = []
-    for e in case.fd.embedding:
-        even = (e + e.theta()).scale(F(1, 2))
-        if not even.is_zero():
-            rows.append(sp.element_vec(even))
-    if qrank(rows) != len(ker):
-        raise AssertionError("even commutant dimension %d, kernel dimension %d"
-                             % (qrank(rows), len(ker)))
-    _coords, bad = _solve_over(rows, ker)
-    if bad is not None:
-        raise AssertionError("kernel vector %d escapes the commutant basis" % bad)
-    return len(ker), c
 
 
 def tilde_v_pair(case):
@@ -538,13 +505,7 @@ def orthogonal_complement_virasoro(case):
 
 def weight2_dimension_census(case):
     """(expected, computed) commutant weight-two dimension for the node."""
-    expected = {"1A": 1, "2A": 3, "3A": 5}[case.node]
-    ell = len(case.frame)
-    computed = case.fd.dim
-    if computed != ell + case.mark - 1:
-        raise AssertionError("census mismatch: dim %d vs l + m - 1 = %d"
-                             % (computed, ell + case.mark - 1))
-    return expected, computed
+    return {"1A": 1, "2A": 3, "3A": 5}[case.node], case.fd.dim
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +536,6 @@ class E8Side:
         """The affine E6 node root j in E8 coordinates."""
         return self.aff.node_root(j) + (0, 0)
 
-    def ltilde_rows(self, node):
-        i = _NODE_INDEX[node]
-        rows = [list(r) for r in self.q_sub.basis]
-        rows += [list(self.node_image(j)) for j in range(7) if j != i]
-        return rows
-
 
 @cache
 def e8_side():
@@ -590,28 +545,14 @@ def e8_side():
 def vnx_griess(node):
     """The E8-side commutant algebra of a node: frame + coset sums.
 
-    Dimensions 4, 8, 12 for 1A, 2A, 3A.  Returns (FDAlgebra, side, classify
-    data) with the frame ordered Q first, then the node components by rank;
-    the frame charges at the end of the classify data are read off the
-    checked table.
+    Dimensions 4, 8, 12 for 1A, 2A, 3A.  Returns (FDAlgebra, side, chi)
+    with the frame ordered Q first, then the node components by rank, and
+    chi the character of E8 modulo Q + the node sublattice.
     """
     side = e8_side()
-    alg = side.alg
-    rows = side.ltilde_rows(node)
-    sub = Sublattice(side.e8, rows)
-    moduli, classify = quotient_structure(sub)
-    # Q first, then the components of the punctured diagram
-    frame = [side.omega_q] + _frame_vectors(alg, [
-        ([list(side.node_image(j)) for j in nodes], kind, n)
-        for nodes, kind, n in punctured_components(_NODE_INDEX[node])])
-    classes = sorted(set(classify(v) for v in alg.vectors4) - {tuple(0 for _ in moduli)})
-    xs = [coset_sum(alg, classify, cls) for cls in classes]
-    names = ["w%d" % (s + 1) for s in range(len(frame))]
-    names += ["X%s" % ("".join(map(str, cls)) if len(cls) > 1 else cls[0])
-              for cls in classes]
-    fd = fd_from_elements(alg, frame + xs, names, frame_size=len(frame))
-    charges = [2 * fd.gram[s][s] for s in range(len(frame))]
-    return fd, side, (sub, moduli, classify, classes, charges)
+    fd, chi, _n = _commutant(side.alg, side.node_image, _NODE_INDEX[node],
+                             head=[side.omega_q], head_rows=side.q_sub.basis)
+    return fd, side, chi
 
 
 def u3a_griess():
@@ -627,10 +568,10 @@ def u3a_griess():
     zeta_3^+- eta^2 e); the table is symmetric under X+ <-> X-, so eta's
     value on root 6 is what tells them apart.
     """
-    fd12, _dim, (chi1, _chi2), orbit = nine_orbit_algebra()
+    fd12, _dim, chi, orbit = nine_orbit_algebra()
     simple = [tuple(int(i == k) for i in range(8)) for k in range(7)]
     a, b = next((a, b) for a in range(3) for b in range(3)
-                if [chi1.with_weights((a, b)).exponent_of(r) for r in simple]
+                if [chi.with_weights((a, b)).exponent_of(r) for r in simple]
                 == [0] * 6 + [1])
     # orbit[3a + b] is the vector twisted by the weights (a, b)
     e0, e1, e2 = orbit[0], orbit[3 * a + b], orbit[3 * (2 * a % 3) + 2 * b % 3]
@@ -657,23 +598,17 @@ def nine_orbit_algebra():
     lattice-verified) 3A-node commutant and their span is closed there in
     coordinates; when the closure has dimension 12 it is the whole
     algebra, so the lattice-level closure of the orbit is exactly that
-    commutant.  Returns (FDAlgebra, closure dimension, (chi1, chi2),
-    orbit_coords), with orbit_coords[3a + b] the vector twisted by the
-    weights (a, b); the involutions-e8-orbit suite checks the dimension.
-    Computed once per process, like e8_side.
+    commutant.  Returns (FDAlgebra, closure dimension, chi, orbit_coords),
+    with chi the character of the 3A quotient and orbit_coords[3a + b] the
+    vector twisted by chi.with_weights((a, b)); the involutions-e8-orbit
+    suite checks the dimension.  Computed once per process, like e8_side.
     """
-    side = e8_side()
-    alg = side.alg
-    k_rows = side.ltilde_rows("3A")
-    base = CosetCharacter(alg, k_rows)
-    if base.moduli != (3, 3):
+    fd12, side, chi = vnx_griess("3A")
+    if chi.moduli != (3, 3):
         raise AssertionError("3A quotient is not 3 x 3")
-    chi1 = base.with_weights((1, 0))
-    chi2 = base.with_weights((0, 1))
-    fd12, _side, _data = vnx_griess("3A")
     # the nine twisted vectors, solved for over the 3A basis in one system
-    orbit = fd12.coordinates([base.with_weights((a, b)).apply(side.ehat)
+    orbit = fd12.coordinates([chi.with_weights((a, b)).apply(side.ehat)
                               for a in range(3) for b in range(3)])
     # close the span of the nine coordinate vectors under the table product
     closed = span_closure(fd12, orbit)
-    return fd12, len(closed), (chi1, chi2), orbit
+    return fd12, len(closed), chi, orbit

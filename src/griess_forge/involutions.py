@@ -288,7 +288,7 @@ def map_order(mat, cap=24):
     return _order(_zmat(mat), cap)
 
 
-def transposition_scan(space, vectors, kind, cap=24):
+def transposition_scan(space, vectors, kind):
     """Pairwise orders of the involutions attached to the given vectors.
 
     kind 'tau_ising' builds tau maps and flags orders above 6; kind
@@ -311,7 +311,7 @@ def transposition_scan(space, vectors, kind, cap=24):
     violations = []
     for i in range(k):
         for j in range(k):
-            o = _order(_zmat_mul(zmaps[i], zmaps[j]), cap)
+            o = _order(_zmat_mul(zmaps[i], zmaps[j]), 24)
             orders[i][j] = o
             if i != j and o > bound:
                 violations.append((i, j, o))

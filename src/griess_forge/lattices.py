@@ -117,6 +117,8 @@ _COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
 # with a6 attached to the middle node a3; E7, E8 extend the chain.
 def _diagram_edges(kind, n):
     if kind == "A":
+        if n < 1:
+            raise ValueError("A_n needs n >= 1")
         return [(i, i + 1) for i in range(n - 1)]
     if kind == "D":
         if n < 3:
@@ -484,7 +486,7 @@ def quotient_structure(sub):
     return moduli, classify
 
 
-def cosets(sub, norm_cap=16):
+def cosets(sub):
     """Minimal-norm representatives of ambient/sub, zero first.
 
     Ties are broken lexicographically on coordinates; deterministic.
@@ -499,8 +501,8 @@ def cosets(sub, norm_cap=16):
     step = 2 if amb.is_even() else 1
     while len(reps) < total:
         norm += step
-        if norm > norm_cap:
-            raise ValueError("coset representatives not found below norm %d" % norm_cap)
+        if norm > 16:
+            raise ValueError("coset representatives not found below norm 16")
         for v in short_vectors(amb, norm):
             cls = classify(v)
             if cls not in reps:

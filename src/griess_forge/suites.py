@@ -426,9 +426,9 @@ def suite_properties():
     return rep
 
 
-def _random_even(alg, rng, terms=4):
+def _random_even(alg, rng):
     coords = [F(0)] * alg.dim
-    for _ in range(terms):
+    for _ in range(4):
         coords[rng.randrange(alg.dim)] += F(rng.randint(-3, 3), rng.randint(1, 4))
     return alg.from_class_coords(coords)
 

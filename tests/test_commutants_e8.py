@@ -23,8 +23,9 @@ def test_frame_vectors(side):
     assert side.alg.product(side.omega_q, side.omega_e6).is_zero()
     # the 1A frame is the A2 + E6 split: omega_Q, then the E6 of the
     # punctured diagram, whose charges the checked table gives
-    fd, _side, (*_rest, charges) = vnx_griess("1A")
+    fd, _side, _chi = vnx_griess("1A")
     assert fd.embedding[1] == side.omega_e6
+    charges = [2 * fd.gram[s][s] for s in range(2)]
     assert charges == [F(4, 5), F(6, 7)]
     assert all(fd.is_virasoro(fd.element(w)) == (True, c)
                for w, c in zip(("w1", "w2"), charges))
@@ -38,15 +39,15 @@ def test_vnx_takes_omega_q_from_the_side_and_checks_the_frame_on_its_table(
         raise AssertionError("lattice-level virasoro_check")
 
     monkeypatch.setattr(w2, "virasoro_check", unexpected)
-    fd, _side, (*_rest, charges) = vnx_griess("2A")
+    fd, _side, _chi = vnx_griess("2A")
     assert fd.embedding[0] is side.omega_q
-    assert charges == [F(4, 5), F(1, 2), F(5, 4)]
+    assert [2 * fd.gram[s][s] for s in range(3)] == [F(4, 5), F(1, 2), F(5, 4)]
 
 
 def test_vnx_1a_is_the_dihedral_table(side):
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("1A")
+    fd, _side, _chi = vnx_griess("1A")
     assert fd.dim == 4
-    assert charges == [F(4, 5), F(6, 7)]
+    assert [2 * fd.gram[s][s] for s in range(2)] == [F(4, 5), F(6, 7)]
     ref = u3a_table()
     assert fd.mult == ref.mult
     assert fd.gram == ref.gram
@@ -54,9 +55,10 @@ def test_vnx_1a_is_the_dihedral_table(side):
 
 
 def test_vnx_2a_is_the_order6_table(side):
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("2A")
+    fd, _side, chi = vnx_griess("2A")
     assert fd.dim == 8
-    assert moduli == (6,)
+    assert chi.moduli == (6,)
+    charges = [2 * fd.gram[s][s] for s in range(3)]
     assert sorted(charges) == [F(2, 5), F(1, 2)] or charges == [F(4, 5), F(1, 2), F(5, 4)]
     ref = u6a_table()
     # frame order differs: here (4/5, 1/2, 5/4), reference (1/2, 4/5, 5/4)
@@ -165,18 +167,20 @@ def test_orbit_and_its_fourier_sums_span_the_same_space(side):
 
 
 def test_nine_orbit_dimension(side):
-    fd12, dim, (chi1, chi2), orbit = nine_orbit_algebra()
+    fd12, dim, chi, orbit = nine_orbit_algebra()
     assert fd12.dim == 12 and dim == 12
     assert len(orbit) == 9
-    assert chi1.order() == 3 and chi2.order() == 3
+    assert chi.moduli == (3, 3)
+    assert chi.with_weights((1, 0)).order() == 3
+    assert chi.with_weights((0, 1)).order() == 3
 
 
 def test_2a_coset_class_sizes(side):
     # root counts per congruence class: 38 + 36 + 45 + 40 + 45 + 36 = 240
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("2A")
+    _fd, _side, chi = vnx_griess("2A")
     counts = {}
     for v in side.alg.vectors4:
-        counts[classify(v)] = counts.get(classify(v), 0) + 1
+        counts[chi.classify(v)] = counts.get(chi.classify(v), 0) + 1
     assert counts[(0,)] == 38
     assert counts[(3,)] == 40
     assert {counts[(1,)], counts[(5,)]} == {36}
@@ -187,9 +191,8 @@ def test_orbit_inner_products_on_order6_algebra(side):
     # <e^i, e^j> depends only on the circular distance: 5/2^10 at distance
     # one, 13/2^10 at distance two, 1/32 at distance three; the frame
     # charge-1/2 vector pairs with every e^i in 1/32
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("2A")
+    fd, _side, chi = vnx_griess("2A")
     alg = side.alg
-    chi = CosetCharacter(alg, sub.basis)
     assert chi.order() == 6
     es = []
     cur = side.ehat
@@ -222,10 +225,9 @@ def test_tau_orders_on_order6_algebra(side):
     # algebra, and the product with its twist has order 3 at weight two
     from griess_forge.involutions import tau_involution, map_order
     from griess_forge.linalg import mat_mul
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("2A")
+    fd, _side, chi = vnx_griess("2A")
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd.embedding]
-    chi = CosetCharacter(alg, sub.basis)
     e0 = row_span_coords(rows, alg.signed_coords(side.ehat))
     e1 = row_span_coords(rows, alg.signed_coords(chi.apply(side.ehat)))
     t0 = tau_involution(fd, e0)
@@ -242,10 +244,9 @@ def test_six_vector_tau_shadow(side):
     from griess_forge.involutions import (transposition_scan, tau_involution,
                                           map_order, group_closure)
     from griess_forge.linalg import mat_eq, mat_mul, identity
-    fd, _side, (sub, moduli, classify, classes, charges) = vnx_griess("2A")
+    fd, _side, chi = vnx_griess("2A")
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd.embedding]
-    chi = CosetCharacter(alg, sub.basis)
     es, cur = [], side.ehat
     for _ in range(6):
         es.append(row_span_coords(rows, alg.signed_coords(cur)))
@@ -316,10 +317,6 @@ class _GluedE8Side:
 
     def node_image(self, j):
         return self._node_images[j]
-
-    def ltilde_rows(self, node):
-        from griess_forge.commutants import E8Side
-        return E8Side.ltilde_rows(self, node)
 
 
 def test_vnx_griess_matches_the_glued_basis_construction(monkeypatch):

@@ -122,7 +122,8 @@ def test_group_closure_cap():
 
 def test_nine_cosets_of_3a_sublattice():
     side = e8_side()
-    sub = Sublattice(side.e8, side.ltilde_rows("3A"))
+    sub = Sublattice(side.e8, side.q_sub.basis
+                     + [side.node_image(j) for j in range(7) if j != 3])
     reps, moduli, classify = cosets(sub)
     assert len(reps) == 9
     assert sorted(moduli) == [3, 3]

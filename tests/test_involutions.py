@@ -317,7 +317,7 @@ def orbit_data():
 
 
 def test_nine_orbit_tau_scan(orbit_data):
-    fd12, _dim, (chi1, chi2), orbit = orbit_data
+    fd12, _dim, _chi, orbit = orbit_data
     orders, violations, maps = transposition_scan(fd12, orbit, "tau_ising")
     assert violations == []
     for i in range(9):
@@ -341,14 +341,14 @@ def eta_reps(orbit_data):
     """eta, the nonzero character of the 3A quotient that is trivial on E6,
     and one representative per coset of <eta> among the nine characters,
     the trivial one first."""
-    _fd12, _dim, (chi1, _chi2), _orbit = orbit_data
+    _fd12, _dim, chi3a, _orbit = orbit_data
     weights = [(a, b) for a in range(3) for b in range(3)]
-    eta = next(chi for chi in map(chi1.with_weights, weights[1:])
+    eta = next(chi for chi in map(chi3a.with_weights, weights[1:])
                if all(chi.exponent_of(v) == 0 for v in e8_side().e6_sub.basis))
     reps, seen = [], set()
     for w in weights:
         if w not in seen:
-            reps.append(chi1.with_weights(w))
+            reps.append(chi3a.with_weights(w))
             seen.update(tuple((x + k * e) % 3 for x, e in zip(w, eta.weights))
                         for k in range(3))
     assert len(reps) == 3

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from griess_forge import cli, suites
 from griess_forge.commutants import g2a_table, node_case
 from griess_forge.report import Report, fd_to_json, fd_to_markdown, w2_to_json, fmt
@@ -131,6 +133,23 @@ def test_cli_negative_short_vector_norm_exits_2(tmp_path):
     assert "-2" in r.stderr
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "report-lattice-A2.json").exists()
+
+
+_FORMS = ("name leech, niemeier-a2-12, a lattice file, or A/D/E<n> with an "
+          "optional sqrt2 prefix")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("A0", "A_n needs n >= 1"),
+    ("a-1", "unknown lattice 'a-1': " + _FORMS),
+    ("sqrt2", "unknown lattice 'sqrt2': " + _FORMS),
+    ("sqrt3E8", "unknown lattice 'sqrt3E8': " + _FORMS),
+], ids=["A0", "a-1", "sqrt2", "sqrt3E8"])
+def test_cli_malformed_lattice_name_exits_2(tmp_path, name, message):
+    r = _cli("--out", str(tmp_path), "lattice", name)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: " + message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_lattice_bad_file(tmp_path):
