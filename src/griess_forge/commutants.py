@@ -429,7 +429,6 @@ class NodeCase:
         aff = affine_e6()
         i = _NODE_INDEX[node]
         self.mark = aff.mark(i)
-        self.node_root = aff.node_root(i)
         self.fd, self.rho, n = _commutant(self.alg, aff.node_root, i)
         self.frame, self.xs = self.fd.embedding[:n], self.fd.embedding[n:]
 

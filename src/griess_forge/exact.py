@@ -70,6 +70,11 @@ class CycNum:
             raise ValueError("element %s is not rational" % (self,))
         return self.co[0]
 
+    def as_integer_ratio(self):
+        """(numerator, denominator) of a rational element, as for Fraction;
+        raises ValueError otherwise."""
+        return self.rational_part().as_integer_ratio()
+
     def conjugate(self):
         """Complex conjugation, the field map z -> z^11."""
         a, b, c, d = self.co

@@ -82,7 +82,7 @@ class W2Space:
     def product_vec(self, u, v):
         a = self.alg.from_class_coords(u)
         b = self.alg.from_class_coords(v)
-        return self.alg.class_coords(self.alg.product(a, b))
+        return self.alg.product_coords(a, b)
 
     def form_vec(self, u, v):
         a = self.alg.from_class_coords(u)
@@ -101,21 +101,20 @@ def ad_matrix(space, v):
 
     On a W2Space v becomes one weight-two element, which keeps its Z[z]
     form for all the columns, and each column is its product with a basis
-    element read back in class coordinates.
+    element, written in class coordinates from the integer product.
     """
     n = space.dim
     if isinstance(space, W2Space):
         alg = space.alg
         a = alg.from_class_coords(v)
-        cols = [alg.class_coords(alg.product(a, alg.basis_element(j)))
-                for j in range(n)]
+        cols = [alg.product_coords(a, alg.basis_element(j)) for j in range(n)]
     else:
         cols = []
         for j in range(n):
             e = [F(0)] * n
             e[j] = F(1)
             cols.append(space.product_vec(v, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return transpose(cols)
 
 
 def ad_spectrum(space, v):

@@ -7,20 +7,28 @@ Every elimination (rref, kernel, rank, solve, inverse, det) runs through
 one fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
 clears above the pivots where a basis, solution or inverse is asked for.
 ``rref`` returns the reduced row echelon form, its nonzero rows divided by
-their pivots, with the pivot columns; ``kernel`` reads its basis off that
-form, the one that is the identity on the free columns.
+their pivots, with the pivot columns.  ``kernel`` reads its basis, the one
+that is the identity on the free columns, off the integer rows
+``_reduce`` leaves: one Fraction (minus the entry over the pivot) for each
+nonzero entry of a pivot row at a free column.
 Each row is scaled by the lcm of its denominators into integers: plain
 ints when every entry is rational, and elements of Z[z] (4-tuples in the
-basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1) otherwise.  A step clears
+basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1) otherwise.  Rows are read
+in one pass, each entry once with ``as_integer_ratio``; the first
+irrational CycNum switches the whole matrix to Z[z] rows.  A step clears
 column c of row i against the pivot row r by cross-multiplication,
 p * row_i - f * row_r, and then divides row_i by the gcd of its integer
 coefficients (Bareiss, Math. Comp. 22, 1968, with the row content in
-place of the fixed divisor).  Over Z[z] a pivot row is first multiplied
-by the other three Galois conjugates of its pivot, so every pivot is a
-rational integer and a step scales rows by integers only.  Only at the
-end is each pivot row divided by its pivot.  The Z[z] row format and its
-helpers (``_cyc_row``, ``_zmul``) live in ``exact``, which owns the format
-for this module and for the weight-two product in ``w2``.
+place of the fixed divisor).  A forward step over Z computes only the
+columns past c: row i is zero before c and becomes zero at c.  Over Z[z]
+a pivot row is first multiplied by the other three Galois conjugates of
+its pivot, so every pivot is a rational integer and a step scales rows
+by integers only.  Only at the end is each pivot row divided by its
+pivot.  ``mat_mul`` makes the same split: a product of two rational
+matrices is summed in plain ints over one scale per matrix, others over
+Z[z].  The Z[z] row format and its helpers (``_cyc_row``, ``_zmul``)
+live in ``exact``, which owns the format for this module and for the
+weight-two product in ``w2``.
 
 Each integer row stays a nonzero multiple of the row that field
 Gauss-Jordan elimination with the same pivots would hold, so the result
@@ -59,9 +67,27 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """The product a b, formed over Z[z] with one scale per matrix.  A
-    matrix with no rows is [], one with no columns a list of empty rows."""
-    return _zmat_entries(*_zmat_mul(_zmat(a), _zmat(b)))
+    """The product a b, formed over Z with one scale per matrix when both
+    are rational and over Z[z] otherwise.  A matrix with no rows is [], one
+    with no columns a list of empty rows."""
+    x, y = _zmat(a, _int_row), _zmat(b, _int_row)
+    if x is None or y is None:
+        return _zmat_entries(*_zmat_mul(_zmat(a), _zmat(b)))
+    (a, sa), (b, sb) = x, y
+    s = sa * sb
+    num, den = s.denominator, s.numerator
+    n = len(b[0]) if b else 0
+    # the nonzero entries of each row of b, by column
+    b = [[(k, v) for k, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * n
+        for u, brow in zip(row, b):
+            if u:
+                for k, v in brow:
+                    acc[k] += u * v
+        out.append([Fraction(t * num, den) if t else _F0 for t in acc])
+    return out
 
 
 def mat_vec(a, v):
@@ -96,10 +122,14 @@ def mat_pow(a, n):
 # each matrix, so equal matrices have equal pairs and the pair can serve as
 # a dictionary key.
 
-def _zmat(a):
-    """(rows, s) for the matrix a: its entries times s, over Z[z], content 1."""
+def _zmat(a, conv=_cyc_row):
+    """(rows, s) for the matrix a: its entries times s, over Z[z], content 1
+    (over Z with conv = _int_row, and then None unless a is rational)."""
     n = len(a[0]) if a else 0
-    ints, s = _cyc_row([x for row in a for x in row])
+    out = conv([x for row in a for x in row])
+    if out is None:
+        return None
+    ints, s = out
     return [ints[i * n:(i + 1) * n] for i in range(len(a))], s
 
 
@@ -142,20 +172,18 @@ def _zmat_entries(rows, s):
 # A row over Z is a list of ints.  A row over Z[z] is a list whose entries
 # are 0 or a nonzero 4-tuple of ints (a, b, c, d) = a + bz + cz^2 + dz^3.
 
-def _is_cyclotomic(rows):
-    return any(isinstance(x, CycNum) and not x.is_rational()
-               for row in rows for x in row)
-
-
 def _int_row(row):
-    """(ints, s): the rational row times s, as integers with gcd 1."""
-    row = [x.co[0] if isinstance(x, CycNum) else x for x in row]
-    d = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * d // x.denominator for x in row]
+    """(ints, s): the rational row times s, as integers with gcd 1, each
+    entry read once; None when an entry is an irrational CycNum."""
+    try:
+        nd = [x.as_integer_ratio() for x in row]
+    except ValueError:
+        return None
+    d = lcm(*[q for _, q in nd])
+    ints = [p * (d // q) for p, q in nd]
     g = gcd(*ints)
     if g > 1:
-        ints = [x // g for x in ints]
-        return ints, Fraction(d, g)
+        return [x // g for x in ints], Fraction(d, g)
     return ints, Fraction(d)
 
 
@@ -173,12 +201,17 @@ def _rationalize(row, c, log):
     return out
 
 
-def _int_step(row, p, f, prow, log):
-    """p * row - f * prow over Z, divided by its content."""
+def _int_step(row, p, f, prow, log, k=0):
+    """p * row - f * prow over Z, divided by its content.  With k > 0 the
+    row is zero before column k - 1 and the step clears it there: prow
+    holds the pivot row's entries from column k, only those columns are
+    computed, and k zeros are put in front."""
     g = gcd(p, f)
     if g > 1:
         p //= g
         f //= g
+    if k:
+        row = row[k:]
     if p == 1:
         out = [x - f * y if y else x for x, y in zip(row, prow)]
     else:
@@ -188,7 +221,7 @@ def _int_step(row, p, f, prow, log):
         out = [x // g for x in out]
     if log is not None:
         log.append(Fraction(p, g or 1))
-    return out
+    return [0] * k + out if k else out
 
 
 def _cyc_step(row, p, f, prow, log):
@@ -249,12 +282,15 @@ def _echelon(rows, ncols, cyc, log=None):
                 log.append(-1)
         if cyc:
             rows[r] = _rationalize(rows[r], c, log)
-        prow = rows[r]
-        p = _pivot(prow, c, cyc)
+            prow, p, tail = rows[r], rows[r][c][0], ()
+        else:
+            # the rows below are zero before c and are cleared at c, so
+            # the integer step computes only the columns past c
+            prow, p, tail = rows[r][c + 1:], rows[r][c], (c + 1,)
         for i in range(r + 1, m):
             f = rows[i][c]
             if f:
-                rows[i] = step(rows[i], p, f, prow, log)
+                rows[i] = step(rows[i], p, f, prow, log, *tail)
         piv.append(c)
         r += 1
     return piv
@@ -279,17 +315,24 @@ def _pivot(row, c, cyc):
 
 
 def _prepare(a, rhs=None, log=None):
-    """Integer rows of [a | rhs], converted one at a time, and whether
-    they are over Z[z]."""
-    cyc = _is_cyclotomic(a) or (rhs is not None and _is_cyclotomic(rhs))
-    conv = _cyc_row if cyc else _int_row
-    rows = []
-    for i, row in enumerate(a):
-        ints, s = conv(row if rhs is None else list(row) + list(rhs[i]))
-        rows.append(ints)
+    """Integer rows of [a | rhs] and whether they are over Z[z]: rational
+    rows until an irrational CycNum turns up, and then Z[z] rows for the
+    whole matrix.  With a log, each row's scale is appended to it."""
+    if rhs is not None:
+        a = [list(row) + list(r) for row, r in zip(a, rhs)]
+    for conv, cyc in ((_int_row, False), (_cyc_row, True)):
+        rows = []
         if log is not None:
-            log.append(s)
-    return rows, cyc
+            log.clear()
+        for row in a:
+            out = conv(row)
+            if out is None:
+                break
+            rows.append(out[0])
+            if log is not None:
+                log.append(out[1])
+        else:
+            return rows, cyc
 
 
 def _quotients(row, p, cyc):
@@ -350,19 +393,27 @@ def rref(a):
 def kernel(a):
     """Basis of the right kernel of A, as a list of vectors: the one that is
     the identity on the free columns of the reduced row echelon form, which
-    are the last nonzero positions of its vectors."""
+    are the last nonzero positions of its vectors.  Each entry is read off
+    the integer rows _reduce leaves: minus the row's entry at the free
+    column over its pivot."""
     n = len(a[0]) if a else 0
-    rows, piv = rref(a)
+    rows, cyc = _prepare(a)
+    piv = _echelon(rows, n, cyc)
+    if len(piv) == n:
+        return []
+    _reduce(rows, piv, cyc)
     piv_set = set(piv)
-    basis = []
-    for fc in range(n):
-        if fc not in piv_set:
-            v = [_F0] * n
-            v[fc] = _F1
-            for row, c in zip(rows, piv):
-                if row[fc]:
-                    v[c] = -row[fc]
-            basis.append(v)
+    free = [c for c in range(n) if c not in piv_set]
+    basis = [[_F0] * n for _ in free]
+    div = _zdiv if cyc else Fraction
+    for row, c in zip(rows, piv):
+        p = -_pivot(row, c, cyc)
+        for v, fc in zip(basis, free):
+            x = row[fc]
+            if x:
+                v[c] = div(x, p)
+    for v, fc in zip(basis, free):
+        v[fc] = _F1
     return basis
 
 

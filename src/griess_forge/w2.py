@@ -40,10 +40,13 @@ integral; the product adds each pair's result times z^(p+q) and divides
 each output entry once at the end, to a Fraction when it is rational and a
 CycNum otherwise.  A rational operand has one component, a zeta_3-valued
 one two (z^0 and z^2).  Z[z] is a ring and each scale is one exact
-rational, so the result equals the term-by-term sum over Q(z).  An element
-keeps its components from its first product or form in an algebra
-(W2Element._z), so an operand of many products, such as v in the columns
-of ad(v), is converted once; its parts must not change after that.
+rational, so the result equals the term-by-term sum over Q(z).  The
+columns of an adjoint matrix skip the W2Element: product_coords writes
+the class coordinates straight from the integer sums, after checking that
+the b(-2) part vanishes and that e^beta and e^-beta carry equal values.
+An element keeps its components from its first product or form in an
+algebra (W2Element._z), so an operand of many products, such as v in the
+columns of ad(v), is converted once; its parts must not change after that.
 
 short_vectors puts each norm-4 vector just before its negative, so the
 negative of vectors4[i] is vectors4[i ^ 1]; the form pairs index i with
@@ -159,9 +162,9 @@ class W2Element:
         return "W2Element(%s)" % "; ".join(bits)
 
 
-def _gather(outs, n, den):
+def _sums(outs, n):
     """Part n of the sums outs, {r: (heis, exps, d2)} of int dicts for the
-    powers z^r, as one dict of Q(z) entries, each divided by den once."""
+    powers z^r, as one dict of Z[z] values [a, b, c, d]."""
     acc = {}
     for r, out in outs.items():
         z0, z1, z2, z3 = _ZPOW[r]
@@ -175,7 +178,10 @@ def _gather(outs, n, den):
                     w[1] += v * z1
                     w[2] += v * z2
                     w[3] += v * z3
-    return {k: _zdiv(w, den) for k, w in acc.items()}
+    return acc
+
+
+_Z0 = [0, 0, 0, 0]
 
 
 class W2Algebra:
@@ -406,13 +412,13 @@ class W2Algebra:
                         for j, bj in nz[n + 1:]:
                             oh[(i, j)] = oh.get((i, j), 0) + 2 * bi * bj * s
 
-    def product(self, a, b):
-        """The weight-two component of the degree-one product a . b.
+    def _zproduct(self, a, b):
+        """((heis, exps, d2), den): the parts of a . b times den, as dicts
+        of Z[z] values, exps keyed by index into vectors4.
 
         Each pair of components, of powers z^p and z^q, goes through one
         integer kernel into the sum for z^(p+q), kept at twice its value so
-        the 1/2 of e^beta . e^-beta stays integral; each entry is divided
-        once at the end.
+        the 1/2 of e^beta . e^-beta stays integral.
         """
         ca, sa = self._zform(a)
         cb, sb = self._zform(b)
@@ -423,10 +429,33 @@ class W2Algebra:
                 if out is None:
                     out = outs[p + q] = ({}, {}, {})
                 self._kernel(x, y, out)
-        den = 2 * sa * sb
-        heis, exps, d2 = (_gather(outs, n, den) for n in range(3))
+        return [_sums(outs, n) for n in range(3)], 2 * sa * sb
+
+    def product(self, a, b):
+        """The weight-two component of the degree-one product a . b, each
+        entry divided once."""
+        (heis, exps, d2), den = self._zproduct(a, b)
         vecs = self.vectors4
-        return W2Element(heis, {vecs[k]: v for k, v in exps.items()}, d2)
+        return W2Element({k: _zdiv(w, den) for k, w in heis.items()},
+                         {vecs[k]: _zdiv(w, den) for k, w in exps.items()},
+                         {k: _zdiv(w, den) for k, w in d2.items()})
+
+    def product_coords(self, a, b):
+        """class_coords(product(a, b)), written from the integer sums, each
+        entry divided once; raises ValueError unless a . b is theta-even."""
+        (heis, exps, d2), den = self._zproduct(a, b)
+        if (any(map(any, d2.values()))
+                or any(w != exps.get(i ^ 1, _Z0) for i, w in exps.items())):
+            raise ValueError("element is not theta-even")
+        out = [_F0] * self.dim
+        index = self.heis_index
+        for k, w in heis.items():
+            out[index[k]] = _zdiv(w, den)
+        nh = len(self.heis_pairs)
+        for i, w in exps.items():
+            if not i & 1:
+                out[nh + (i >> 1)] = _zdiv(w, den)
+        return out
 
     def form(self, a, b):
         """The normalized invariant bilinear form <a, b>."""

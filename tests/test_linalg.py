@@ -266,6 +266,32 @@ def test_det_over_cyclotomic_field():
     assert la.det([[z, z], [z, z]]) == 0
 
 
+_irrational = st.builds(lambda q, k: q * zeta(12, k),
+                        st.fractions(min_value=-5, max_value=5,
+                                     max_denominator=6).filter(bool),
+                        st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 10, 11]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(_rational, max_rows=5, square=True), _irrational, st.data())
+def test_a_last_irrational_row_gives_the_reference_answer(a, z, data):
+    # the rows before it convert as rational; the whole matrix then goes
+    # over Z[z], and det's log holds the scales of that pass only
+    n = len(a)
+    a[-1][data.draw(st.integers(0, n - 1))] = z
+    red, piv, _ = ref_rref(a, n)
+    assert la.rref(a) == (red[:len(piv)], piv)
+    assert la.kernel(a) == ref_kernel(a)
+    assert la.det(a) == ref_det(a)
+    rhs = data.draw(st.lists(st.lists(_rational, min_size=2, max_size=2),
+                             min_size=n, max_size=n))
+    assert la.solve_matrix(a, rhs) == ref_solve_matrix(a, rhs)
+    # an irrational entry in the last row of the right-hand side only
+    a[-1] = [F(x.co[0]) if isinstance(x, CycNum) else x for x in a[-1]]
+    rhs[-1][0] = z
+    assert la.solve_matrix(a, rhs) == ref_solve_matrix(a, rhs)
+
+
 # -- positive definiteness against the Fraction LDL^T loop it replaced ----------
 
 def ref_is_positive_definite(gram):
@@ -382,3 +408,39 @@ def test_mat_vec_matches_the_dense_loop(av):
     # the same terms in the same order: equal values of equal types
     assert out == ref_mat_vec(a, v)
     assert repr(out) == repr(ref_mat_vec(a, v))
+
+
+# -- mat_mul over Z against the dense loop ----------------------------------------
+
+def ref_mat_mul(a, b):
+    """The dense loop: each entry summed over the whole inner index."""
+    n = len(b[0]) if b else 0
+    return [[sum((row[j] * b[j][k] for j in range(len(b))), F(0))
+             for k in range(n)] for row in a]
+
+
+@st.composite
+def products(draw):
+    """(a, b) of shapes m x k and k x n, 0 to 4 each, with int, Fraction
+    and rational CycNum entries mixed (now and then a Q(z) entry), about
+    half of them zero.  A matrix with no rows is []."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = draw(st.sampled_from([
+        st.one_of(_int_entry, _rational, _rational.map(CycNum)),
+        st.one_of(_int_entry, _rational, _cyclotomic)]))
+    sparse = st.one_of(st.just(0), entry)
+    a = [[draw(sparse) for _ in range(k)] for _ in range(m)]
+    b = [[draw(sparse) for _ in range(n)] for _ in range(k)]
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_mat_mul_matches_the_dense_loop(ab):
+    a, b = ab
+    out = la.mat_mul(a, b)
+    assert out == ref_mat_mul(a, b)
+    if all(not isinstance(x, CycNum) or x.is_rational() for x in
+           [x for row in a + b for x in row]):
+        # the rational product gives a Fraction for every entry
+        assert all(type(x) is F for row in out for x in row)

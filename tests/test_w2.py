@@ -428,6 +428,43 @@ def test_class_coords_rejects_theta_odd_elements():
         alg.class_coords(W2Element(exps={(9, 0, 0, 0): F(1)}))
 
 
+@st.composite
+def even_elements(draw, alg):
+    """A sparse theta-even element, from class coordinates."""
+    coords = draw(st.lists(st.one_of(st.just(0), st.just(0), coefficients),
+                           min_size=alg.dim, max_size=alg.dim))
+    return alg.from_class_coords(coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["A2", "D4", "E6"]))
+def test_product_coords_match_class_coords_of_the_product(data, name):
+    alg = small_algebra(name)
+    a = data.draw(even_elements(alg))
+    b = data.draw(even_elements(alg))
+    want = alg.class_coords(alg.product(a, b))
+    got = alg.product_coords(a, b)
+    # equal values of equal types: a Fraction where the entry is rational
+    assert got == want
+    assert repr(got) == repr(want)
+    assert alg.product_coords(fresh(a), fresh(b)) == want
+
+
+def test_product_coords_reject_a_theta_odd_operand():
+    alg = small_algebra("D4")
+    w = conformal_vector(alg)       # acts as 2, so w . x is odd with x
+    beta = alg.classes[0]
+    neg = tuple(-t for t in beta)
+    for odd in (W2Element(exps={beta: F(1)}),
+                W2Element(exps={beta: zeta(3), neg: F(1)}),
+                W2Element({(0, 1): F(1)}, d2={2: F(1, 2)})):
+        for a, b in ((odd, w), (w, odd)):
+            with pytest.raises(ValueError, match="not theta-even"):
+                alg.product_coords(a, b)
+            with pytest.raises(ValueError, match="not theta-even"):
+                alg.class_coords(alg.product(a, b))
+
+
 # -- the coset character against zeta^k(beta) times each coefficient
 
 @settings(max_examples=60, deadline=None)
