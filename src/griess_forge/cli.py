@@ -223,10 +223,7 @@ def _suite_cmd(names):
     def run(args):
         ok = True
         for name in names(args) if callable(names) else names:
-            kwargs = {}
-            if name == "leech" and getattr(args, "skip_slow", False):
-                kwargs["skip_slow"] = True
-            rep = run_suite(name, **kwargs)
+            rep = run_suite(name, skip_slow=getattr(args, "skip_slow", False))
             if getattr(args, "export_tables", False) and name.startswith("commutant"):
                 _export_tables(args.out, name)
             if name == "involutions-e8-orbit":
@@ -336,8 +333,8 @@ def _export_tables(outdir, name):
 def cmd_report_all(args):
     ok = True
     for name in SUITES:
-        kwargs = {"skip_slow": args.skip_slow} if name == "leech" else {}
-        ok = _write_report(run_suite(name, **kwargs), args.out, args.md) and ok
+        rep = run_suite(name, skip_slow=args.skip_slow)
+        ok = _write_report(rep, args.out, args.md) and ok
     return 0 if ok else 1
 
 

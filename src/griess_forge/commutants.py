@@ -60,7 +60,7 @@ from itertools import islice
 from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, Sublattice)
-from .linalg import _cyc_step, _rationalize, solve_matrix, transpose
+from .linalg import _cyc_step, _rationalize, inverse, mat_mul, solve_matrix, transpose
 from .w2 import W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter
 
 F = Fraction
@@ -197,20 +197,16 @@ class FDAlgebra:
 
     def check_invariance(self):
         """The basis triples (a, b, c), by name, where <a.b, c> = <b, a.c>
-        fails; empty when the form is invariant."""
+        fails; empty when the form is invariant.  With gram symmetric,
+        pair = mult[i] gram holds pair[j][k] = <a_i.a_j, a_k>, and the
+        form is invariant at (a_i, a_j, a_k) exactly when pair[j][k] =
+        pair[k][j]."""
         violations = []
         for i in range(self.dim):
-            for j in range(self.dim):
-                pij = self.mult[i][j]
-                for k in range(self.dim):
-                    lhs = sum((pij[t] * self.gram[t][k] for t in range(self.dim)
-                               if pij[t] and self.gram[t][k]), F(0))
-                    pik = self.mult[i][k]
-                    rhs = sum((self.gram[j][t] * pik[t] for t in range(self.dim)
-                               if pik[t] and self.gram[j][t]), F(0))
-                    if lhs != rhs:
-                        violations.append(
-                            (self.names[i], self.names[j], self.names[k]))
+            pair = mat_mul(self.mult[i], self.gram)
+            violations.extend((self.names[i], self.names[j], self.names[k])
+                              for j in range(self.dim) for k in range(self.dim)
+                              if pair[j][k] != pair[k][j])
         return violations
 
 
@@ -581,10 +577,8 @@ def u3a_griess():
     xm = [F(32, 3) * (x + z * y + z2 * t) for x, y, t in zip(e0, e1, e2)]
     # solve for w1, w2 from  s = 3(5/32 w1 + 7/16 w2)
     # and  X+ . X- = 135 w1 + 252 w2
-    pp = fd12.product_vec(xp, xm)
-    det = F(15, 32) * 252 - F(21, 16) * 135
-    w1 = [(252 * x - F(21, 16) * y) / det for x, y in zip(s, pp)]
-    w2 = [(F(15, 32) * y - 135 * x) / det for x, y in zip(s, pp)]
+    w1, w2 = mat_mul(inverse([[F(15, 32), F(21, 16)], [135, 252]]),
+                     [s, fd12.product_vec(xp, xm)])
     fd = fd_from_elements(fd12, [w1, w2, xp, xm], ["w1", "w2", "Xp", "Xm"])
     return fd, len(closed)
 

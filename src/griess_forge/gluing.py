@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .codes import tetracode_slope, golay12
-from .intmat import hnf
+from .intmat import hnf, int_matmul
 from .lattices import IntegralLattice, Sublattice, kernel_sublattice
 
 __all__ = [
@@ -212,8 +212,7 @@ def tau_bar_matrix(power=1):
     m = [[0, -1], [1, -1]]
     out = [[1, 0], [0, 1]]
     for _ in range(power % 3):
-        out = [[sum(m[i][k] * out[k][j] for k in range(2)) for j in range(2)]
-               for i in range(2)]
+        out = int_matmul(m, out)
     return out
 
 

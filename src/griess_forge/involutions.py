@@ -31,9 +31,9 @@ scales each column of its map once for all the products it takes.
 
 The adjoint matrices of a weight-two space are mostly zeros, and so are
 the coordinate rows of its subspaces.  restrict_map takes each row's image
-once, with mat_vec summing over the support of the row, and uses it both
-for the solve and for the exact back-check, which adds up the solved
-combination of the rows over each row's nonzero entries.
+once, with mat_vec summing over the support of the row, solves for the
+images over the rows and checks the solution exactly by one integer
+product (linalg.mat_mul) against the images.
 
 eigenspaces deflates.  After the kernel of S = A - l for a candidate l, it
 goes on with the matrix Abar = R A[:, P] of A on im S, where R is the
@@ -50,8 +50,8 @@ bases are the ones the full shifts give.
 from fractions import Fraction
 
 from .exact import _ZRow
-from .linalg import (mat_mul, mat_vec, kernel, inverse, rref,
-                     solve_matrix, transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
+from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref, solve_matrix,
+                     transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
 from .w2 import virasoro_check
 
@@ -103,17 +103,12 @@ def ad_matrix(space, v):
     form for all the columns, and each column is its product with a basis
     element, written in class coordinates from the integer product.
     """
-    n = space.dim
     if isinstance(space, W2Space):
         alg = space.alg
         a = alg.from_class_coords(v)
-        cols = [alg.product_coords(a, alg.basis_element(j)) for j in range(n)]
+        cols = [alg.product_coords(a, alg.basis_element(j)) for j in range(space.dim)]
     else:
-        cols = []
-        for j in range(n):
-            e = [F(0)] * n
-            e[j] = F(1)
-            cols.append(space.product_vec(v, e))
+        cols = [space.product_vec(v, e) for e in identity(space.dim)]
     return transpose(cols)
 
 
@@ -214,18 +209,14 @@ def eigenspace_rows(eigen, values):
 
 
 def _signed_map(space, eigen, minus_values):
-    n = space.dim
-    cols = []
-    signs = []
+    """B D B^-1, with B the eigenbasis as columns and D the sign of each
+    column's weight: -1 on minus_values, 1 elsewhere."""
+    cols, signs = [], []
     for lam, basis in sorted(eigen.items()):
-        s = -1 if lam in minus_values else 1
-        for b in basis:
-            cols.append(b)
-            signs.append(s)
-    bmat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    binv = inverse(bmat)
-    scaled = [[signs[i] * binv[i][j] for j in range(n)] for i in range(n)]
-    return mat_mul(bmat, scaled)
+        cols.extend(basis)
+        signs.extend([-1 if lam in minus_values else 1] * len(basis))
+    bmat = transpose(cols)
+    return mat_mul(bmat, [[s * x for x in row] for s, row in zip(signs, inverse(bmat))])
 
 
 def tau_involution(space, e):
@@ -351,27 +342,12 @@ def restrict_map(space, mat, rows):
     """Matrix of the map on the subspace spanned by the given rows.
 
     The rows are coordinate vectors; raises if the map does not preserve
-    their span.  Each row's image is computed once and serves both the
-    solve and an exact back-check, which sums the solved combination of
-    the rows over each row's support and compares it with the image.
+    their span.  Each row's image serves both the solve and an exact
+    back-check, one integer product of the solution with the rows.
     """
-    k = len(rows)
-    n = len(rows[0])
-    a = [[rows[i][t] for i in range(k)] for t in range(n)]
     imgs = [mat_vec(mat, row) for row in rows]
-    x = solve_matrix(a, [[img[t] for img in imgs] for t in range(n)])
-    if x is None:
+    x = solve_matrix(transpose(rows), transpose(imgs))
+    # solve_matrix zero-fills free variables, so the solution is checked
+    if x is None or mat_mul(transpose(x), rows) != imgs:
         raise ValueError("map does not preserve the subspace")
-    # verify exactly (solve_matrix zero-fills free variables)
-    supports = [[(t, y) for t, y in enumerate(row) if y] for row in rows]
-    for j, img in enumerate(imgs):
-        back = {}
-        for i in range(k):
-            c = x[i][j]
-            if c:
-                for t, y in supports[i]:
-                    back[t] = back[t] + c * y if t in back else c * y
-        if ({t: y for t, y in back.items() if y}
-                != {t: y for t, y in enumerate(img) if y}):
-            raise ValueError("map does not preserve the subspace")
-    return [[x[i][j] for j in range(k)] for i in range(k)]
+    return x

@@ -187,7 +187,7 @@ class AffineE6:
     """
 
     MARKS = (1, 1, 2, 3, 2, 1, 2)   # keyed to a0..a6
-    AFFINE_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)]
+    AFFINE_EDGES = [(a + 1, b + 1) for a, b in _diagram_edges("E", 6)] + [(6, 0)]
 
     def __init__(self):
         self.lattice = build_root_lattice("E", 6)

@@ -475,5 +475,4 @@ def row_span_coords(rows, v):
     """
     if not rows:
         return None if any(v) else []
-    a = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return solve(a, list(v))
+    return solve(transpose(rows), list(v))

@@ -453,16 +453,17 @@ SUITES = {
 }
 
 
-def run_suite(name, **kwargs):
-    """The suite's report, timed.  An exception raised inside the suite
-    becomes one failed check, id "error", carrying its type and message;
-    its traceback goes to standard error."""
+def run_suite(name, skip_slow=False):
+    """The suite's report, timed; skip_slow skips the leech suite's large
+    enumeration.  An exception raised inside the suite becomes one failed
+    check, id "error", carrying its type and message; its traceback goes
+    to standard error."""
     if name not in SUITES:
         raise KeyError("unknown suite %r" % name)
     fn = SUITES[name]
     t0 = time.perf_counter()
     try:
-        rep = fn(**kwargs) if name == "leech" else fn()
+        rep = fn(skip_slow=skip_slow) if name == "leech" else fn()
     except Exception as exc:
         traceback.print_exc()
         rep = Report(name)

@@ -64,15 +64,17 @@ root_algebra builds each root lattice's algebra once per process and hands
 every caller the same object, which callers therefore treat as read-only.
 """
 
+from copy import copy
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 
 from .exact import CycNum, _ZPOW, _zdiv, zeta
+from .intmat import int_matvec
 from .lattices import (build_root_lattice, short_vectors, Sublattice,
                        quotient_structure)
-from .linalg import inverse as q_inverse
+from .linalg import inverse as q_inverse, transpose
 
 __all__ = ["W2Algebra", "W2Element", "root_algebra", "conformal_vector",
            "tilde_omega", "coset_sum", "virasoro_check", "CosetCharacter"]
@@ -491,16 +493,9 @@ class W2Algebra:
     def scaled_roots(self, rows):
         """Norm-4 vectors of the sublattice spanned by the given basis rows,
         in ambient coordinates."""
-        sub = Sublattice(self.lattice, rows)
-        out = []
-        for v in short_vectors(sub.as_lattice(), 4):
-            amb = [0] * self.rank
-            for c, row in zip(v, rows):
-                if c:
-                    for i, t in enumerate(row):
-                        amb[i] += c * t
-            out.append(tuple(amb))
-        return out
+        cols = transpose(rows)
+        return [tuple(int_matvec(cols, v))
+                for v in short_vectors(Sublattice(self.lattice, rows).as_lattice(), 4)]
 
 
 @cache
@@ -640,14 +635,10 @@ class CosetCharacter:
         return W2Element(dict(elem.heis), exps, dict(elem.d2))
 
     def with_weights(self, weights):
-        """The character of the same quotient with the given weights."""
-        out = CosetCharacter.__new__(CosetCharacter)
-        out.alg = self.alg
-        out.moduli = self.moduli
-        out.classify = self.classify
+        """The character of the same quotient with the given weights; it
+        shares this one's class table."""
+        out = copy(self)
         out.weights = tuple(weights)
-        out.exponent = self.exponent
-        out._classes = self._classes
         return out
 
     def power(self, k):

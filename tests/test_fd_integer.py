@@ -1,6 +1,6 @@
 """The integer Z[z12] paths of the finite-dimensional layer against field
 arithmetic: mat_mul, map_order and group_closure on maps, FDAlgebra
-products and forms, and the incremental span.  Each reference below is the
+products, forms and invariance check, and the incremental span.  Each reference below is the
 Fraction/CycNum loop the integer path replaced; results must be equal by
 ==, so a rational entry may come back as a Fraction or a rational CycNum.
 """
@@ -90,6 +90,22 @@ def ref_form_vec(fd, u, v):
             if y and fd.gram[i][j]:
                 tot = tot + fd.gram[i][j] * (x * y)
     return tot
+
+
+def ref_check_invariance(fd):
+    violations = []
+    for i in range(fd.dim):
+        for j in range(fd.dim):
+            pij = fd.mult[i][j]
+            for k in range(fd.dim):
+                lhs = sum((pij[t] * fd.gram[t][k] for t in range(fd.dim)
+                           if pij[t] and fd.gram[t][k]), F(0))
+                pik = fd.mult[i][k]
+                rhs = sum((fd.gram[j][t] * pik[t] for t in range(fd.dim)
+                           if pik[t] and fd.gram[j][t]), F(0))
+                if lhs != rhs:
+                    violations.append((fd.names[i], fd.names[j], fd.names[k]))
+    return violations
 
 
 def ref_rank(rows):
@@ -246,6 +262,55 @@ def symmetric_tables(draw):
 def test_fd_products_match_reference_on_random_tables(data):
     fd, vecs = data
     _check_products(fd, vecs)
+
+
+@st.composite
+def invariant_tables(draw):
+    """An algebra whose form is invariant: <a_i.a_j, a_k> is a totally
+    symmetric tensor T and the products are solved from T over an
+    invertible symmetric gram."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_rational, _cyclotomic]))
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entry)
+    assume(la.det(gram) != 0)
+    tensor = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                tensor[i, j, k] = draw(entry)
+    ginv = la.inverse(gram)
+    mult = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = [tensor[tuple(sorted((i, j, k)))] for k in range(n)]
+            mult[i][j] = mult[j][i] = ref_mat_mul([t], ginv)[0]
+    return FDAlgebra(["b%d" % k for k in range(n)], mult, gram)
+
+
+@st.composite
+def perturbed(draw, tables):
+    """A table from the strategy, maybe with one product (a.b = b.a) changed
+    in one coordinate."""
+    fd = draw(tables)
+    if draw(st.booleans()):
+        n = fd.dim
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        row = list(fd.mult[i][j])
+        row[k] += draw(st.sampled_from([F(1), F(-1, 3), zeta(12)]))
+        mult = [list(r) for r in fd.mult]
+        mult[i][j] = mult[j][i] = row
+        fd = FDAlgebra(fd.names, mult, fd.gram)
+    return fd
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed(st.one_of(invariant_tables(), st.sampled_from(_TABLES),
+                           symmetric_tables().map(lambda data: data[0]))))
+def test_check_invariance_matches_reference(fd):
+    assert fd.check_invariance() == ref_check_invariance(fd)
 
 
 # -- the incremental span -------------------------------------------------------------

@@ -513,6 +513,29 @@ def test_ad_spectrum_matches_the_full_shift(mpw, data):
         assert sorted(got) == sorted(set(weights))
 
 
+def ref_signed_map(p, weights, minus):
+    """The dense product P D P^-1, D the sign of each column's weight."""
+    n = len(p)
+    pinv = inverse(p)
+    return [[sum((p[i][t] * (-1 if weights[t] in minus else 1) * pinv[t][j]
+                  for t in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(eigenbases(), st.data())
+def test_signed_map_matches_the_dense_product(mpw, data):
+    mat, p, weights = mpw
+    minus = set(data.draw(st.lists(st.sampled_from(_WEIGHTS))))
+    if data.draw(st.booleans()):
+        eigen = eigenspaces(mat, _WEIGHTS)
+    else:
+        # the columns of P, an eigenbasis that kernel need not return
+        eigen = {}
+        for t, lam in enumerate(weights):
+            eigen.setdefault(lam, []).append([row[t] for row in p])
+    assert involutions._signed_map(None, eigen, minus) == ref_signed_map(p, weights, minus)
+
+
 def test_ad_spectrum_on_jordan_blocks_reports_the_filled_dimension():
     # a 2 x 2 Jordan block at 0 next to the weight 1/2, over Q and Q(z):
     # the 0-space is a line, so the eigenspaces fill 2 of 3

@@ -71,6 +71,11 @@ def test_affine_marks():
     assert aff.lattice.norm(aff.alpha0) == 2   # the highest root is a root
 
 
+def test_affine_edges():
+    # the E6 chain a1..a5 with a6 on the branch node a3, and a0 on a6
+    assert affine_e6().AFFINE_EDGES == [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)]
+
+
 def test_node_sublattices():
     aff = affine_e6()
     sub0, m0, comp0 = node_sublattice(aff, 0)
