@@ -11,6 +11,8 @@ rows (1,1,1,0) and (1,-1,0,1).  Both are self-dual with weight enumerator
 1 + 8 z^3.
 """
 
+from .intmat import hnf, int_identity
+
 __all__ = ["TernaryCode", "tetracode", "tetracode_slope", "golay12"]
 
 
@@ -71,20 +73,14 @@ class TernaryCode:
         return _mod3(w) in self._word_set
 
     def dimension(self):
-        """Rank of the generator rows over F_3, by elimination."""
-        rows = [list(g) for g in self.generators]
-        k = 0
-        for c in range(self.length):
-            p = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-            if p is None:
-                continue
-            rows[k], rows[p] = rows[p], rows[k]
-            for i in range(k + 1, len(rows)):
-                # the pivot is 1 or 2 = -1, each its own inverse mod 3
-                f = rows[i][c] * rows[k][c]
-                rows[i] = [(x - f * y) % 3 for x, y in zip(rows[i], rows[k])]
-            k += 1
-        return k
+        """Rank k of the generator rows over F_3.
+
+        The code plus 3Z^n has index 3^(n-k) in Z^n, and each diagonal
+        entry of its Hermite form is 1 or 3, so k counts the 1s.
+        """
+        h = hnf(self.generators
+                + [[3 * x for x in e] for e in int_identity(self.length)])
+        return sum(row[i] == 1 for i, row in enumerate(h))
 
     def minimum_weight(self):
         return min(_weight(w) for w in self.words() if any(w))

@@ -2,11 +2,14 @@
 
 Rows are Python lists of ints.  Sizes stay at most ~30 x 30, so the
 classic elimination algorithms with exact integer arithmetic are fine.
+Left kernels and unimodular inverses are read off one Hermite form, that
+of [P | I] (Cohen, A Course in Computational Algebraic Number Theory,
+2.4), so this module needs nothing from the rational ``linalg``.
 """
 
 __all__ = ["hnf", "snf_with_transform", "int_matmul", "int_matvec",
            "int_identity", "int_det", "int_positive_definite",
-           "int_inverse_unimodular"]
+           "int_inverse_unimodular", "left_kernel"]
 
 
 def int_identity(n):
@@ -202,16 +205,22 @@ def snf_with_transform(a):
     return diag, u, v
 
 
+def _hnf_augmented(a):
+    """hnf([a | I]) as (U a, U): U is unimodular, as no row of [a | I] is lost."""
+    n = len(a[0]) if a else 0
+    h = hnf([list(row) + e for row, e in zip(a, int_identity(len(a)))])
+    return [row[:n] for row in h], [row[n:] for row in h]
+
+
+def left_kernel(p):
+    """A basis of {x : x p = 0}: the rows of U whose row of U p is zero."""
+    left, right = _hnf_augmented(p)
+    return [u for h, u in zip(left, right) if not any(h)]
+
+
 def int_inverse_unimodular(a):
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    from .linalg import inverse as q_inverse
-    inv = q_inverse(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over the integers")
-            irow.append(x.numerator)
-        out.append(irow)
-    return out
+    """Inverse of a unimodular integer matrix: hnf([a | I]) is then [I | a^-1]."""
+    left, right = _hnf_augmented(a)
+    if left != int_identity(len(a)):
+        raise ValueError("matrix is not unimodular over the integers")
+    return right

@@ -12,8 +12,11 @@ basis.
 
 The affine E6 diagram is walked in one place, punctured_components: it
 gives each component of the diagram with a node deleted, its root type
-read off the diagram shape, and the order that the commutant frames of
-``commutants`` follow.  Coxeter numbers come from one lookup, _COXETER.
+read off the definiteness and determinant of its Cartan matrix, and the
+order that the commutant frames of ``commutants`` follow.  Coxeter
+numbers come from one lookup, _COXETER.  Kernels, ranks and inverses go
+through ``intmat``'s Hermite form; nothing here uses the rational
+``linalg``.
 """
 
 from functools import cache
@@ -21,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .intmat import (hnf, snf_with_transform, int_matmul, int_matvec, int_det,
-                     int_positive_definite, int_inverse_unimodular)
+                     int_positive_definite, int_inverse_unimodular, left_kernel)
 
 __all__ = [
     "IntegralLattice", "Sublattice", "build_root_lattice", "direct_sum",
@@ -42,9 +45,9 @@ class IntegralLattice:
         self.name = name
         self.coxeter = coxeter
         if check:
+            if any(len(row) != self.rank for row in self.gram):
+                raise ValueError("Gram matrix is not square")
             for i in range(self.rank):
-                if len(self.gram[i]) != self.rank:
-                    raise ValueError("Gram matrix is not square")
                 for j in range(self.rank):
                     if self.gram[i][j] != self.gram[j][i]:
                         raise ValueError("Gram matrix is not symmetric")
@@ -82,10 +85,8 @@ class Sublattice:
     def __init__(self, ambient, basis_rows):
         self.ambient = ambient
         self.basis = [list(map(int, row)) for row in basis_rows]
-        if self.basis:
-            from .linalg import rank as qrank
-            if qrank(self.basis) != len(self.basis):
-                raise ValueError("sublattice basis rows are linearly dependent")
+        if len(hnf(self.basis)) != len(self.basis):
+            raise ValueError("sublattice basis rows are linearly dependent")
 
     @property
     def rank(self):
@@ -210,37 +211,21 @@ def affine_e6():
 
 
 def _classify_component(nodes, edges):
-    """Type of a connected simply laced Dynkin diagram (paths and E-stars)."""
-    adj = {v: [] for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    degs = sorted(len(adj[v]) for v in nodes)
-    n = len(nodes)
-    if degs[-1] <= 2:
-        return ("A", n)
-    if degs[-1] == 3:
-        center = next(v for v in nodes if len(adj[v]) == 3)
-        legs = []
-        for s in adj[center]:
-            ln = 1
-            prev, cur = center, s
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                ln += 1
-            legs.append(ln)
-        legs.sort()
-        if legs[0] == 1 and legs[1] == 1:
+    """Root type (kind, n) of a connected simply laced diagram: it is ADE
+    exactly when its Cartan matrix is positive definite, and then the
+    determinant, n + 1 for A_n, 4 for D_n (D3 reads as A3) and 9 - n for
+    E_n, fixes the type (Conway-Sloane, SPLAG ch. 4)."""
+    label = {v: k for k, v in enumerate(sorted(nodes))}
+    n = len(label)
+    cartan = _gram_from_edges(n, [(label[a], label[b]) for a, b in edges])
+    if int_positive_definite(cartan):
+        det = int_det(cartan)
+        if det == n + 1:
+            return ("A", n)
+        if det == 4:
             return ("D", n)
-        if legs == [1, 2, 2]:
-            return ("E", 6)
-        if legs == [1, 2, 3]:
-            return ("E", 7)
-        if legs == [1, 2, 4]:
-            return ("E", 8)
+        if det == 9 - n and n in (6, 7, 8):
+            return ("E", n)
     raise ValueError("component is not of type ADE")
 
 
@@ -516,13 +501,7 @@ def cosets(sub):
 def annihilator(ambient, sub):
     """{x in ambient : <x, s> = 0 for all s in sub}, as a Sublattice."""
     pairing = int_matmul(ambient.gram, [list(col) for col in zip(*sub.basis)])
-    diag, u, _v = snf_with_transform([list(row) for row in
-                                      [[pairing[i][j] for j in range(len(sub.basis))]
-                                       for i in range(ambient.rank)]])
-    # rows of U beyond the invariant factors span the left kernel of the pairing
-    r = len(diag)
-    rows = [u[i] for i in range(r, ambient.rank)]
-    return Sublattice(ambient, hnf(rows)) if rows else Sublattice(ambient, [])
+    return Sublattice(ambient, hnf(left_kernel(pairing)))
 
 
 def kernel_sublattice(ambient_basis_rows, values, modulus):
@@ -532,29 +511,9 @@ def kernel_sublattice(ambient_basis_rows, values, modulus):
     Returns basis rows (HNF) of the kernel sublattice in the same
     coordinates.
     """
-    rows = list(ambient_basis_rows)
-    vals = [v % modulus for v in values]
-    out = []
-    pivot = None
-    for i, v in enumerate(vals):
-        if v % modulus:
-            pivot = i
-            break
-    if pivot is None:
-        return hnf(rows)
-    p = vals[pivot]
-    # for prime modulus p-inverse exists; modulus here is always 3
-    inv = pow(p, -1, modulus)
-    for i, row in enumerate(rows):
-        if i == pivot:
-            continue
-        if vals[i]:
-            q = (vals[i] * inv) % modulus
-            out.append([x - q * y for x, y in zip(row, rows[pivot])])
-        else:
-            out.append(list(row))
-    out.append([modulus * x for x in rows[pivot]])
-    return hnf(out)
+    # x with sum x_i values_i + x_m modulus = 0 are the kernel's coefficients
+    coeffs = [x[:-1] for x in left_kernel([[v] for v in values] + [[modulus]])]
+    return hnf(int_matmul(coeffs, ambient_basis_rows))
 
 
 # ---------------------------------------------------------------------------

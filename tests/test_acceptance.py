@@ -86,7 +86,7 @@ def test_criterion_07_involution_suite():
     by_id = {c.id: c for c in rep.checks}
     assert by_id["pairwise-orders"].computed == "[3]"
     assert by_id["sakuma-bound"].computed == "true"
-    assert by_id["group-order"].computed == "divides 18"
+    assert by_id["group-order-exact"].computed == "18"
     for node, want in (("1A", 1), ("3A", 3)):
         r = run_suite("involutions-%s" % node)
         by_id = {c.id: c for c in r.checks}

@@ -167,6 +167,14 @@ def test_cli_lattice_indefinite_file(tmp_path):
     assert "not positive definite" in r.stderr
 
 
+def test_cli_lattice_ragged_gram_file_exits_2(tmp_path):
+    spec = tmp_path / "ragged.txt"
+    spec.write_text("name: demo\nrank: 3\ngram:\n2 1 0\n1 2 0\n0\n")
+    r = _cli("--out", str(tmp_path), "lattice", str(spec))
+    assert r.returncode == 2
+    assert r.stderr.strip() == "error: Gram matrix is not square"
+
+
 def test_cli_rejects_removed_verify_flags():
     assert cli.main(["leech", "--verify"]) == 2
     assert cli.main(["appendix", "--verify"]) == 2
