@@ -18,25 +18,9 @@ The package constructs, entirely in exact arithmetic over Q(z12):
 
 The command-line entry point griess-forge runs every identity as a named
 verification suite and writes exact JSON reports.
-"""
 
-from .exact import CycNum, zeta, sqrt3
-from .lattices import (IntegralLattice, Sublattice, build_root_lattice,
-                       affine_e6, node_sublattice, short_vectors,
-                       isometry_test, annihilator, cosets, quotient_structure)
-from .codes import TernaryCode, tetracode, tetracode_slope, golay12
-from .gluing import e8_glue, niemeier_a2_12, n0_sublattice, leech
-from .w2 import (W2Algebra, W2Element, conformal_vector, tilde_omega,
-                 coset_sum, virasoro_check, CosetCharacter)
-from .minimal import (central_charge, highest_weight, fusion, sigma_type_set,
-                      w_module_classification, u3a_module_table)
-from .commutants import (FDAlgebra, node_case, g2a_table, g3a_table,
-                         u3a_table, u6a_table, tilde_v_pair, u3a_griess,
-                         vnx_griess, nine_orbit_algebra, span_closure)
-from .involutions import (ad_spectrum, tau_involution, sigma_involution,
-                          is_automorphism, map_order, transposition_scan,
-                          group_closure, restrict_map, W2Space)
-from .su3 import su3_data, su3_identities, theta_matrix_relations
-from .appendix import e8_perp_e8_triple, leech_embedding_check
+The package root imports no submodule: import griess_forge.<module>
+for its names, as in ``from griess_forge.gluing import leech``.
+"""
 
 __version__ = "0.1.0"

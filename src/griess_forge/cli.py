@@ -7,7 +7,6 @@ the command line or an input file could not be parsed.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -16,14 +15,16 @@ from .report import Report, fmt, skipped
 from .suites import SUITES, run_suite
 
 
-def _write_report(rep, outdir, md=False):
+def _write(outdir, name, text):
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "report-%s.json" % rep.suite)
-    with open(path, "w") as f:
-        f.write(rep.to_json())
-    if md:
-        with open(os.path.join(outdir, "report-%s.md" % rep.suite), "w") as f:
-            f.write(rep.to_markdown())
+    with open(os.path.join(outdir, name), "w") as f:
+        f.write(text)
+
+
+def _write_report(rep, args):
+    _write(args.out, "report-%s.json" % rep.suite, rep.to_json())
+    if args.md:
+        _write(args.out, "report-%s.md" % rep.suite, rep.to_markdown())
     print(rep.summary())
     for c in rep.checks:
         if c.status == "fail":
@@ -32,11 +33,11 @@ def _write_report(rep, outdir, md=False):
     return rep.ok()
 
 
-def _parse_kv_file(path):
-    """Small structured text format: 'key: value' lines plus matrix blocks."""
+def _parse_kv_file(path, blocks):
+    """Small structured text format: 'key: value' lines, and for each key in
+    blocks a 'key:' line followed by the rows of an integer matrix."""
     fields = {}
-    rows = []
-    current = None
+    rows = None
     with open(path) as f:
         for raw in f:
             line = raw.strip()
@@ -46,16 +47,19 @@ def _parse_kv_file(path):
                 key, _, val = line.partition(":")
                 key = key.strip().lower()
                 val = val.strip()
-                if val:
-                    fields[key] = val
-                    current = None
-                else:
-                    current = key
-                    fields[key] = rows = []
+                if (key in blocks) == bool(val):
+                    raise ValueError(
+                        "%r takes matrix rows on the lines below it, not a value"
+                        % key if val else "%r takes a value on its line" % key)
+                rows = None if val else []
+                fields[key] = val or rows
             else:
-                if current is None:
+                if rows is None:
                     raise ValueError("stray matrix row %r" % line)
                 rows.append([int(t) for t in line.split()])
+    for key in blocks:
+        if fields.get(key) == []:
+            raise ValueError("the %r block has no rows" % key)
     return fields
 
 
@@ -78,7 +82,7 @@ def _load_lattice(arg):
     if key in named:
         return named[key]()
     if os.path.exists(arg):
-        fields = _parse_kv_file(arg)
+        fields = _parse_kv_file(arg, {"gram"})
         gram = fields.get("gram")
         if gram is None:
             raise ValueError("lattice file needs a gram block")
@@ -124,11 +128,10 @@ def _box_count(lat, norm):
 
 def _load_code(path):
     from .codes import TernaryCode
-    fields = _parse_kv_file(path)
-    gens = fields.get("generators")
-    if gens is None:
-        raise ValueError("code file needs a generators block")
-    code = TernaryCode(int(fields["length"]), gens)
+    fields = _parse_kv_file(path, {"generators"})
+    if "length" not in fields or "generators" not in fields:
+        raise ValueError("code file needs a length line and a generators block")
+    code = TernaryCode(int(fields["length"]), fields["generators"])
     if code.dimension() == 0:
         raise ValueError("the code has no nonzero word, so it has no minimum weight")
     return code
@@ -168,7 +171,7 @@ def cmd_lattice(args):
                 cid, desc, "exact enumeration, unchecked: no known theta "
                 "coefficient, and a box search needs rank at most 4 and a "
                 "small box", fmt(n)))
-    return 0 if _write_report(rep, args.out, args.md) else 1
+    return 0 if _write_report(rep, args) else 1
 
 
 def cmd_fusion(args):
@@ -194,7 +197,7 @@ def cmd_fusion(args):
             % (args.r1, args.s1, args.r2, args.s2, args.m),
             "double-sum rule against the fusion with the factors swapped",
             terms(swapped), terms(result))
-    return 0 if _write_report(rep, args.out, args.md) else 1
+    return 0 if _write_report(rep, args) else 1
 
 
 def cmd_code(args):
@@ -216,76 +219,58 @@ def cmd_code(args):
             "orthogonal to every generator, against the word count and the "
             "generator pairs", fmt(2 * code.dimension() == code.length and orthogonal),
             fmt(code.is_self_dual()))
-    return 0 if _write_report(rep, args.out, args.md) else 1
+    return 0 if _write_report(rep, args) else 1
 
 
-def _suite_cmd(names):
+def _suite_cmd(names, export=None):
+    """A command that runs the suites names(args), writes their reports and
+    then calls export(args), when given, for the command's other files."""
     def run(args):
         ok = True
-        for name in names(args) if callable(names) else names:
-            rep = run_suite(name, skip_slow=getattr(args, "skip_slow", False))
-            if getattr(args, "export_tables", False) and name.startswith("commutant"):
-                _export_tables(args.out, name)
-            if name == "involutions-e8-orbit":
-                _export_scan(args.out)
-            ok = _write_report(rep, args.out, args.md) and ok
+        for name in names(args):
+            ok = _write_report(run_suite(name, args.skip_slow), args) and ok
+        if export:
+            export(args)
         return 0 if ok else 1
     return run
 
 
-def _export_scan(outdir):
-    from .report import scan_to_json
-    from .suites import nine_orbit_scan
-    _fd12, _dim, orders, violations, _maps = nine_orbit_scan()
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "scan-e8-orbit.json"), "w") as f:
-        f.write(scan_to_json(orders, violations))
+def _export_tables(args):
+    if args.export_tables:
+        from .commutants import node_case, tilde_v_pair
+        from .report import fd_to_json, fd_to_markdown, to_json, w2_to_dict
+        case, node = node_case(args.node), args.node
+        v, vp = tilde_v_pair(case)
+        pair = {"v": w2_to_dict(case.alg, v)}
+        if vp.is_theta_even():
+            pair["v_twist"] = w2_to_dict(case.alg, vp)
+        _write(args.out, "algebra-%s.json" % node, fd_to_json(case.fd))
+        _write(args.out, "algebra-%s.md" % node, fd_to_markdown(case.fd))
+        _write(args.out, "elements-%s.json" % node, to_json(pair))
 
 
-def cmd_minimal(args):
+def _export_scan(args):
+    if args.node == "e8-orbit":
+        from .report import scan_to_json
+        from .suites import nine_orbit_scan
+        _fd12, _dim, orders, violations, _maps = nine_orbit_scan()
+        _write(args.out, "scan-e8-orbit.json", scan_to_json(orders, violations))
+
+
+def _export_minimal(args):
     if args.export_tables:
         from .minimal import (all_labels, fusion, highest_weight,
                               w_module_classification)
-        from .report import fmt
-        os.makedirs(args.out, exist_ok=True)
+        from .report import (fusion_to_json, fusion_to_markdown,
+                             wmodules_to_json, wmodules_to_markdown)
         for m in (3, 4):
-            labels = all_labels(m)
-            rows = []
-            lines = ["| x | " + " | ".join("h=%s" % fmt(highest_weight(m, *b))
-                                           for b in labels) + " |",
-                     "|" + "---|" * (len(labels) + 1)]
-            for a in labels:
-                cells = []
-                for b in labels:
-                    out = fusion(m, a, b)
-                    cells.append(" + ".join(
-                        ("%d " % k if k > 1 else "") + fmt(highest_weight(m, *lab))
-                        for lab, k in sorted(out.items())))
-                    rows.append({"a": list(a), "b": list(b),
-                                 "result": [[list(lab), k]
-                                            for lab, k in sorted(out.items())]})
-                lines.append("| h=%s | " % fmt(highest_weight(m, *a))
-                             + " | ".join(cells) + " |")
-            with open(os.path.join(args.out, "fusion-m%d.md" % m), "w") as f:
-                f.write("\n".join(lines) + "\n")
-            with open(os.path.join(args.out, "fusion-m%d.json" % m), "w") as f:
-                f.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-            untwisted, twisted = w_module_classification(m)
-            data = [{"label": list(w.label), "partner": list(w.partner),
-                     "delta": fmt(w.delta), "kind": w.kind,
-                     "weights": [fmt(x) for x in w.weights()]}
-                    for w in untwisted + twisted]
-            with open(os.path.join(args.out, "wmodules-m%d.json" % m), "w") as f:
-                f.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-            wlines = ["| label | partner | delta | kind | weights |",
-                      "|---|---|---|---|---|"]
-            for w in untwisted + twisted:
-                wlines.append("| %s | %s | %s | %s | %s |" % (
-                    w.label, w.partner, fmt(w.delta), w.kind,
-                    ", ".join(fmt(x) for x in w.weights())))
-            with open(os.path.join(args.out, "wmodules-m%d.md" % m), "w") as f:
-                f.write("\n".join(wlines) + "\n")
-    return _suite_cmd(["minimal"])(args)
+            hw = {a: highest_weight(m, *a) for a in all_labels(m)}
+            table = {(a, b): fusion(m, a, b) for a in hw for b in hw}
+            modules = sum(w_module_classification(m), [])
+            _write(args.out, "fusion-m%d.md" % m, fusion_to_markdown(table, hw))
+            _write(args.out, "fusion-m%d.json" % m, fusion_to_json(table))
+            _write(args.out, "wmodules-m%d.json" % m, wmodules_to_json(modules))
+            _write(args.out, "wmodules-m%d.md" % m, wmodules_to_markdown(modules))
 
 
 def cmd_diagram(args):
@@ -311,33 +296,6 @@ def cmd_diagram(args):
     return 0
 
 
-def _export_tables(outdir, name):
-    from .commutants import node_case, tilde_v_pair
-    from .report import fd_to_json, fd_to_markdown, w2_to_json
-    node = name.split("-")[1]
-    case = node_case(node)
-    fd = case.fd
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "algebra-%s.json" % node), "w") as f:
-        f.write(fd_to_json(fd))
-    with open(os.path.join(outdir, "algebra-%s.md" % node), "w") as f:
-        f.write(fd_to_markdown(fd))
-    v, vp = tilde_v_pair(case)
-    pair = {"v": json.loads(w2_to_json(case.alg, v))}
-    if vp.is_theta_even():
-        pair["v_twist"] = json.loads(w2_to_json(case.alg, vp))
-    with open(os.path.join(outdir, "elements-%s.json" % node), "w") as f:
-        f.write(json.dumps(pair, indent=2, sort_keys=True) + "\n")
-
-
-def cmd_report_all(args):
-    ok = True
-    for name in SUITES:
-        rep = run_suite(name, skip_slow=args.skip_slow)
-        ok = _write_report(rep, args.out, args.md) and ok
-    return 0 if ok else 1
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="griess-forge",
@@ -345,12 +303,13 @@ def main(argv=None):
     parser.add_argument("--out", default="reports", help="report directory")
     parser.add_argument("--md", action="store_true",
                         help="also write markdown tables")
+    parser.set_defaults(skip_slow=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report-all", help="run every suite")
     p.add_argument("--skip-slow", action="store_true",
                    help="skip the large enumeration")
-    p.set_defaults(func=cmd_report_all)
+    p.set_defaults(func=_suite_cmd(lambda a: SUITES))
 
     p = sub.add_parser("lattice", help="inspect a lattice by name or file")
     p.add_argument("which")
@@ -369,11 +328,13 @@ def main(argv=None):
     p = sub.add_parser("commutant", help="node commutant suite")
     p.add_argument("node", choices=["1A", "2A", "3A"])
     p.add_argument("--export-tables", action="store_true")
-    p.set_defaults(func=_suite_cmd(lambda a: ["commutant-%s" % a.node]))
+    p.set_defaults(func=_suite_cmd(lambda a: ["commutant-%s" % a.node],
+                                   _export_tables))
 
     p = sub.add_parser("involutions", help="involution suite")
     p.add_argument("node", choices=["1A", "2A", "3A", "e8-orbit"])
-    p.set_defaults(func=_suite_cmd(lambda a: ["involutions-%s" % a.node]))
+    p.set_defaults(func=_suite_cmd(lambda a: ["involutions-%s" % a.node],
+                                   _export_scan))
 
     p = sub.add_parser("u3a", help="the four-dimensional dihedral algebra")
     p.add_argument("--from-orbit", action="store_true")
@@ -384,22 +345,17 @@ def main(argv=None):
     p.add_argument("--skip-slow", action="store_true")
     p.set_defaults(func=_suite_cmd(lambda a: ["leech"]))
 
-    p = sub.add_parser("appendix", help="matrix identity suite")
-    p.set_defaults(func=_suite_cmd(["appendix"]))
-
     p = sub.add_parser("minimal", help="fusion and module census suite")
     p.add_argument("--export-tables", action="store_true",
                    help="write fusion and module-census tables for m = 3, 4")
-    p.set_defaults(func=cmd_minimal)
+    p.set_defaults(func=_suite_cmd(lambda a: ["minimal"], _export_minimal))
 
-    p = sub.add_parser("codes", help="ternary code suite")
-    p.set_defaults(func=_suite_cmd(["codes"]))
-
-    p = sub.add_parser("charges", help="central charge table suite")
-    p.set_defaults(func=_suite_cmd(["charges"]))
-
-    p = sub.add_parser("properties", help="algebra axiom property suite")
-    p.set_defaults(func=_suite_cmd(["properties"]))
+    for name, about in (("appendix", "matrix identity suite"),
+                        ("codes", "ternary code suite"),
+                        ("charges", "central charge table suite"),
+                        ("properties", "algebra axiom property suite")):
+        sub.add_parser(name, help=about).set_defaults(
+            func=_suite_cmd(lambda a, name=name: [name]))
 
     p = sub.add_parser("diagram", help="print the labeled node diagrams")
     p.set_defaults(func=cmd_diagram)
@@ -408,7 +364,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (exc.filename, exc.strerror),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

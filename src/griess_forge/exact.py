@@ -81,18 +81,6 @@ class CycNum:
         # z -> z^11 = z - z^3, z^2 -> z^10 = 1 - z^2, z^3 -> z^9 = -z^3
         return CycNum._raw((a + c, b, -c, -b - d))
 
-    def galois(self, k):
-        """The field map z -> z^k; k must be coprime to 12."""
-        if k % 12 not in (1, 5, 7, 11):
-            raise ValueError("z -> z^%d is not a field automorphism" % k)
-        out = [_F0, _F0, _F0, _F0]
-        for j, x in enumerate(self.co):
-            if x:
-                for t, m in enumerate(_ZPOW[(j * k) % 12]):
-                    if m:
-                        out[t] += x * m
-        return CycNum._raw(tuple(out))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -153,10 +141,11 @@ class CycNum:
             raise ZeroDivisionError("division by zero in Q(z)")
         if self.is_rational():
             return CycNum._raw((1 / self.co[0], _F0, _F0, _F0))
-        # x^-1 = (product of the other three Galois conjugates) / Norm(x)
-        prod = self.galois(5) * self.galois(7) * self.galois(11)
-        norm = self * prod
-        return prod * (1 / norm.rational_part())
+        # self = x / s over Z[z], so self^-1 = s q / N for q the cofactor
+        # of x and N = x q its norm
+        (x,), s = _cyc_row([self])
+        q = _zcofactor(x)
+        return CycNum(*q) * (s / CycNum(*_zmul(x, q)).rational_part())
 
     def __truediv__(self, other):
         o = CycNum._from(other)
@@ -318,6 +307,14 @@ def _zmul(a, b):
             a0 * b1 + a1 * b0 - p5,
             a0 * b2 + a1 * b1 + a2 * b0 + p4,
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + p5)
+
+
+def _zcofactor(x):
+    """The product of the conjugates of the Z[z] element x under z -> z^5,
+    z^7 and z^11: x times it is the norm of x, a rational integer."""
+    a, b, c, d = x
+    return _zmul(_zmul((a + c, -b, -c, b + d), (a, -b, c, -d)),
+                 (a + c, b, -c, -b - d))
 
 
 def _zdiv(x, s):

@@ -41,7 +41,7 @@ floating-point, modular or probabilistic step.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact import CycNum, _cyc_content, _cyc_row, _zdiv, _zmul
+from .exact import CycNum, _cyc_content, _cyc_row, _zcofactor, _zdiv, _zmul
 from .intmat import int_positive_definite
 
 __all__ = [
@@ -190,11 +190,10 @@ def _int_row(row):
 def _rationalize(row, c, log):
     """Multiply a Z[z] row by the conjugates of its entry at c (z -> z^5,
     z^7, z^11), which makes that entry its norm, a rational integer."""
-    a, b, cc, d = row[c]
-    if not (b or cc or d):
+    e = row[c]
+    if not (e[1] or e[2] or e[3]):
         return row
-    q = _zmul(_zmul((a + cc, -b, -cc, b + d), (a, -b, cc, -d)),
-              (a + cc, b, -cc, -b - d))
+    q = _zcofactor(e)
     out, g = _cyc_content([_zmul(x, q) if x else 0 for x in row])
     if log is not None:
         log.append(CycNum(*q) / g)

@@ -1,8 +1,13 @@
-"""Check records and report serialization (JSON and markdown).
+"""Check records and every file format the package writes.
 
-All numeric values are serialized exactly through the coefficient
-serializers; no floats appear anywhere in a report.  Reports are
-deterministic byte-for-byte except for the elapsed-time field.
+Reports, structure-constant tables, element and scan exports, and the
+fusion and module-census tables all go through one JSON form (to_json)
+and one markdown table layout (md_table).  All numeric values are
+serialized exactly through the coefficient serializers; no floats appear
+anywhere in a file.  Reports are deterministic byte-for-byte except for
+the elapsed-time field.
+
+The package root imports no submodule: import griess_forge.<module>.
 """
 
 import json
@@ -10,9 +15,24 @@ from dataclasses import dataclass, field
 
 from .exact import coeff_str
 
-__all__ = ["Check", "Report", "fd_to_json", "fd_to_markdown", "w2_to_json"]
+__all__ = ["Check", "Report", "to_json", "md_table", "fd_to_json",
+           "fd_to_markdown", "w2_to_dict", "scan_to_json", "fusion_to_json",
+           "fusion_to_markdown", "wmodules_to_json", "wmodules_to_markdown"]
 
 SCHEMA = 1
+
+
+def to_json(obj):
+    """The one JSON form of every file: indented, keys sorted, newline-ended."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def md_table(head, rows):
+    """The one markdown table layout: a header line, the rule and one line
+    per row, each line newline-ended."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in [head, *rows]]
+    lines.insert(1, "|" + "---|" * len(head))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -63,7 +83,7 @@ class Report:
         return all(c.status != "fail" for c in self.checks)
 
     def to_json(self):
-        return json.dumps({
+        return to_json({
             "schema": SCHEMA,
             "suite": self.suite,
             "checks": [{
@@ -72,17 +92,13 @@ class Report:
                 "status": c.status,
             } for c in self.checks],
             "elapsed_ms": self.elapsed_ms,
-        }, indent=2, sort_keys=True) + "\n"
+        })
 
     def to_markdown(self):
-        lines = ["# suite: %s" % self.suite, "",
-                 "| id | description | expected | computed | status |",
-                 "|---|---|---|---|---|"]
-        for c in self.checks:
-            lines.append("| %s | %s | %s | %s | %s |"
-                         % (c.id, c.description, c.expected, c.computed, c.status))
-        lines.append("")
-        return "\n".join(lines)
+        return "# suite: %s\n\n" % self.suite + md_table(
+            ["id", "description", "expected", "computed", "status"],
+            ([c.id, c.description, c.expected, c.computed, c.status]
+             for c in self.checks))
 
     def summary(self):
         n_pass = sum(1 for c in self.checks if c.status == "pass")
@@ -93,51 +109,28 @@ class Report:
 
 def fd_to_json(fd):
     """FDAlgebra export: names, sparse structure-constant triples, Gram."""
-    triples = []
-    for i in range(fd.dim):
-        for j in range(i, fd.dim):
-            for k, c in enumerate(fd.mult[i][j]):
-                if c:
-                    triples.append([fd.names[i], fd.names[j], fd.names[k],
-                                    fmt(c)])
-    gram = []
-    for i in range(fd.dim):
-        for j in range(i, fd.dim):
-            if fd.gram[i][j]:
-                gram.append([fd.names[i], fd.names[j], fmt(fd.gram[i][j])])
-    return json.dumps({"basis": fd.names, "mult": triples, "gram": gram},
-                      indent=2, sort_keys=True) + "\n"
+    n, names = range(fd.dim), fd.names
+    mult = [[names[i], names[j], names[k], fmt(c)] for i in n for j in n[i:]
+            for k, c in enumerate(fd.mult[i][j]) if c]
+    gram = [[names[i], names[j], fmt(fd.gram[i][j])] for i in n for j in n[i:]
+            if fd.gram[i][j]]
+    return to_json({"basis": names, "mult": mult, "gram": gram})
 
 
 def fd_to_markdown(fd):
     """Product and form tables in the layout of the reference tables."""
     def term_str(row):
-        parts = []
-        for k, c in enumerate(row):
-            if c:
-                cs = fmt(c)
-                parts.append(fd.names[k] if cs == "1"
-                             else "%s %s" % (cs, fd.names[k]))
+        parts = [fd.names[k] if fmt(c) == "1" else "%s %s" % (fmt(c), fd.names[k])
+                 for k, c in enumerate(row) if c]
         return " + ".join(parts) if parts else "0"
 
-    head = "| a.b | " + " | ".join(fd.names) + " |"
-    sep = "|" + "---|" * (fd.dim + 1)
-    lines = [head, sep]
-    for i in range(fd.dim):
-        cells = []
-        for j in range(fd.dim):
-            cells.append(term_str(fd.mult[i][j]) if j >= i else "")
-        lines.append("| %s | " % fd.names[i] + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append("| <a,b> | " + " | ".join(fd.names) + " |")
-    lines.append(sep)
-    for i in range(fd.dim):
-        cells = []
-        for j in range(fd.dim):
-            cells.append(fmt(fd.gram[i][j]) if j >= i and fd.gram[i][j] else "")
-        lines.append("| %s | " % fd.names[i] + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)
+    n = range(fd.dim)
+    products = [[fd.names[i]] + [term_str(fd.mult[i][j]) if j >= i else ""
+                                 for j in n] for i in n]
+    forms = [[fd.names[i]] + [fmt(fd.gram[i][j]) if j >= i and fd.gram[i][j]
+                              else "" for j in n] for i in n]
+    return (md_table(["a.b", *fd.names], products) + "\n"
+            + md_table(["<a,b>", *fd.names], forms))
 
 
 def scan_to_json(orders, violations):
@@ -145,10 +138,39 @@ def scan_to_json(orders, violations):
     k = len(orders)
     pairs = [{"i": i, "j": j, "order": orders[i][j]}
              for i in range(k) for j in range(i + 1, k)]
-    return json.dumps({"pairs": pairs,
-                       "violations": [{"i": i, "j": j, "order": o}
-                                      for i, j, o in violations]},
-                      indent=2, sort_keys=True) + "\n"
+    return to_json({"pairs": pairs,
+                    "violations": [{"i": i, "j": j, "order": o}
+                                   for i, j, o in violations]})
+
+
+def fusion_to_json(table):
+    """Fusion export: {a, b, result: [[label, multiplicity]]} per pair."""
+    return to_json([{"a": list(a), "b": list(b),
+                     "result": [[list(lab), k] for lab, k in sorted(out.items())]}
+                    for (a, b), out in table.items()])
+
+
+def fusion_to_markdown(table, hw):
+    """The fusion table with each label shown by its weight hw[label]."""
+    def terms(out):
+        return " + ".join(("%d " % k if k > 1 else "") + fmt(hw[lab])
+                          for lab, k in sorted(out.items()))
+    return md_table(["x", *("h=%s" % fmt(hw[b]) for b in hw)],
+                    [["h=%s" % fmt(hw[a]), *(terms(table[a, b]) for b in hw)]
+                     for a in hw])
+
+
+def wmodules_to_json(modules):
+    """Module-census export: label, partner, delta, kind, weights per module."""
+    return to_json([{"label": list(w.label), "partner": list(w.partner),
+                     "delta": fmt(w.delta), "kind": w.kind,
+                     "weights": [fmt(x) for x in w.weights()]} for w in modules])
+
+
+def wmodules_to_markdown(modules):
+    return md_table(["label", "partner", "delta", "kind", "weights"],
+                    [[str(w.label), str(w.partner), fmt(w.delta), w.kind,
+                      ", ".join(fmt(x) for x in w.weights())] for w in modules])
 
 
 def node_diagram(labels):
@@ -171,7 +193,7 @@ def node_diagram(labels):
     ])
 
 
-def w2_to_json(alg, elem):
+def w2_to_dict(alg, elem):
     """Weight-two element export over the theta-even basis.
 
     heis holds [i, j, coeff] triples; exps holds [class_id, coeff] with
@@ -182,4 +204,4 @@ def w2_to_json(alg, elem):
     heis = [[alg.heis_pairs[k][0], alg.heis_pairs[k][1], fmt(c)]
             for k, c in enumerate(coords[:nh]) if c]
     exps = [[k, fmt(c)] for k, c in enumerate(coords[nh:]) if c]
-    return json.dumps({"heis": heis, "exps": exps}, sort_keys=True)
+    return {"heis": heis, "exps": exps}

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from griess_forge.exact import CycNum, zeta, sqrt3, cyc, coeff_str, rational_str
 
@@ -92,3 +92,32 @@ def test_real_subfield_fixed_by_conjugation(p, q):
     y = x * x.conjugate()
     assert y == y.conjugate()
     assert y == x * x
+
+
+def _galois(x, k):
+    """The field map z -> z^k, written out on the powers of z."""
+    out = [Fraction(0)] * 4
+    for j, q in enumerate(x.co):
+        for t, m in enumerate(zeta(12, j * k).co):
+            out[t] += q * m
+    return CycNum(*out)
+
+
+def _galois_inverse(x):
+    """x^-1 as the product of the other three Galois conjugates over the norm."""
+    prod = _galois(x, 5) * _galois(x, 7) * _galois(x, 11)
+    return prod * (1 / (x * prod).rational_part())
+
+
+wide_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@settings(max_examples=300)
+@given(st.builds(CycNum, wide_rationals, wide_rationals, wide_rationals,
+                 wide_rationals))
+def test_inverse_equals_the_galois_conjugate_quotient(x):
+    # CycNum.inverse takes the conjugate product over Z[z] (_zcofactor)
+    if x:
+        inv = x.inverse()
+        assert type(inv) is CycNum
+        assert inv.co == _galois_inverse(x).co

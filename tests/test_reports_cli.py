@@ -7,7 +7,7 @@ import pytest
 
 from griess_forge import cli, suites
 from griess_forge.commutants import g2a_table, node_case
-from griess_forge.report import Report, fd_to_json, fd_to_markdown, w2_to_json, fmt
+from griess_forge.report import Report, fd_to_json, fd_to_markdown, w2_to_dict, fmt
 from griess_forge.suites import run_suite
 
 F = Fraction
@@ -45,7 +45,7 @@ def test_fd_export():
 def test_w2_element_json():
     case = node_case("2A")
     x = case.xs[0]
-    data = json.loads(w2_to_json(case.alg, x))
+    data = w2_to_dict(case.alg, x)
     assert data["heis"] == []
     assert len(data["exps"]) == 20        # forty exponentials in twenty classes
     assert all(c == "1" for _k, c in data["exps"])
@@ -173,6 +173,39 @@ def test_cli_lattice_ragged_gram_file_exits_2(tmp_path):
     r = _cli("--out", str(tmp_path), "lattice", str(spec))
     assert r.returncode == 2
     assert r.stderr.strip() == "error: Gram matrix is not square"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("lattice", "gram: 4\n", "'gram' takes matrix rows on the lines below it"),
+    ("lattice", "name: demo\ngram:\n", "the 'gram' block has no rows"),
+    ("lattice", "rank:\n1\ngram:\n2\n", "'rank' takes a value on its line"),
+    ("lattice", "name:\n1\ngram:\n2\n", "'name' takes a value on its line"),
+    ("code", "length: 1\ngenerators: 1\n",
+     "'generators' takes matrix rows on the lines below it"),
+    ("code", "length:\n1\ngenerators:\n1\n", "'length' takes a value on its line"),
+    ("code", "generators:\n1 1\n", "code file needs a length line"),
+], ids=["gram-on-one-line", "empty-gram", "rank-block", "name-block",
+        "generators-on-one-line", "length-block", "no-length"])
+def test_cli_input_file_keys_of_the_wrong_kind_exit_2(tmp_path, command, text,
+                                                       message):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    r = _cli("--out", str(tmp_path / "out"), command, str(spec))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: " + message)
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path):
+    # a report directory that cannot be made is a bad command line
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    r = _cli("--out", str(taken), "codes")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write %s" % taken)
+    assert "Traceback" not in r.stderr
+    assert taken.read_text() == ""
 
 
 def test_cli_rejects_removed_verify_flags():
@@ -314,6 +347,51 @@ def test_cli_commutant_exports_tables(tmp_path):
     assert (tmp_path / "algebra-2A.json").exists()
     assert (tmp_path / "algebra-2A.md").exists()
     assert (tmp_path / "report-commutant-2A.md").exists()
+
+
+def _files(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+def test_cli_report_all_writes_exactly_the_reports(tmp_path):
+    reports = ["report-%s" % name for name in suites.SUITES]
+    assert cli.main(["--out", str(tmp_path / "json"), "report-all",
+                     "--skip-slow"]) == 0
+    assert _files(tmp_path / "json") == sorted(r + ".json" for r in reports)
+    assert cli.main(["--out", str(tmp_path / "md"), "--md", "report-all",
+                     "--skip-slow"]) == 0
+    assert _files(tmp_path / "md") == sorted(
+        [r + ".json" for r in reports] + [r + ".md" for r in reports])
+    assert len(reports) == 16
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["involutions", "3A"], ["report-involutions-3A.json"]),
+    (["involutions", "e8-orbit"],
+     ["report-involutions-e8-orbit.json", "scan-e8-orbit.json"]),
+    (["commutant", "2A"], ["report-commutant-2A.json"]),
+    (["commutant", "2A", "--export-tables"],
+     ["algebra-2A.json", "algebra-2A.md", "elements-2A.json",
+      "report-commutant-2A.json"]),
+    (["minimal"], ["report-minimal.json"]),
+    (["minimal", "--export-tables"],
+     ["fusion-m3.json", "fusion-m3.md", "fusion-m4.json", "fusion-m4.md",
+      "report-minimal.json", "wmodules-m3.json", "wmodules-m3.md",
+      "wmodules-m4.json", "wmodules-m4.md"]),
+], ids=["involutions-3A", "involutions-e8-orbit", "commutant-2A",
+        "commutant-2A-export", "minimal", "minimal-export"])
+def test_cli_command_writes_exactly_its_files(tmp_path, argv, files):
+    assert cli.main(["--out", str(tmp_path), *argv]) == 0
+    assert _files(tmp_path) == files
+
+
+def test_package_root_imports_no_submodule():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, griess_forge; print(sorted("
+         "m for m in sys.modules if m.startswith('griess_forge.')))"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_cli_involutions_2a_reports_failure(tmp_path, monkeypatch, capsys):
