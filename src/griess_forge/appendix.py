@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 
 from .codes import golay12
-from .gluing import (BlockSpace, GlueLattice, e8_glue, niemeier_a2_12,
+from .gluing import (block_space, GlueLattice, e8_glue, niemeier_a2_12,
                      n0_sublattice, leech, codeword_isometry, e_copies_rows,
                      pattern_kernel_rows)
 from .intmat import int_matvec, int_matmul, int_identity
@@ -28,7 +28,7 @@ __all__ = ["D1", "D2", "h_matrices", "e8_perp_e8_triple", "leech_embedding_check
 
 def h_matrices(space):
     """h1, h2 as block matrices on a four-block space."""
-    if space.blocks != 4:
+    if space.rank != 8:
         raise ValueError("h1, h2 act on four A2 blocks")
     h1 = codeword_isometry(space, (0, 1, 1, 1))
     h2 = codeword_isometry(space, (1, 1, -1, 0))
@@ -46,7 +46,7 @@ def e8_perp_e8_triple():
     and shared read-only.
     """
     eg = e8_glue()
-    space8 = eg.space
+    space8 = eg.ambient
     h1, h2 = h_matrices(space8)
     record = {}
     record["h1 has order 3"] = int_matmul(h1, int_matmul(h1, h1)) == int_identity(8)
@@ -54,17 +54,11 @@ def e8_perp_e8_triple():
     record["h1 preserves E8"] = all(int_matvec(h1, r) in eg for r in eg.basis)
     record["h2 preserves E8"] = all(int_matvec(h2, r) in eg for r in eg.basis)
 
-    big = BlockSpace(8)
-    def pair_rows(mat):
-        rows = []
-        for r in eg.basis:
-            rows.append(list(r) + list(int_matvec(mat, r)))
-        return rows
-
-    diag_rows = [list(r) + list(r) for r in eg.basis]
-    r_lat = GlueLattice(big, diag_rows, name="R")
-    r1_lat = GlueLattice(big, pair_rows(h1), name="R1")
-    r2_lat = GlueLattice(big, pair_rows(h2), name="R2")
+    # the graphs {(x, m x)} of the identity, h1 and h2
+    big = block_space(8)
+    r_lat, r1_lat, r2_lat = [
+        GlueLattice(big, [r + int_matvec(m, r) for r in eg.basis], name=nm)
+        for nm, m in (("R", int_identity(8)), ("R1", h1), ("R2", h2))]
     dbl_e8 = build_root_lattice("E", 8, scale=2)
     for nm, lat in (("R", r_lat), ("R1", r1_lat), ("R2", r2_lat)):
         record["%s is doubled E8" % nm] = (
@@ -75,8 +69,7 @@ def e8_perp_e8_triple():
     # patterns (0,d,d,d) and (d,d,-d,0)
     k_rows = _k_sublattice_rows(eg)
     k_lat = GlueLattice(space8, k_rows, name="K")
-    a2_4 = direct_sum(*[build_root_lattice("A", 2) for _ in range(4)])
-    record["K is A2^4"] = isometry_test(k_lat.lattice, a2_4) is not None
+    record["K is A2^4"] = isometry_test(k_lat.lattice, block_space(4)) is not None
     # the single-pattern kernel is E6 + A2
     e6a2_rows = pattern_kernel_rows(space8, eg.basis, (0, 1, 1, 1))
     e6a2 = GlueLattice(space8, e6a2_rows, name="ker(0,d,d,d)")
@@ -87,8 +80,8 @@ def e8_perp_e8_triple():
 
 
 def _k_sublattice_rows(eg):
-    rows = pattern_kernel_rows(eg.space, eg.basis, (0, 1, 1, 1))
-    return pattern_kernel_rows(eg.space, rows, (1, 1, -1, 0))
+    rows = pattern_kernel_rows(eg.ambient, eg.basis, (0, 1, 1, 1))
+    return pattern_kernel_rows(eg.ambient, rows, (1, 1, -1, 0))
 
 
 def leech_embedding_check():
@@ -96,7 +89,7 @@ def leech_embedding_check():
     returns the embedding record, {check name: whether it holds}."""
     record = {}
     niem = niemeier_a2_12()
-    space = niem.space
+    space = niem.ambient
     n0 = n0_sublattice()
     lam = leech()
     eg = e8_glue()
@@ -106,7 +99,7 @@ def leech_embedding_check():
     record["d2 in Golay"] = tuple(t % 3 for t in D2) in g
     e1 = GlueLattice(space, rows_e1, name="E1")
     e2 = GlueLattice(space, rows_e2, name="E2")
-    record["(E1, E2) = 0"] = all(space.dot9(a, b) == 0
+    record["(E1, E2) = 0"] = all(space.dot(a, b) == 0
                                  for a in e1.basis for b in e2.basis)
     r_t = GlueLattice(space, diag, name="Rt")
     h1hat = codeword_isometry(space, D1, g)
@@ -126,9 +119,7 @@ def leech_embedding_check():
     l_t = GlueLattice(space, r_t.basis + r1_t.basis + r2_t.basis, name="Lt")
     _r, _r1, _r2, l_lat, _rec = e8_perp_e8_triple()
     record["rank(Lt) = rank(L)"] = l_t.rank == l_lat.rank
-    if l_t.lattice.gram == l_lat.lattice.gram:
-        record["Lt isometric to L"] = True
-    else:
-        record["Lt isometric to L"] = (
-            isometry_test(l_t.lattice, l_lat.lattice) is not None)
+    record["Lt isometric to L"] = (
+        l_t.lattice.gram == l_lat.lattice.gram
+        or isometry_test(l_t.lattice, l_lat.lattice) is not None)
     return record

@@ -39,7 +39,7 @@ def _parse_kv_file(path, blocks):
     fields = {}
     rows = None
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -56,11 +56,23 @@ def _parse_kv_file(path, blocks):
             else:
                 if rows is None:
                     raise ValueError("stray matrix row %r" % line)
-                rows.append([int(t) for t in line.split()])
+                try:
+                    rows.append([int(t) for t in line.split()])
+                except ValueError:
+                    raise ValueError("line %d: the %r block takes rows of "
+                                     "integers, not %r" % (lineno, key, line)) from None
     for key in blocks:
         if fields.get(key) == []:
             raise ValueError("the %r block has no rows" % key)
     return fields
+
+
+def _int_value(fields, key):
+    """The value of a 'key: value' line, which must be an integer."""
+    try:
+        return int(fields[key])
+    except ValueError:
+        raise ValueError("%r takes an integer, not %r" % (key, fields[key])) from None
 
 
 def _load_lattice(arg):
@@ -90,7 +102,7 @@ def _load_lattice(arg):
         if os.path.basename(name) != name:
             raise ValueError("lattice name %r contains a path separator" % name)
         lat = IntegralLattice(gram, name=name)
-        if int(fields.get("rank", lat.rank)) != lat.rank:
+        if "rank" in fields and _int_value(fields, "rank") != lat.rank:
             raise ValueError("declared rank does not match the Gram matrix")
         return lat, {}
     m = re.fullmatch(r"(sqrt2)?([ADE])(\d+)", arg, re.IGNORECASE)
@@ -131,7 +143,7 @@ def _load_code(path):
     fields = _parse_kv_file(path, {"generators"})
     if "length" not in fields or "generators" not in fields:
         raise ValueError("code file needs a length line and a generators block")
-    code = TernaryCode(int(fields["length"]), fields["generators"])
+    code = TernaryCode(_int_value(fields, "length"), fields["generators"])
     if code.dimension() == 0:
         raise ValueError("the code has no nonzero word, so it has no minimum weight")
     return code

@@ -7,7 +7,9 @@ roots (z^3) and sqrt(3) = z + z^11.  Elements are stored in the canonical
 basis 1, z, z^2, z^3, so equality is coefficient-wise and values are
 hashable.  CycNum interoperates with Fraction and int through the usual
 reflected operators, which lets most of the package work with plain
-rationals and only promote where a root of unity actually enters.
+rationals and only promote where a root of unity actually enters.  Its
+product is _zmul, the one product formula of the field, which the
+integer rows over Z[z] below use as well.
 """
 
 from fractions import Fraction
@@ -113,26 +115,7 @@ class CycNum:
         o = CycNum._from(other)
         if o is None:
             return NotImplemented
-        a, b = self.co, o.co
-        if not a[1] and not a[2] and not a[3]:
-            s = a[0]
-            if not s:
-                return _ZERO
-            return CycNum._raw((s * b[0], s * b[1], s * b[2], s * b[3]))
-        if not b[1] and not b[2] and not b[3]:
-            s = b[0]
-            if not s:
-                return _ZERO
-            return CycNum._raw((s * a[0], s * a[1], s * a[2], s * a[3]))
-        p0 = a[0] * b[0]
-        p1 = a[0] * b[1] + a[1] * b[0]
-        p2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
-        p3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0]
-        p4 = a[1] * b[3] + a[2] * b[2] + a[3] * b[1]
-        p5 = a[2] * b[3] + a[3] * b[2]
-        p6 = a[3] * b[3]
-        # reduce by z^4 = z^2 - 1, z^5 = z^3 - z, z^6 = -1
-        return CycNum._raw((p0 - p4 - p6, p1 - p5, p2 + p4, p3 + p5))
+        return CycNum._raw(_zmul(self.co, o.co))
 
     __rmul__ = __mul__
 
@@ -192,7 +175,6 @@ class CycNum:
         return "CycNum(%s)" % coeff_str(self)
 
 
-_ZERO = CycNum._raw((_F0, _F0, _F0, _F0))
 _ONE = CycNum._raw((_F1, _F0, _F0, _F0))
 
 
@@ -240,7 +222,7 @@ def coeff_str(x):
 # -- integer rows over Z[z] ------------------------------------------------------
 #
 # An element of Z[z] is a 4-tuple of ints (a, b, c, d) = a + bz + cz^2 + dz^3,
-# multiplied by _zmul with the reduction z^4 = z^2 - 1 of CycNum.__mul__.  A
+# multiplied by _zmul with the reduction z^4 = z^2 - 1, as CycNum is.  A
 # row is a list whose entries are 0 or a nonzero 4-tuple.  A row over Q(z)
 # is held as (ints, s): the row times one positive rational s, with the gcd
 # of all its integer coefficients 1, which makes the pair unique for the row
@@ -294,7 +276,8 @@ def _cyc_content(ints):
 
 
 def _zmul(a, b):
-    """Product in Z[z], reduced by z^4 = z^2 - 1 as in CycNum.__mul__."""
+    """Product in Z[z], reduced by z^4 = z^2 - 1; on Fraction coefficients
+    it is the product of Q(z), which CycNum.__mul__ uses."""
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
     if not (a1 or a2 or a3):

@@ -6,8 +6,10 @@ a1, a2 of each A2 block.  A code digit t glues in t * (a1 - a2) / 3, the
 standard minimal-norm representative of the nonzero classes of A2*/A2.
 In these coordinates every glued lattice, its index-3 kernels, and the
 block isometries tau-bar are integral objects, so all memberships and
-pairings below are exact integer arithmetic (the ambient form is the
-block form divided by 9).
+pairings below are exact integer arithmetic.  The ambient is the lattice
+A2^n itself, block_space(n): its Gram read on third coordinates is 9
+times the form, and a glued lattice is a Sublattice of it whose Gram is
+the basis Gram divided by 9.
 
 The chain built here: E8 glued from fourA2 blocks along the tetracode,
 the Niemeier lattice N from twelve blocks along the Golay code, the
@@ -21,80 +23,49 @@ from functools import cache
 
 from .codes import tetracode_slope, golay12
 from .intmat import hnf, int_matmul
-from .lattices import IntegralLattice, Sublattice, kernel_sublattice
+from .lattices import (IntegralLattice, Sublattice, build_root_lattice,
+                       direct_sum, kernel_sublattice)
 
 __all__ = [
-    "BlockSpace", "GlueLattice", "glue_lattice", "e8_glue", "niemeier_a2_12",
-    "n0_sublattice", "leech", "codeword_isometry", "tau_bar_matrix",
-    "delta_hat", "weyl_pattern", "pattern_kernel_rows", "e_copies_rows",
+    "block_space", "glue_vector", "block_root", "GlueLattice", "glue_lattice",
+    "e8_glue", "niemeier_a2_12", "n0_sublattice", "leech", "codeword_isometry",
+    "tau_bar_matrix", "delta_hat", "weyl_pattern", "pattern_kernel_rows",
+    "e_copies_rows",
 ]
 
-_A2 = ((2, -1), (-1, 2))
+
+def block_space(blocks):
+    """The orthogonal sum of n A2 blocks.  Its Gram on third coordinates is
+    9 times the inner product, so its dot is the pairing times 9."""
+    return direct_sum(*[build_root_lattice("A", 2)] * blocks)
 
 
-class BlockSpace:
-    """The rational span of n orthogonal A2 blocks, with third coordinates."""
-
-    __slots__ = ("blocks", "dim")
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-        self.dim = 2 * blocks
-
-    def dot9(self, x, y):
-        """9 times the inner product; an integer for integer coordinates."""
-        total = 0
-        for b in range(self.blocks):
-            x1, x2 = x[2 * b], x[2 * b + 1]
-            y1, y2 = y[2 * b], y[2 * b + 1]
-            if (x1 or x2) and (y1 or y2):
-                total += 2 * x1 * y1 + 2 * x2 * y2 - x1 * y2 - x2 * y1
-        return total
-
-    def pairing(self, x, y):
-        return Fraction(self.dot9(x, y), 9)
-
-    def digit_rows(self, word):
-        """Third coordinates of the glue vector of a code word."""
-        v = [0] * self.dim
-        for b, t in enumerate(word):
-            t = t % 3
-            if t == 1:
-                v[2 * b], v[2 * b + 1] = 1, -1
-            elif t == 2:
-                v[2 * b], v[2 * b + 1] = -1, 1
-        return v
-
-    def block_row(self, b, root):
-        """Third coordinates of a block simple root: root=0 -> a1, 1 -> a2."""
-        v = [0] * self.dim
-        v[2 * b + root] = 3
-        return v
+def glue_vector(word):
+    """Third coordinates of the glue vector of a code word: t (a1 - a2) / 3
+    in each block, with the digit t read as 0, 1 or -1."""
+    return [s * ((t + 1) % 3 - 1) for t in word for s in (1, -1)]
 
 
-class GlueLattice:
-    """An integral lattice presented by third-coordinate HNF basis rows."""
+def block_root(space, b, root):
+    """Third coordinates of a block simple root: root=0 -> a1, 1 -> a2."""
+    v = [0] * space.rank
+    v[2 * b + root] = 3
+    return v
 
-    __slots__ = ("space", "basis", "lattice")
+
+class GlueLattice(Sublattice):
+    """An integral lattice given by third-coordinate HNF basis rows in a
+    block space; lattice is its Gram, the basis Gram divided by 9."""
+
+    __slots__ = ("lattice",)
 
     def __init__(self, space, rows, name=None):
-        self.space = space
-        self.basis = hnf(rows)
-        n = len(self.basis)
-        gram = []
-        for i in range(n):
-            gram_row = []
-            for j in range(n):
-                p = space.dot9(self.basis[i], self.basis[j])
-                if p % 9:
-                    raise ValueError("glued basis is not integral")
-                gram_row.append(p // 9)
-            gram.append(gram_row)
-        self.lattice = IntegralLattice(gram, name=name)
-
-    @property
-    def rank(self):
-        return len(self.basis)
+        super().__init__(space, hnf(rows))
+        gram = self.gram()
+        if any(p % 9 for row in gram for p in row):
+            raise ValueError("glued basis is not integral")
+        self.lattice = IntegralLattice([[p // 9 for p in row] for row in gram],
+                                       name=name)
 
     def coords_of(self, v):
         """Basis coordinates of a third-coordinate vector, or None.
@@ -129,9 +100,9 @@ class GlueLattice:
 
 
 def glue_lattice(blocks, code, name=None):
-    space = BlockSpace(blocks)
-    rows = [space.block_row(b, r) for b in range(blocks) for r in (0, 1)]
-    rows += [space.digit_rows(w) for w in code.generators]
+    space = block_space(blocks)
+    rows = [block_root(space, b, r) for b in range(blocks) for r in (0, 1)]
+    rows += [glue_vector(w) for w in code.generators]
     return GlueLattice(space, rows, name=name)
 
 
@@ -152,11 +123,9 @@ _DELTA_SIGNS = (1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1)
 def weyl_pattern(space, pattern):
     """The sum of block Weyl vectors weighted by the pattern, one integer
     per block: 3 t in both third coordinates of a block with weight t."""
-    v = [0] * space.dim
-    for b, t in enumerate(pattern):
-        v[2 * b] = 3 * t
-        v[2 * b + 1] = 3 * t
-    return v
+    if 2 * len(pattern) != space.rank:
+        raise ValueError("pattern length does not match the block count")
+    return [3 * t for t in pattern for _ in (0, 1)]
 
 
 def pattern_kernel_rows(space, rows, pattern):
@@ -165,7 +134,7 @@ def pattern_kernel_rows(space, rows, pattern):
     w = weyl_pattern(space, pattern)
     vals = []
     for row in rows:
-        p = space.dot9(row, w)
+        p = space.dot(row, w)
         if p % 9:
             raise ValueError("Weyl pattern %s does not pair integrally" % (pattern,))
         vals.append((p // 9) % 3)
@@ -174,7 +143,7 @@ def pattern_kernel_rows(space, rows, pattern):
 
 def delta_hat(space):
     """The signed sum of block Weyl vectors (d, d, d, d, -d, -d, -d, -d, d, d, d, d)."""
-    if space.blocks != 12:
+    if space.rank != 24:
         raise ValueError("delta_hat lives in the twelve-block space")
     return weyl_pattern(space, _DELTA_SIGNS)
 
@@ -183,8 +152,8 @@ def delta_hat(space):
 def n0_sublattice():
     """The index-3 rootless kernel {x : <x, delta_hat> in 3Z} of N."""
     niem = niemeier_a2_12()
-    rows = pattern_kernel_rows(niem.space, niem.basis, _DELTA_SIGNS)
-    return GlueLattice(niem.space, rows, name="N0")
+    rows = pattern_kernel_rows(niem.ambient, niem.basis, _DELTA_SIGNS)
+    return GlueLattice(niem.ambient, rows, name="N0")
 
 
 @cache
@@ -196,13 +165,15 @@ def leech():
     gives the non-integral glue class of norm 16/3).
     """
     n0 = n0_sublattice()
-    space = n0.space
-    dh = delta_hat(space)
-    third = [x // 3 for x in dh]
-    glue = [a + b for a, b in zip(space.block_row(0, 0), third)]
-    if space.pairing(glue, glue) != 4:
-        glue = [b - a for a, b in zip(space.block_row(0, 0), third)]
-    assert space.pairing(glue, glue) == 4
+    space = n0.ambient
+    third = [x // 3 for x in delta_hat(space)]
+    root = block_root(space, 0, 0)
+    glue = [a + b for a, b in zip(root, third)]
+    if space.norm(glue) != 36:
+        glue = [b - a for a, b in zip(root, third)]
+    if space.norm(glue) != 36:
+        raise AssertionError("the Leech glue vector has norm %s, not 4"
+                             % Fraction(space.norm(glue), 9))
     rows = [r[:] for r in n0.basis] + [glue]
     return GlueLattice(space, rows, name="Leech")
 
@@ -221,18 +192,16 @@ def codeword_isometry(space, word, code=None):
 
     When a code is given the word must belong to it (this is what makes the
     map an isometry of the glued lattice rather than just of the blocks).
-    Returns the dim x dim integer matrix acting on third coordinates.
+    Returns the rank x rank integer matrix acting on third coordinates.
     """
     if code is not None and tuple(t % 3 for t in word) not in code:
         raise ValueError("word is not in the glue code")
-    if len(word) != space.blocks:
+    if 2 * len(word) != space.rank:
         raise ValueError("word length does not match the block count")
-    out = [[0] * space.dim for _ in range(space.dim)]
+    out = [[0] * space.rank for _ in range(space.rank)]
     for b, t in enumerate(word):
-        blk = tau_bar_matrix(t)
-        for i in range(2):
-            for j in range(2):
-                out[2 * b + i][2 * b + j] = blk[i][j]
+        for i, row in enumerate(tau_bar_matrix(t)):
+            out[2 * b + i][2 * b:2 * b + 2] = row
     return out
 
 

@@ -2,6 +2,8 @@
 
 Rows are Python lists of ints.  Sizes stay at most ~30 x 30, so the
 classic elimination algorithms with exact integer arithmetic are fine.
+Products sum each entry over the nonzero entries of the left factor's
+row, as the glued lattices' bases and block Grams are mostly zeros.
 Left kernels and unimodular inverses are read off one Hermite form, that
 of [P | I] (Cohen, A Course in Computational Algebraic Number Theory,
 2.4), so this module needs nothing from the rational ``linalg``.
@@ -17,8 +19,13 @@ def int_identity(n):
 
 
 def int_matmul(a, b):
+    """The product a b, each entry summed over the nonzero entries of a's row."""
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    out = []
+    for row in a:
+        nz = [(k, x) for k, x in enumerate(row) if x]
+        out.append([sum(x * col[k] for k, x in nz) for col in bt])
+    return out
 
 
 def int_matvec(a, v):

@@ -39,20 +39,17 @@ class IntegralLattice:
 
     __slots__ = ("rank", "gram", "name", "coxeter")
 
-    def __init__(self, gram, name=None, coxeter=None, check=True):
+    def __init__(self, gram, name=None, coxeter=None):
         self.gram = [list(map(int, row)) for row in gram]
         self.rank = len(self.gram)
         self.name = name
         self.coxeter = coxeter
-        if check:
-            if any(len(row) != self.rank for row in self.gram):
-                raise ValueError("Gram matrix is not square")
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if self.gram[i][j] != self.gram[j][i]:
-                        raise ValueError("Gram matrix is not symmetric")
-            if not int_positive_definite(self.gram):
-                raise ValueError("Gram matrix is not positive definite")
+        if any(len(row) != self.rank for row in self.gram):
+            raise ValueError("Gram matrix is not square")
+        if self.gram != [list(col) for col in zip(*self.gram)]:
+            raise ValueError("Gram matrix is not symmetric")
+        if not int_positive_definite(self.gram):
+            raise ValueError("Gram matrix is not positive definite")
 
     def dot(self, v, w):
         g = self.gram
@@ -71,7 +68,7 @@ class IntegralLattice:
     def scaled(self, c):
         return IntegralLattice([[c * x for x in row] for row in self.gram],
                                name=self.name and "sqrt(%d)%s" % (c, self.name),
-                               coxeter=self.coxeter, check=False)
+                               coxeter=self.coxeter)
 
     def __repr__(self):
         return "IntegralLattice(%s, rank=%d)" % (self.name or "?", self.rank)
@@ -165,15 +162,12 @@ def build_root_lattice(kind, n, scale=1):
 
 def direct_sum(*lattices):
     n = sum(l.rank for l in lattices)
-    g = [[0] * n for _ in range(n)]
-    off = 0
+    g, off = [], 0
     for l in lattices:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
+        g += [[0] * off + row + [0] * (n - off - l.rank) for row in l.gram]
         off += l.rank
     name = "+".join(l.name or "?" for l in lattices)
-    return IntegralLattice(g, name=name, check=False)
+    return IntegralLattice(g, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +531,16 @@ def isometry_test(lat_l, lat_m, max_nodes=2_000_000):
         raise ValueError("rank mismatch: %d vs %d" % (lat_l.rank, lat_m.rank))
     if lat_l.det() != lat_m.det():
         return None
-    n = lat_l.rank
     gm, um = lll_reduce(lat_m.gram)[:2]
-    p_red = _isometry_search(lat_l, IntegralLattice(gm, check=False), max_nodes)
+    p_red = _isometry_search(lat_l, IntegralLattice(gm), max_nodes)
     if p_red is None:
         return None
     # rows of P_red are the images of the reduced basis U_M b
     p = int_matmul(int_inverse_unimodular(um), p_red)
     # final exactness check in the original coordinates
-    for i in range(n):
-        for j in range(n):
-            if lat_l.dot(p[i], p[j]) != lat_m.gram[i][j]:
-                raise AssertionError("isometry transport failed")
+    pt = [list(col) for col in zip(*p)]
+    if int_matmul(int_matmul(p, lat_l.gram), pt) != lat_m.gram:
+        raise AssertionError("isometry transport failed")
     return p
 
 

@@ -45,7 +45,7 @@ from .exact import CycNum, _cyc_content, _cyc_row, _zcofactor, _zdiv, _zmul
 from .intmat import int_positive_definite
 
 __all__ = [
-    "identity", "zeros", "transpose", "mat_mul", "mat_vec", "mat_eq",
+    "identity", "zeros", "transpose", "mat_mul", "mat_vec",
     "solve", "solve_matrix", "rref", "kernel", "rank", "inverse", "det", "mat_pow",
     "row_span_coords",
 ]
@@ -94,13 +94,6 @@ def mat_vec(a, v):
     """The product a v, each entry summed over the support of v."""
     support = [(j, y) for j, y in enumerate(v) if y]
     return [sum((row[j] * y for j, y in support if row[j]), _F0) for row in a]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(len(r) == len(s) and all(x == y for x, y in zip(r, s))
-               for r, s in zip(a, b))
 
 
 def mat_pow(a, n):

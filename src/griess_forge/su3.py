@@ -10,17 +10,13 @@ with the lattice involution X -> (X^T)^{-1}.
 
 from fractions import Fraction
 
-from .exact import CycNum, zeta, sqrt3
-from .linalg import mat_mul, mat_eq, identity, inverse, det, transpose, mat_pow
+from .exact import CycNum, cyc, zeta, sqrt3
+from .linalg import mat_mul, identity, inverse, det, transpose, mat_pow
 
 __all__ = ["su3_data", "su3_identities", "theta_matrix_relations",
            "conj_transpose", "is_unitary"]
 
 F = Fraction
-
-
-def _c(x):
-    return x if isinstance(x, CycNum) else CycNum(x)
 
 
 def su3_data():
@@ -56,19 +52,19 @@ def su3_identities():
         "det(s)^4 = 1": det(s) ** 4 == 1,
         "s unitary": is_unitary(s),
         "tau unitary": is_unitary(tau),
-        "s^{-1} tau s = r": mat_eq(mat_mul(inverse(s), mat_mul(tau, s)), r),
-        "tau^3 = 1": mat_eq(mat_pow(tau, 3), identity(3)),
-        "s symmetric": mat_eq(transpose(s), s),
-        "s^4 = 1": mat_eq(mat_pow(s, 4), identity(3)),
+        "s^{-1} tau s = r": mat_mul(inverse(s), mat_mul(tau, s)) == r,
+        "tau^3 = 1": mat_pow(tau, 3) == identity(3),
+        "s symmetric": transpose(s) == s,
+        "s^4 = 1": mat_pow(s, 4) == identity(3),
     }
 
 
 def conj_transpose(a):
-    return [[_c(x).conjugate() for x in row] for row in zip(*a)]
+    return [[cyc(x).conjugate() for x in row] for row in zip(*a)]
 
 
 def is_unitary(a):
-    return mat_eq(mat_mul(a, conj_transpose(a)), identity(len(a)))
+    return mat_mul(a, conj_transpose(a)) == identity(len(a))
 
 
 def theta_matrix_relations():
@@ -82,15 +78,14 @@ def theta_matrix_relations():
         return transpose(inverse(x))
 
     record = {
-        "theta is an involution on s": mat_eq(theta(theta(s)), s),
-        "theta is an involution on tau": mat_eq(theta(theta(tau)), tau),
-        "theta(s) = s^3": mat_eq(theta(s), mat_pow(s, 3)),
-        "theta(tau) = tau": mat_eq(theta(tau), tau),
-        "theta(r) = conj(r)": mat_eq(theta(r), [[_c(x).conjugate() for x in row]
-                                                for row in r]),
+        "theta is an involution on s": theta(theta(s)) == s,
+        "theta is an involution on tau": theta(theta(tau)) == tau,
+        "theta(s) = s^3": theta(s) == mat_pow(s, 3),
+        "theta(tau) = tau": theta(tau) == tau,
+        "theta(r) = conj(r)": theta(r) == [[cyc(x).conjugate() for x in row]
+                                           for row in r],
         # in the group generated by s and theta one has theta s theta = theta(s),
         # so theta s theta s^{-1} = s^2 reduces to theta(s) s^{-1} = s^2
-        "theta(s) s^{-1} = s^2": mat_eq(mat_mul(theta(s), inverse(s)),
-                                        mat_pow(s, 2)),
+        "theta(s) s^{-1} = s^2": mat_mul(theta(s), inverse(s)) == mat_pow(s, 2),
     }
     return record

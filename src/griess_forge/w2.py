@@ -50,7 +50,9 @@ columns of ad(v), is converted once; its parts must not change after that.
 
 short_vectors puts each norm-4 vector just before its negative, so the
 negative of vectors4[i] is vectors4[i ^ 1]; the form pairs index i with
-i ^ 1, and class_coords checks theta-evenness the same way.  The
+i ^ 1.  class_coords reads the theta-even coordinates off signed_coords:
+the element is theta-even when its b(-2) part vanishes and the even and
+odd indices of its exponentials carry equal values.  The
 exponential-exponential case walks a neighbour table built on the first
 such product: for each norm-4 beta, the indices of the gamma with
 <beta, gamma> = -2 and of each beta + gamma (56 of them for sqrt(2)E8).
@@ -146,12 +148,7 @@ class W2Element:
                          {k: -v for k, v in self.d2.items()})
 
     def is_theta_even(self):
-        if self.d2:
-            return False
-        for k, v in self.exps.items():
-            if self.exps.get(tuple(-t for t in k)) != v:
-                return False
-        return True
+        return self.theta() == self
 
     def __repr__(self):
         bits = []
@@ -228,20 +225,14 @@ class W2Algebra:
         return W2Element(exps={self.vectors4[i]: _F1, self.vectors4[i + 1]: _F1})
 
     def class_coords(self, elem):
-        """Coordinates over the theta-even basis; requires a theta-even element."""
-        exps, vecs = elem.exps, self.vectors4
-        idx = self._indices(exps)
-        if elem.d2 or any(exps.get(vecs[i ^ 1]) != v
-                          for i, v in zip(idx, exps.values())):
+        """Coordinates over the theta-even basis, read off signed_coords;
+        requires a theta-even element."""
+        c = self.signed_coords(elem)
+        nh, n4 = len(self.heis_pairs), len(self.vectors4)
+        ex = c[nh:nh + n4]
+        if any(c[nh + n4:]) or ex[::2] != ex[1::2]:
             raise ValueError("element is not theta-even")
-        out = [_F0] * self.dim
-        for k, v in elem.heis.items():
-            out[self.heis_index[k]] = v
-        nh = len(self.heis_pairs)
-        for i, v in zip(idx, exps.values()):
-            if not i & 1:
-                out[nh + (i >> 1)] = v
-        return out
+        return c[:nh] + ex[::2]
 
     def from_class_coords(self, coords):
         heis = {}
@@ -258,19 +249,17 @@ class W2Algebra:
                 exps[vecs[i]] = exps[vecs[i + 1]] = c
         return W2Element(heis, exps)
 
-    def signed_dim(self):
-        return len(self.heis_pairs) + len(self.vectors4) + self.rank
-
     def signed_coords(self, elem):
-        """Coordinates over the full signed spanning set (for span arithmetic)."""
-        out = [_F0] * self.signed_dim()
+        """Coordinates over the full signed spanning set (for span
+        arithmetic): Heisenberg pairs, the exponentials in the order of
+        vectors4, then the b(-2) modes."""
+        nh = len(self.heis_pairs)
+        base = nh + len(self.vectors4)
+        out = [_F0] * (base + self.rank)
         for k, v in elem.heis.items():
             out[self.heis_index[k]] = v
-        nh = len(self.heis_pairs)
-        pos = self._pos
-        for k, v in elem.exps.items():
-            out[nh + pos[k]] = v
-        base = nh + len(self.vectors4)
+        for i, v in zip(self._indices(elem.exps), elem.exps.values()):
+            out[nh + i] = v
         for i, v in elem.d2.items():
             out[base + i] = v
         return out

@@ -243,7 +243,7 @@ def test_six_vector_tau_shadow(side):
     # order 3; the dihedral shadow is the symmetric group on three letters
     from griess_forge.involutions import (transposition_scan, tau_involution,
                                           map_order, group_closure)
-    from griess_forge.linalg import mat_eq, mat_mul, identity
+    from griess_forge.linalg import mat_mul, identity
     fd, _side, chi = vnx_griess("2A")
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd.embedding]
@@ -258,9 +258,9 @@ def test_six_vector_tau_shadow(side):
             want = 1 if (i - j) % 3 == 0 else 3
             assert orders[i][j] == want
     for i in range(3):
-        assert mat_eq(maps[i], maps[i + 3])
+        assert maps[i] == maps[i + 3]
     t_half = tau_involution(fd, fd.element("w2"))
-    assert mat_eq(t_half, identity(8))
+    assert t_half == identity(8)
     n, _elems = group_closure(maps[:2])
     assert n == 6
 
@@ -285,15 +285,15 @@ class _GluedE8Side:
 
     def __init__(self):
         from griess_forge.commutants import _frame_vectors
-        from griess_forge.gluing import e8_glue
+        from griess_forge.gluing import block_root, e8_glue
         from griess_forge.lattices import affine_e6, annihilator, isometry_test
         from griess_forge.w2 import W2Algebra, tilde_omega
         self.glue = e8_glue()
         e8 = self.glue.lattice
         self.e8 = e8
         self.alg = W2Algebra(e8.scaled(2))
-        space = self.glue.space
-        q_rows_third = [space.block_row(0, 0), space.block_row(0, 1)]
+        space = self.glue.ambient
+        q_rows_third = [block_root(space, 0, 0), block_root(space, 0, 1)]
         self.q_sub = self.glue.sublattice_in_basis(q_rows_third)
         self.e6_sub = annihilator(e8, self.q_sub)
         assert self.e6_sub.rank == 6

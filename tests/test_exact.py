@@ -121,3 +121,41 @@ def test_inverse_equals_the_galois_conjugate_quotient(x):
         inv = x.inverse()
         assert type(inv) is CycNum
         assert inv.co == _galois_inverse(x).co
+
+
+def _written_out_product(a, b):
+    """CycNum.__mul__ as it was written out before it called _zmul: the
+    rational fast paths and p0..p6 reduced by z^4 = z^2 - 1, z^6 = -1."""
+    zero = (Fraction(0),) * 4
+    if not a[1] and not a[2] and not a[3]:
+        s = a[0]
+        return (s * b[0], s * b[1], s * b[2], s * b[3]) if s else zero
+    if not b[1] and not b[2] and not b[3]:
+        s = b[0]
+        return (s * a[0], s * a[1], s * a[2], s * a[3]) if s else zero
+    p0 = a[0] * b[0]
+    p1 = a[0] * b[1] + a[1] * b[0]
+    p2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
+    p3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0]
+    p4 = a[1] * b[3] + a[2] * b[2] + a[3] * b[1]
+    p5 = a[2] * b[3] + a[3] * b[2]
+    p6 = a[3] * b[3]
+    return (p0 - p4 - p6, p1 - p5, p2 + p4, p3 + p5)
+
+
+factors = st.one_of(
+    cycnums,
+    st.builds(CycNum, small_rationals),                # rational, zero included
+    st.just(CycNum()),
+    st.builds(zeta, st.just(12), st.integers(0, 11)),  # roots of unity
+)
+
+
+@settings(max_examples=300)
+@given(factors, factors, small_rationals)
+def test_mul_matches_the_written_out_product(a, b, q):
+    for x, y in ((a, b), (a, cyc(q)), (cyc(q), b)):
+        got = (x * y).co
+        assert got == _written_out_product(x.co, y.co)
+        assert all(type(t) is Fraction for t in got)
+    assert (a * q).co == (q * a).co == _written_out_product(a.co, cyc(q).co)

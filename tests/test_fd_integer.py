@@ -34,7 +34,7 @@ def ref_map_order(mat, cap=24):
     ident = la.identity(n)
     power = mat
     for k in range(1, cap + 1):
-        if la.mat_eq(power, ident):
+        if power == ident:
             return k
         power = ref_mat_mul(power, mat)
     raise ValueError("order exceeds cap %d" % cap)

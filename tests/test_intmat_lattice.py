@@ -215,6 +215,20 @@ def test_left_kernel_is_the_integer_kernel(m, n, data):
         assert hnf(kern) == hnf(u[len(diag):])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_int_matmul_matches_the_dense_product(m, k, n, data):
+    def matrix(rows, cols):
+        row = st.lists(st.sampled_from([0, 0, -2, -1, 1, 3]) | st.integers(-9, 9),
+                       min_size=cols, max_size=cols)
+        return st.lists(st.just([0] * cols) | row, min_size=rows, max_size=rows)
+
+    a, b = data.draw(matrix(m, k)), data.draw(matrix(k, n))
+    bt = list(zip(*b))
+    dense = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    assert int_matmul(a, b) == dense
+
+
 # -- code ranks -------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)

@@ -197,6 +197,28 @@ def test_cli_input_file_keys_of_the_wrong_kind_exit_2(tmp_path, command, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("lattice", "name: demo\ngram:\n2 x\n",
+     "line 3: the 'gram' block takes rows of integers, not '2 x'"),
+    ("lattice", "name: demo\n# a comment\ngram:\n2 1.5\n",
+     "line 4: the 'gram' block takes rows of integers, not '2 1.5'"),
+    ("code", "length: 4\ngenerators:\n1 a 1 0\n",
+     "line 3: the 'generators' block takes rows of integers, not '1 a 1 0'"),
+    ("code", "length: four\ngenerators:\n1 0 1 1\n",
+     "'length' takes an integer, not 'four'"),
+    ("lattice", "rank: two\ngram:\n2\n", "'rank' takes an integer, not 'two'"),
+], ids=["gram-letter", "gram-fraction", "generators-letter", "length-word",
+        "rank-word"])
+def test_cli_input_file_values_that_are_not_integers_exit_2(tmp_path, command,
+                                                            text, message):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text)
+    r = _cli("--out", str(tmp_path / "out"), command, str(spec))
+    assert r.returncode == 2
+    assert r.stderr.strip() == "error: " + message
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_out_naming_a_file_exits_2(tmp_path):
     # a report directory that cannot be made is a bad command line
     taken = tmp_path / "taken"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from griess_forge.exact import zeta
-from griess_forge.linalg import mat_mul, mat_eq, identity, inverse, transpose, mat_pow
+from griess_forge.linalg import mat_mul, identity, inverse, transpose, mat_pow
 from griess_forge.su3 import (su3_data, su3_identities, theta_matrix_relations,
                               is_unitary)
 from griess_forge.appendix import e8_perp_e8_triple, leech_embedding_check
@@ -15,10 +15,10 @@ def test_su3_identities():
     tau, s, r = su3_data()
     z = zeta(3)
     assert r[0][0] == z and r[1][1] == z * z and r[2][2] == 1
-    assert mat_eq(mat_mul(inverse(s), mat_mul(tau, s)), r)
-    assert mat_eq(mat_pow(tau, 3), identity(3))
-    assert mat_eq(transpose(s), s)
-    assert mat_eq(mat_pow(s, 4), identity(3))
+    assert mat_mul(inverse(s), mat_mul(tau, s)) == r
+    assert mat_pow(tau, 3) == identity(3)
+    assert transpose(s) == s
+    assert mat_pow(s, 4) == identity(3)
     assert is_unitary(s)
     assert all(su3_identities().values())
 
@@ -31,8 +31,8 @@ def test_theta_relations():
 
 def test_transpose_inverse_facts():
     tau, s, r = su3_data()
-    assert mat_eq(transpose(inverse(tau)), tau)     # permutation orthogonality
-    assert mat_eq(transpose(inverse(s)), mat_pow(s, 3))
+    assert transpose(inverse(tau)) == tau     # permutation orthogonality
+    assert transpose(inverse(s)) == mat_pow(s, 3)
 
 
 @pytest.mark.slow

@@ -436,6 +436,58 @@ def even_elements(draw, alg):
     return alg.from_class_coords(coords)
 
 
+def test_signed_coords_rejects_keys_outside_the_norm4_vectors():
+    alg = small_algebra("D4")
+    with pytest.raises(ValueError, match=r"key \(9, 0, 0, 0\) is not a norm-4"):
+        alg.signed_coords(W2Element(exps={(9, 0, 0, 0): F(1)}))
+
+
+# -- class coordinates read off the signed ones, against the walk they replaced
+
+def reference_class_coords(alg, elem):
+    exps, vecs = elem.exps, alg.vectors4
+    idx = alg._indices(exps)
+    if elem.d2 or any(exps.get(vecs[i ^ 1]) != v
+                      for i, v in zip(idx, exps.values())):
+        raise ValueError("element is not theta-even")
+    out = [F(0)] * alg.dim
+    for k, v in elem.heis.items():
+        out[alg.heis_index[k]] = v
+    nh = len(alg.heis_pairs)
+    for i, v in zip(idx, exps.values()):
+        if not i & 1:
+            out[nh + (i >> 1)] = v
+    return out
+
+
+def reference_is_theta_even(elem):
+    if elem.d2:
+        return False
+    for k, v in elem.exps.items():
+        if elem.exps.get(tuple(-t for t in k)) != v:
+            return False
+    return True
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_class_coords_and_theta_evenness_match_the_reference(data):
+    alg = small_algebra("A2")
+    x = data.draw(st.one_of(elements(alg), even_elements(alg)))
+    got = _outcome(alg.class_coords, x)
+    assert got == _outcome(reference_class_coords, alg, x)
+    assert repr(got) == repr(_outcome(reference_class_coords, alg, x))
+    assert x.is_theta_even() == reference_is_theta_even(x)
+    assert x.is_theta_even() == (got[0] == "value")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from(["A2", "D4", "E6"]))
 def test_product_coords_match_class_coords_of_the_product(data, name):
