@@ -163,8 +163,8 @@ def cmd_lattice(args):
         return 2
     rep = Report("lattice-%s" % (lat.name or args.which))
     rep.add("rank", "rank", "input", lat.rank, lat.rank)
-    rep.add("det", "determinant", "integer Bareiss elimination against "
-            "elimination over Q", int_det(lat.gram), det(lat.gram))
+    rep.add("det", "determinant", "integer Hermite form against elimination "
+            "over Q", int_det(lat.gram), det(lat.gram))
     reduced = lll_reduce(lat.gram)[0]
     rep.add("even", "even lattice", "Gram parity against the parity of the "
             "LLL-reduced Gram", fmt(lat.is_even()),

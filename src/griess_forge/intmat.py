@@ -1,13 +1,17 @@
-"""Integer matrix utilities: Hermite and Smith normal forms.
+"""Integer matrix utilities on one elimination, the Hermite normal form.
 
 Rows are Python lists of ints.  Sizes stay at most ~30 x 30, so the
-classic elimination algorithms with exact integer arithmetic are fine.
-Products sum each entry over the nonzero entries of the left factor's
-row, as the glued lattices' bases and block Grams are mostly zeros.
-Left kernels and unimodular inverses are read off one Hermite form, that
-of [P | I] (Cohen, A Course in Computational Algebraic Number Theory,
-2.4), so this module needs nothing from the rational ``linalg``.
+classic elimination with exact integer arithmetic is fine.  Products sum
+each entry over the nonzero entries of the left factor's row, as the
+glued lattices' bases and block Grams are mostly zeros.  Smith forms,
+determinants, left kernels and unimodular inverses are all read off
+``hnf``, the transforms off the Hermite form of [P | I] (Cohen, A Course
+in Computational Algebraic Number Theory, 2.4); the one other pass is the
+Sylvester test of ``int_positive_definite``.  Nothing here needs the
+rational ``linalg``.
 """
+
+from math import prod
 
 __all__ = ["hnf", "snf_with_transform", "int_matmul", "int_matvec",
            "int_identity", "int_det", "int_positive_definite",
@@ -33,28 +37,12 @@ def int_matvec(a, v):
 
 
 def int_det(a):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+    """|det a|, the product of the pivots of hnf(a); the sign is not kept.
+
+    It is 0 when hnf(a) has fewer rows than a, and 1 for a 0 x 0 matrix.
+    """
+    h = hnf(a)
+    return prod(row[i] for i, row in enumerate(h)) if len(h) == len(a) else 0
 
 
 def int_positive_definite(a):
@@ -122,94 +110,32 @@ def hnf(rows):
 def snf_with_transform(a):
     """Smith normal form D = U A V; returns (invariant factors, U, V).
 
-    U (rows x rows) and V (cols x cols) are unimodular.  The invariant
-    factors are positive and in divisibility order; rank-deficient input
-    simply yields fewer of them.
+    U (rows x rows) and V (cols x cols) are unimodular.  Row and column
+    Hermite forms alternate until no off-diagonal entry is left (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979); a pivot that does not divide the next
+    one gets the next column added to its own, and the loop goes on.  The
+    invariant factors are positive and in divisibility order; rank-deficient
+    input simply yields fewer of them.
     """
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    u = int_identity(rows)
-    v = int_identity(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        """row_dst -= q * row_src"""
-        if q:
-            m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        """col_dst -= q * col_src"""
-        if q:
-            for row in m:
-                row[dst] -= q * row[src]
-            for row in v:
-                row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                while m[i][t]:
-                    add_row(t, i, m[i][t] // m[t][t])
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                while m[t][j]:
-                    add_col(t, j, m[t][j] // m[t][t])
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % m[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(bad, t, -1)  # row_t += row_bad, reintroduces column work
-        t += 1
-
-    for i in range(t):
-        if m[i][i] < 0:
-            for j in range(cols):
-                m[i][j] = -m[i][j]
-            # flipping row i of D corresponds to flipping row i of U
-            u[i] = [-x for x in u[i]]
-    diag = [m[i][i] for i in range(t) if m[i][i]]
-    return diag, u, v
+    rows, cols = len(a), len(a[0]) if a else 0
+    u, v = int_identity(rows), int_identity(cols)
+    m = [list(row) for row in a]
+    if not any(map(any, m)):
+        return [], u, v
+    while True:
+        m, t = _hnf_augmented(m)
+        u = int_matmul(t, u)
+        mt, t = _hnf_augmented([list(col) for col in zip(*m)])
+        m = [list(col) for col in zip(*mt)]
+        v = int_matmul(v, [list(col) for col in zip(*t)])
+        if any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [m[i][i] for i in range(min(rows, cols)) if m[i][i]]
+        k = next((k for k in range(len(diag) - 1) if diag[k + 1] % diag[k]), None)
+        if k is None:
+            return diag, u, v
+        for row in m + v:
+            row[k] += row[k + 1]
 
 
 def _hnf_augmented(a):

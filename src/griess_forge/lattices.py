@@ -14,9 +14,9 @@ The affine E6 diagram is walked in one place, punctured_components: it
 gives each component of the diagram with a node deleted, its root type
 read off the definiteness and determinant of its Cartan matrix, and the
 order that the commutant frames of ``commutants`` follow.  Coxeter
-numbers come from one lookup, _COXETER.  Kernels, ranks and inverses go
-through ``intmat``'s Hermite form; nothing here uses the rational
-``linalg``.
+numbers come from one lookup, _COXETER.  Kernels, ranks, inverses,
+determinants and the Smith forms behind quotients all go through
+``intmat``'s one Hermite form; nothing here uses the rational ``linalg``.
 """
 
 from functools import cache
@@ -101,7 +101,7 @@ class Sublattice:
         """[ambient : self] for full-rank sublattices."""
         if self.rank != self.ambient.rank:
             raise ValueError("index needs a full-rank sublattice")
-        return abs(int_det(self.basis))
+        return int_det(self.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from functools import cache
 
 from .exact import zeta
 from .report import Report, fmt
-from . import minimal
 
 F = Fraction
 

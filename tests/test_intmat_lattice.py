@@ -1,22 +1,28 @@
 """The Hermite-form paths of the integer-lattice layer against the procedures
 they replaced: annihilators through the Smith row transform, prime-modulus
 pivot kernels, mod-3 elimination for code ranks, unimodular inverses over
-Q, and root types read off the legs of a star.  Each reference below is a
-copy of the replaced code; results must be equal by ==.
+Q, root types read off the legs of a star, and Smith forms and
+determinants with row and column operations of their own.  Each reference
+below is a copy of the replaced code; results must be equal by ==, but for
+the sign that int_det drops and the Smith transforms, which may differ.
 """
 
+import random
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from griess_forge import linalg as la
 from griess_forge.codes import TernaryCode
-from griess_forge.intmat import (hnf, int_identity, int_inverse_unimodular,
+from griess_forge.commutants import e8_side
+from griess_forge.intmat import (hnf, int_det, int_identity, int_inverse_unimodular,
                                  int_matmul, left_kernel, snf_with_transform)
 from griess_forge.lattices import (AffineE6, Sublattice, _classify_component,
-                                   _diagram_edges, annihilator,
-                                   build_root_lattice, kernel_sublattice)
+                                   _diagram_edges, affine_e6, annihilator,
+                                   build_root_lattice, kernel_sublattice,
+                                   node_sublattice, quotient_structure)
 
 
 # -- references -------------------------------------------------------------------
@@ -114,6 +120,124 @@ def ref_classify(nodes, edges):
         if legs == [1, 2, 4]:
             return ("E", 8)
     raise ValueError("component is not of type ADE")
+
+
+def ref_snf_with_transform(a):
+    """Smith normal form D = U A V; returns (invariant factors, U, V).
+
+    U (rows x rows) and V (cols x cols) are unimodular.  The invariant
+    factors are positive and in divisibility order; rank-deficient input
+    simply yields fewer of them.
+    """
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    u = int_identity(rows)
+    v = int_identity(cols)
+
+    def swap_rows(i, j):
+        if i != j:
+            m[i], m[j] = m[j], m[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        """row_dst -= q * row_src"""
+        if q:
+            m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        """col_dst -= q * col_src"""
+        if q:
+            for row in m:
+                row[dst] -= q * row[src]
+            for row in v:
+                row[dst] -= q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        piv = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j]:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                while m[i][t]:
+                    add_row(t, i, m[i][t] // m[t][t])
+                    if m[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                while m[t][j]:
+                    add_col(t, j, m[t][j] // m[t][t])
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            bad = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % m[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row(bad, t, -1)  # row_t += row_bad, reintroduces column work
+        t += 1
+
+    for i in range(t):
+        if m[i][i] < 0:
+            for j in range(cols):
+                m[i][j] = -m[i][j]
+            # flipping row i of D corresponds to flipping row i of U
+            u[i] = [-x for x in u[i]]
+    diag = [m[i][i] for i in range(t) if m[i][i]]
+    return diag, u, v
+
+
+def ref_int_det(a):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def in_span(basis, x):
@@ -261,3 +385,85 @@ def test_inverse_unimodular_matches_the_rational_inverse(n, data):
 def test_inverse_unimodular_rejects_non_unimodular(a):
     with pytest.raises(ValueError, match="not unimodular"):
         int_inverse_unimodular(a)
+
+
+# -- Smith forms and determinants -------------------------------------------------
+
+def _matrices(rows, cols):
+    """Integer matrices of the shape, with zero rows, zero columns and rank
+    deficiency: a rank-k product x y, then zeroed rows and columns."""
+    return st.integers(1, min(rows, cols)).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                 min_size=rows, max_size=rows),
+        st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                 min_size=k, max_size=k),
+        st.sets(st.integers(0, rows - 1)), st.sets(st.integers(0, cols - 1)),
+    )).map(lambda t: [[0 if i in t[2] or j in t[3] else x for j, x in enumerate(row)]
+                      for i, row in enumerate(int_matmul(t[0], t[1]))])
+
+
+def check_smith(a):
+    diag, u, v = snf_with_transform(a)
+    assert diag == ref_snf_with_transform(a)[0]
+    rows, cols = len(a), len(a[0]) if a else 0
+    want = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+            for i in range(rows)]
+    assert int_matmul(int_matmul(u, a), v) == want
+    assert abs(ref_int_det(u)) == 1 and abs(ref_int_det(v)) == 1
+    return diag
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+    lambda c: _matrices(r, c))))
+def test_smith_form_matches_the_elimination_version(a):
+    check_smith(a)
+
+
+@pytest.mark.parametrize("a,diag", [
+    ([[2, 0], [0, 3]], [1, 6]),          # 2 does not divide 3: columns merge
+    ([[0, 0, 0], [0, 0, 0]], []),
+    ([[0]], []),
+    ([], []),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+])
+def test_smith_form_explicit_cases(a, diag):
+    assert check_smith(a) == diag
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: _matrices(n, n) if n else st.just([])))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1], [1, 0]])
+def test_int_det_is_the_absolute_elimination_determinant(a):
+    assert int_det(a) == abs(ref_int_det(a))
+
+
+def _quotients():
+    aff = affine_e6()
+    side = e8_side()
+    for i in range(7):
+        yield node_sublattice(aff, i)[0]
+        yield Sublattice(side.e8, list(side.q_sub.basis)
+                         + [side.node_image(j) for j in range(7) if j != i])
+
+
+@pytest.mark.parametrize("sub", list(_quotients()),
+                         ids=["%s-node%d" % (s, i) for i in range(7) for s in ("E6", "E8")])
+def test_quotient_structure_is_a_group_isomorphism(sub):
+    """A check that holds for every choice of coset labels."""
+    moduli, classify = quotient_structure(sub)
+    assert prod(moduli) == sub.index()
+    zero = tuple(0 for _ in moduli)
+    assert all(classify(row) == zero for row in sub.basis)
+    rng = random.Random(len(moduli) * 7 + sub.index())
+    n = sub.ambient.rank
+    seen = set()
+    for _ in range(200):
+        x, y = ([rng.randint(-6, 6) for _ in range(n)] for _ in range(2))
+        s = classify([a + b for a, b in zip(x, y)])
+        assert s == tuple((a + b) % m for a, b, m in zip(classify(x), classify(y), moduli))
+        seen.add(classify(x))
+    assert len(seen) == prod(moduli)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from griess_forge.commutants import (
-    node_case, tilde_v_pair, u3a_table, vnx_griess, nine_orbit_algebra, e8_side,
+    node_case, tilde_v_pair, u3a_table, nine_orbit_algebra, e8_side,
     fd_from_elements,
 )
 from griess_forge import involutions

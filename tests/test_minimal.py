@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griess_forge.minimal import (
-    central_charge, highest_weight, normalize_label, all_labels, fusion,
+    central_charge, highest_weight, all_labels, fusion,
     sigma_type_set, w_module_classification, u3a_module_table, charge_to_m,
 )
 

@@ -273,7 +273,7 @@ def test_cli_lattice_directory_exits_2(tmp_path):
 
 
 def test_cli_lattice_and_code_checks_compare_independent_values(tmp_path, monkeypatch):
-    # det is integer Bareiss elimination against elimination over Q, and the
+    # det is the integer Hermite form against elimination over Q, and the
     # code size is the word count against 3^(rank of the generators mod 3)
     from griess_forge import codes, intmat, linalg
     spec = tmp_path / "code.txt"

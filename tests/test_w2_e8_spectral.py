@@ -4,7 +4,7 @@ import pytest
 
 from griess_forge.commutants import e8_side
 from griess_forge.involutions import (W2Space, ad_spectrum, ad_matrix,
-                                      tau_involution, map_order, eigenspace_rows)
+                                      tau_involution, map_order)
 from griess_forge.linalg import identity
 
 F = Fraction
