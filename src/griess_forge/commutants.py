@@ -35,12 +35,15 @@ another, into Z[z] 4-tuples, and keeps only the nonzero entries.  A
 product or form then scales each operand once (an ``exact._ZRow`` keeps its
 scaled form, so a vector used many times is scaled once), sums int tuples
 and divides each output entry once, to a Fraction when it is rational and
-a CycNum otherwise.  The incremental span behind span_closure and
-fd_from_elements reduces such rows with the fraction-free step of the
-``linalg`` core, each stored row with a rational integer pivot.  One
-closure routine, span_closure, and one extraction, fd_from_elements, serve
-a W2Algebra and an FDAlgebra alike, through the ambient's product, form
-and signed_coords.  A weight-two element keeps its integer components
+a CycNum otherwise.  This module does no elimination of its own; the
+``linalg`` core does it all.  Each round of span_closure keeps the
+products that are pivot columns of one rref over the basis so far and
+the round's products, fd_from_elements tests independence by rank, and
+coordinates (the products in fd_from_elements, FDAlgebra.coordinates)
+come from one linalg.row_span_coords batch.  One closure routine,
+span_closure, and one extraction, fd_from_elements, serve a W2Algebra
+and an FDAlgebra alike, through the ambient's product, form and
+signed_coords.  A weight-two element keeps its integer components
 from its first product or form (``w2``), so fd_from_elements converts
 each element once for all its products and forms.  nine_orbit_algebra
 and u3a_griess close twisted Ising vectors in coordinates over the 3A
@@ -60,7 +63,7 @@ from itertools import islice
 from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, Sublattice)
-from .linalg import _cyc_step, _rationalize, inverse, mat_mul, solve_matrix, transpose
+from .linalg import inverse, mat_mul, rank, row_span_coords, rref, transpose
 from .w2 import W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter
 
 F = Fraction
@@ -188,11 +191,11 @@ class FDAlgebra:
         one vector per element, from one solve; raises with the index of
         an element outside the span."""
         alg = self.space
-        coords, bad = _solve_over([alg.signed_coords(e) for e in self.embedding],
-                                  [alg.signed_coords(e) for e in elems])
-        if coords is None:
+        coords = row_span_coords([alg.signed_coords(e) for e in self.embedding],
+                                 [alg.signed_coords(e) for e in elems])
+        if None in coords:
             raise ValueError("element %d is not in the span of the embedding"
-                             % bad)
+                             % coords.index(None))
         return coords
 
     def check_invariance(self):
@@ -210,68 +213,31 @@ class FDAlgebra:
         return violations
 
 
-class _IncrementalSpan:
-    """Forward-eliminated integer rows for fast membership tests.
-
-    Each stored row is a Z[z] row of the ``linalg`` core whose pivot entry
-    is a rational integer; a new vector is cleared against the stored rows
-    in turn by the core's fraction-free step.
-    """
-
-    def __init__(self):
-        self.rows = []      # (row, pivot column, pivot) per stored row
-
-    def add(self, v):
-        """Reduce v against the span; add and return True if independent."""
-        r, _s = _cyc_row(v)
-        for row, c, p in self.rows:
-            f = r[c]
-            if f:
-                r = _cyc_step(r, p, f, row, None)
-        c = next((k for k, x in enumerate(r) if x), None)
-        if c is None:
-            return False
-        r = _rationalize(r, c, None)
-        self.rows.append((r, c, r[c][0]))
-        return True
-
-
-def _solve_over(rows, cols):
-    """(coordinates, None): the coordinates of each of cols over rows, from
-    one solve; or (None, k) with cols[k] the first column outside their
-    span."""
-    a = transpose(rows)
-    x = solve_matrix(a, transpose(cols))
-    if x is not None:
-        return transpose(x), None
-    return None, next(k for k, col in enumerate(cols)
-                      if solve_matrix(a, [[t] for t in col]) is None)
-
-
 def span_closure(alg, gens):
     """Product-closure of the span of the given elements of alg.
 
     Independence is tested on alg.signed_coords.  Returns the closed list
-    of basis elements: the independent generators first, then whichever
-    products escape the running span.  Each product of basis elements is
-    computed exactly once.
+    of basis elements: the independent generators first, then, round by
+    round, whichever products escape the span so far, in the order the
+    products are taken.  Each round keeps the candidates that are pivot
+    columns of one rref over the basis and the candidates.  Each product
+    of basis elements is computed exactly once.
     """
-    span = _IncrementalSpan()
-    elems = [g for g in gens if span.add(alg.signed_coords(g))]
-    done = set()
-    while True:
-        n = len(elems)
-        todo = [(i, j) for i in range(n) for j in range(i, n)
+    elems, rows, done = [], [], set()
+    new = list(gens)
+    while new:
+        cand = [alg.signed_coords(p) for p in new]
+        n = len(rows)
+        _r, piv = rref(transpose(rows + cand))
+        elems += [new[k - n] for k in piv[n:]]
+        rows += [cand[k - n] for k in piv[n:]]
+        if len(elems) > 64:
+            raise ValueError("closure exceeded dimension bound 64")
+        todo = [(i, j) for i in range(len(elems)) for j in range(i, len(elems))
                 if (i, j) not in done]
-        if not todo:
-            return elems
-        for i, j in todo:
-            done.add((i, j))
-            p = alg.product(elems[i], elems[j])
-            if span.add(alg.signed_coords(p)):
-                elems.append(p)
-                if len(elems) > 64:
-                    raise ValueError("closure exceeded dimension bound 64")
+        done.update(todo)
+        new = [alg.product(elems[i], elems[j]) for i, j in todo]
+    return elems
 
 
 def fd_from_elements(alg, elems, names, frame_size=None):
@@ -286,16 +252,14 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     """
     rows = [alg.signed_coords(e) for e in elems]
     dim = len(elems)
-    span = _IncrementalSpan()
-    for r in rows:
-        if not span.add(r):
-            raise ValueError("basis elements are linearly dependent")
+    if rank(rows) < dim:
+        raise ValueError("basis elements are linearly dependent")
     keys = [(i, j) for i in range(dim) for j in range(i, dim)]
     products = [alg.signed_coords(alg.product(elems[i], elems[j])) for i, j in keys]
     # one batched solve: the products expressed over the span
-    coords, bad = _solve_over(rows, products)
-    if coords is None:
-        i, j = keys[bad]
+    coords = row_span_coords(rows, products)
+    if None in coords:
+        i, j = keys[coords.index(None)]
         raise ValueError("product %s . %s leaves the span" % (names[i], names[j]))
     mult = [[None] * dim for _ in range(dim)]
     gram = [[None] * dim for _ in range(dim)]

@@ -31,9 +31,9 @@ scales each column of its map once for all the products it takes.
 
 The adjoint matrices of a weight-two space are mostly zeros, and so are
 the coordinate rows of its subspaces.  restrict_map takes each row's image
-once, with mat_vec summing over the support of the row, solves for the
-images over the rows and checks the solution exactly by one integer
-product (linalg.mat_mul) against the images.
+once, with mat_vec summing over the support of the row, reads the images'
+coordinates over the rows off one linalg.row_span_coords batch and checks
+them exactly by one integer product (linalg.mat_mul) against the images.
 
 eigenspaces deflates.  After the kernel of S = A - l for a candidate l, it
 goes on with the matrix Abar = R A[:, P] of A on im S, where R is the
@@ -50,8 +50,9 @@ bases are the ones the full shifts give.
 from fractions import Fraction
 
 from .exact import _ZRow
-from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref, solve_matrix,
-                     transpose, _zmat, _zmat_entries, _zmat_identity, _zmat_mul)
+from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref,
+                     row_span_coords, transpose, _zmat, _zmat_entries,
+                     _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
 from .w2 import virasoro_check
 
@@ -346,8 +347,8 @@ def restrict_map(space, mat, rows):
     back-check, one integer product of the solution with the rows.
     """
     imgs = [mat_vec(mat, row) for row in rows]
-    x = solve_matrix(transpose(rows), transpose(imgs))
-    # solve_matrix zero-fills free variables, so the solution is checked
-    if x is None or mat_mul(transpose(x), rows) != imgs:
+    coords = row_span_coords(rows, imgs)
+    # the solve zero-fills free variables, so the coordinates are checked
+    if None in coords or mat_mul(coords, rows) != imgs:
         raise ValueError("map does not preserve the subspace")
-    return x
+    return transpose(coords)

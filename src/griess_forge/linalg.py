@@ -3,8 +3,9 @@
 Matrices are lists of rows; entries are int, Fraction or CycNum, mixed
 freely (the operators promote).
 
-Every elimination (rref, kernel, rank, solve, inverse, det) runs through
-one fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
+Every elimination over Q or Q(z) in the package (rref, kernel, rank,
+solve_matrix and row_span_coords, inverse, det) runs through one
+fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
 clears above the pivots where a basis, solution or inverse is asked for.
 ``rref`` returns the reduced row echelon form, its nonzero rows divided by
 their pivots, with the pivot columns.  ``kernel`` reads its basis, the one
@@ -46,7 +47,7 @@ from .intmat import int_positive_definite
 
 __all__ = [
     "identity", "zeros", "transpose", "mat_mul", "mat_vec",
-    "solve", "solve_matrix", "rref", "kernel", "rank", "inverse", "det", "mat_pow",
+    "solve_matrix", "rref", "kernel", "rank", "inverse", "det", "mat_pow",
     "row_span_coords",
 ]
 
@@ -361,14 +362,6 @@ def solve_matrix(a, rhs):
     return x
 
 
-def solve(a, b):
-    """One exact solution x of A x = b (b a vector), or None."""
-    x = solve_matrix(a, [[t] for t in b])
-    if x is None:
-        return None
-    return [row[0] for row in x]
-
-
 def rref(a):
     """(rows, piv): the nonzero rows of the reduced row echelon form of A,
     each divided by its pivot, and their pivot columns in increasing order."""
@@ -459,12 +452,18 @@ def is_positive_definite(gram):
                                   for row in a])
 
 
-def row_span_coords(rows, v):
-    """Coordinates of v in the span of the given rows, or None.
+def row_span_coords(rows, vectors):
+    """The coordinates c of each vector v over the given rows, with
+    sum(c_i * rows_i) = v, or None for a vector outside their span.
 
-    Used to express elements in the basis of a subspace: returns c with
-    sum(c_i * rows_i) = v.
+    One solve serves the whole batch; only when it fails is each vector
+    solved on its own, to tell which ones lie outside.
     """
-    if not rows:
-        return None if any(v) else []
-    return solve(transpose(rows), list(v))
+    if not rows or not vectors:
+        return [None if any(v) else [] for v in vectors]
+    a = transpose(rows)
+    x = solve_matrix(a, transpose(vectors))
+    if x is not None:
+        return transpose(x)
+    return [None if x is None else [t for t, in x]
+            for x in (solve_matrix(a, [[t] for t in v]) for v in vectors)]

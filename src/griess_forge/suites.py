@@ -220,7 +220,7 @@ def suite_e8_orbit():
     rep.add("pairwise-orders", "off-diagonal tau pair orders",
             "pairwise scan", [3], off)
     rep.add("sakuma-bound", "no pair order exceeds 6", "six-transposition bound",
-            "true", not violations)
+            "true", "false: (%d, %d, %d)" % violations[0] if violations else "true")
     n, _ = group_closure([maps[0], maps[1], maps[3]])
     rep.add("group-order-exact", "the computed group order", "closure size",
             18, n)
@@ -377,9 +377,10 @@ def suite_properties():
               ("u3a", u3a_table(), {"Xp": "Xm"}),
               ("u6a", u6a_table(), {"X1": "X5", "X2": "X4"}))
     for label, fd, swaps in tables:
+        bad = fd.check_invariance()
         rep.add("invariant-%s" % label,
-                "form invariance of the %s table algebra" % label,
-                "tensor identity", "true", not fd.check_invariance())
+                "form invariance of the %s table algebra" % label, "tensor identity",
+                "true", "false: (%s, %s, %s)" % bad[0] if bad else "true")
         sigma = list(range(fd.dim))
         for a, b in swaps.items():
             sigma[fd.index(a)] = fd.index(b)

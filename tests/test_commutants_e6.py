@@ -6,7 +6,6 @@ import pytest
 from griess_forge.commutants import (
     node_case, g2a_table, g3a_table, tilde_v_pair,
     orthogonal_complement_virasoro, weight2_dimension_census, span_closure,
-    _solve_over,
 )
 from griess_forge.exact import zeta
 from griess_forge.involutions import W2Space, ad_matrix
@@ -63,9 +62,10 @@ def commutant_kernel_dimension(case):
     if rank(rows) != len(ker):
         raise AssertionError("even commutant dimension %d, kernel dimension %d"
                              % (rank(rows), len(ker)))
-    _coords, bad = _solve_over(rows, ker)
-    if bad is not None:
-        raise AssertionError("kernel vector %d escapes the commutant basis" % bad)
+    coords = row_span_coords(rows, ker)
+    if None in coords:
+        raise AssertionError("kernel vector %d escapes the commutant basis"
+                             % coords.index(None))
     return len(ker), c
 
 
@@ -210,11 +210,10 @@ def test_3a_not_generated_by_pair(case_3a):
     # the fixed subalgebra is spanned by w1+w2+w3, X1, X2
     alg = case_3a.alg
     fd = case_3a.fd
-    from griess_forge.linalg import row_span_coords
     rows = [alg.signed_coords(e) for e in closed]
     ws = fd.embedding[0] + fd.embedding[1] + fd.embedding[2]
     for e in (ws, fd.embedding[3], fd.embedding[4]):
-        assert row_span_coords(rows, alg.signed_coords(e)) is not None
+        assert row_span_coords(rows, [alg.signed_coords(e)]) != [None]
 
 
 def test_commutant_closure_is_exact(case_1a, case_2a, case_3a):
@@ -232,8 +231,12 @@ def test_coordinates_match_row_span_coords(case_3a):
     v, vp = tilde_v_pair(case_3a)
     elems = [v, vp] + [case_3a.rho.apply(e) for e in fd.embedding]
     rows = [alg.signed_coords(e) for e in fd.embedding]
-    assert fd.coordinates(elems) == [row_span_coords(rows, alg.signed_coords(e))
-                                     for e in elems]
+    one_by_one = [row_span_coords(rows, [alg.signed_coords(e)])[0] for e in elems]
+    assert fd.coordinates(elems) == one_by_one
+
+
+def test_coordinates_of_no_elements_are_empty(case_2a):
+    assert case_2a.fd.coordinates([]) == []
 
 
 def test_coordinates_name_an_element_outside_the_span(case_2a):

@@ -83,7 +83,7 @@ def test_special_vector_is_the_table_ising(side):
     # Ising expression (all five coset sums with coefficient 1/32)
     fd, _side, _data = vnx_griess("2A")
     rows = [side.alg.signed_coords(e) for e in fd.embedding]
-    c = row_span_coords(rows, side.alg.signed_coords(side.ehat))
+    c, = row_span_coords(rows, [side.alg.signed_coords(side.ehat)])
     assert c == [F(5, 32), F(1, 8), F(1, 4),
                  F(1, 32), F(1, 32), F(1, 32), F(1, 32), F(1, 32)]
 
@@ -91,7 +91,7 @@ def test_special_vector_is_the_table_ising(side):
 def test_tilde_v_in_2a_side(side):
     fd, _side, _data = vnx_griess("2A")
     rows = [side.alg.signed_coords(e) for e in fd.embedding]
-    c = row_span_coords(rows, side.alg.signed_coords(side.omega_e6))
+    c, = row_span_coords(rows, [side.alg.signed_coords(side.omega_e6)])
     # (2/7) w_{1/2} + (4/7) w_{5/4} + (1/14) X3: the node table embedded
     assert c == [F(0), F(2, 7), F(4, 7), F(0), F(0), F(1, 14), F(0), F(0)]
 
@@ -232,8 +232,8 @@ def test_tau_orders_on_order6_algebra(side):
     fd, _side, chi = vnx_griess("2A")
     alg = side.alg
     rows = [alg.signed_coords(e) for e in fd.embedding]
-    e0 = row_span_coords(rows, alg.signed_coords(side.ehat))
-    e1 = row_span_coords(rows, alg.signed_coords(chi.apply(side.ehat)))
+    e0, = row_span_coords(rows, [alg.signed_coords(side.ehat)])
+    e1, = row_span_coords(rows, [alg.signed_coords(chi.apply(side.ehat))])
     t0 = tau_involution(fd, e0)
     t1 = tau_involution(fd, e1)
     assert map_order(t0) == 2
@@ -253,7 +253,7 @@ def test_six_vector_tau_shadow(side):
     rows = [alg.signed_coords(e) for e in fd.embedding]
     es, cur = [], side.ehat
     for _ in range(6):
-        es.append(row_span_coords(rows, alg.signed_coords(cur)))
+        es += row_span_coords(rows, [alg.signed_coords(cur)])
         cur = chi.apply(cur)
     orders, violations, maps = transposition_scan(fd, es, "tau_ising")
     assert violations == []

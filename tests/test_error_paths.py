@@ -10,7 +10,7 @@ from griess_forge.involutions import (tau_involution, sigma_involution,
 from griess_forge.lattices import (build_root_lattice, Sublattice, cosets,
                                    quotient_structure, short_vectors,
                                    isometry_test, affine_e6, node_sublattice)
-from griess_forge.linalg import identity, solve
+from griess_forge.linalg import identity, solve_matrix
 from griess_forge.w2 import W2Algebra, coset_sum
 
 F = Fraction
@@ -18,7 +18,7 @@ F = Fraction
 
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
-        solve([[F(1), F(0)], [F(0), F(1)]], [F(1)])
+        solve_matrix([[F(1), F(0)], [F(0), F(1)]], [[F(1)]])
 
 
 def test_tau_rejects_wrong_charge():

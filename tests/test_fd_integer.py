@@ -1,8 +1,9 @@
 """The integer Z[z12] paths of the finite-dimensional layer against field
 arithmetic: mat_mul, map_order and group_closure on maps, FDAlgebra
-products, forms and invariance check, and the incremental span.  Each reference below is the
-Fraction/CycNum loop the integer path replaced; results must be equal by
-==, so a rational entry may come back as a Fraction or a rational CycNum.
+products, forms and invariance check, and the pivot columns span_closure
+keeps.  Each reference below is the Fraction/CycNum loop the integer path
+replaced; results must be equal by ==, so a rational entry may come back
+as a Fraction or a rational CycNum.
 """
 
 from fractions import Fraction
@@ -10,8 +11,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from griess_forge import linalg as la
-from griess_forge.commutants import (FDAlgebra, _IncrementalSpan, g2a_table,
-                                     g3a_table, u3a_table, u6a_table)
+from griess_forge.commutants import (FDAlgebra, g2a_table, g3a_table, u3a_table,
+                                     u6a_table)
 from griess_forge.exact import CycNum, _ZRow, zeta
 from griess_forge.involutions import group_closure, map_order
 
@@ -313,7 +314,7 @@ def test_check_invariance_matches_reference(fd):
     assert fd.check_invariance() == ref_check_invariance(fd)
 
 
-# -- the incremental span -------------------------------------------------------------
+# -- span growth as pivot columns -----------------------------------------------------
 
 @st.composite
 def vector_sequences(draw):
@@ -337,10 +338,9 @@ def vector_sequences(draw):
 @settings(max_examples=150, deadline=None)
 @given(vector_sequences())
 def test_incremental_span_matches_rank(vecs):
-    span = _IncrementalSpan()
-    for k, v in enumerate(vecs):
-        grows = ref_rank(vecs[:k + 1]) > ref_rank(vecs[:k])
-        assert span.add(v) == grows
-        assert not span.add(v)
-    assert len(span.rows) == ref_rank(vecs)
+    # span_closure keeps the candidates that are pivot columns of one rref:
+    # index k is a pivot exactly when the rank grows at k
+    _rows, piv = la.rref(la.transpose(vecs))
+    assert piv == [k for k in range(len(vecs))
+                   if ref_rank(vecs[:k + 1]) > ref_rank(vecs[:k])]
 

@@ -34,7 +34,7 @@ def case3():
 def fd_coords(case, w2elem):
     alg = case.alg
     rows = [alg.signed_coords(e) for e in case.fd.embedding]
-    c = row_span_coords(rows, alg.signed_coords(w2elem))
+    c, = row_span_coords(rows, [alg.signed_coords(w2elem)])
     assert c is not None
     return c
 
@@ -627,7 +627,7 @@ def test_restrict_map_rejects_a_subspace_the_map_moves(monkeypatch):
         restrict_map(None, swap, [[F(1), F(0), F(0)]])
     assert restrict_map(None, swap, [[F(1), F(1), F(0)]]) == [[F(1)]]
     # a wrong solution from the solver is caught by the exact back-check
-    monkeypatch.setattr(involutions, "solve_matrix",
-                        lambda a, rhs: [[F(2)] * len(rhs[0])] * len(a[0]))
+    monkeypatch.setattr(involutions, "row_span_coords",
+                        lambda rows, vectors: [[F(2)] * len(rows)] * len(vectors))
     with pytest.raises(ValueError, match="map does not preserve the subspace"):
         restrict_map(None, swap, [[F(1), F(1), F(0)]])

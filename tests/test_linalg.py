@@ -12,15 +12,20 @@ from griess_forge.lattices import IntegralLattice
 F = Fraction
 
 
+def _col(v):
+    """A vector as a one-column matrix."""
+    return [[t] for t in v]
+
+
 def test_solve_identity():
     a = la.identity(3)
     b = [F(1), F(-2), F(7, 3)]
-    assert la.solve(a, b) == b
+    assert la.solve_matrix(a, _col(b)) == _col(b)
 
 
 def test_solve_inconsistent():
     a = [[F(1), F(1)], [F(1), F(1)]]
-    assert la.solve(a, [F(0), F(1)]) is None
+    assert la.solve_matrix(a, _col([F(0), F(1)])) is None
 
 
 def test_kernel_of_difference_row():
@@ -58,9 +63,9 @@ def test_rref_rows_and_pivots():
 def test_solve_over_cyclotomic():
     z = zeta(3)
     a = [[z, CycNum(1)], [CycNum(0), z * z]]
-    x = la.solve(a, [CycNum(1), CycNum(1)])
+    x = la.solve_matrix(a, _col([CycNum(1), CycNum(1)]))
     assert x is not None
-    assert la.mat_vec(a, x) == [CycNum(1), CycNum(1)]
+    assert la.mat_mul(a, x) == _col([CycNum(1), CycNum(1)])
 
 
 def test_inverse_and_det():
@@ -73,15 +78,32 @@ def test_inverse_and_det():
 def test_solution_substitutes_back():
     a = [[F(2), F(0), F(1)], [F(0), F(1), F(1)]]
     b = [F(3), F(2)]
-    x = la.solve(a, b)
-    assert la.mat_vec(a, x) == b
+    x = la.solve_matrix(a, _col(b))
+    assert la.mat_mul(a, x) == _col(b)
 
 
 def test_row_span_coords():
     rows = [[F(1), F(0), F(1)], [F(0), F(2), F(0)]]
-    c = la.row_span_coords(rows, [F(1), F(4), F(1)])
+    c, = la.row_span_coords(rows, [[F(1), F(4), F(1)]])
     assert c == [F(1), F(2)]
-    assert la.row_span_coords(rows, [F(0), F(0), F(1)]) is None
+    assert la.row_span_coords(rows, [[F(0), F(0), F(1)]]) == [None]
+
+
+def test_row_span_coords_of_a_mixed_batch():
+    # the batch solve fails on the outside vector; each vector is then
+    # solved on its own, and the inside one keeps its coordinates
+    rows = [[F(1), F(0), F(1)], [F(0), F(2), zeta(12)]]
+    inside = [F(2), F(6), 2 + 3 * zeta(12)]
+    assert la.row_span_coords(rows, [inside, [F(0), F(0), F(1)]]) == [[2, 3], None]
+    assert la.row_span_coords(rows, [[F(0), F(0), F(1)], inside]) == [None, [2, 3]]
+
+
+def test_row_span_coords_of_empty_batches_and_spans():
+    rows = [[F(1), F(0)], [F(0), F(2)]]
+    assert la.row_span_coords(rows, []) == []
+    assert la.row_span_coords([], []) == []
+    # over no rows only a zero vector has coordinates, the empty ones
+    assert la.row_span_coords([], [[F(0), F(0)], [F(0), F(1)]]) == [[], None]
 
 
 def test_hnf_basis():
@@ -256,7 +278,8 @@ def test_inconsistent_system_has_no_solution(a, data):
     rhs[i] = [data.draw(st.sampled_from([F(1), F(-2, 3), zeta(12)]))]
     assert ref_solve_matrix(a, rhs) is None
     assert la.solve_matrix(a, rhs) is None
-    assert la.solve(a, [r[0] for r in rhs]) is None
+    # the same system as a row span: the transposed rows of a miss rhs
+    assert la.row_span_coords(la.transpose(a), [[r[0] for r in rhs]]) == [None]
 
 
 def test_det_over_cyclotomic_field():

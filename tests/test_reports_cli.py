@@ -542,6 +542,24 @@ def test_cli_e8_orbit_builds_orbit_and_scan_once(tmp_path, monkeypatch):
     assert calls == {"closure": 1, "scan": 1}
 
 
+def test_cli_e8_orbit_names_the_first_pair_over_the_scan_bound(tmp_path, monkeypatch):
+    # with the tau scan bound lowered to 2 every order-3 pair is a
+    # violation; the sakuma-bound check fails and names the first one
+    from griess_forge import involutions
+    charge, allowed, negated, _bound = involutions._KINDS["tau_ising"]
+    monkeypatch.setitem(involutions._KINDS, "tau_ising", (charge, allowed, negated, 2))
+    suites.nine_orbit_scan.cache_clear()
+    try:
+        assert cli.main(["--out", str(tmp_path), "involutions", "e8-orbit"]) == 1
+    finally:
+        suites.nine_orbit_scan.cache_clear()
+    data = json.loads((tmp_path / "report-involutions-e8-orbit.json").read_text())
+    by_id = {c["id"]: c for c in data["checks"]}
+    assert by_id["sakuma-bound"]["status"] == "fail"
+    assert by_id["sakuma-bound"]["computed"] == "false: (0, 1, 3)"
+    assert by_id["pairwise-orders"]["status"] == "pass"
+
+
 def test_cli_report_all_records_a_short_nine_orbit_closure(tmp_path, monkeypatch):
     # a nine-vector closure one vector short is a failed orbit-dim check in
     # a written report; every other report is still written and passes
@@ -695,7 +713,8 @@ def test_cli_appendix_names_a_broken_su3_identity(tmp_path, monkeypatch):
 
 def test_cli_properties_records_a_broken_invariance(tmp_path, monkeypatch):
     # a table constant that breaks the invariance of the form is a failed
-    # invariant check in a written report, and the exit status is 1
+    # invariant check in a written report, naming the first broken triple,
+    # and the exit status is 1
     from griess_forge import commutants
     table = commutants.u3a_table
 
@@ -707,13 +726,13 @@ def test_cli_properties_records_a_broken_invariance(tmp_path, monkeypatch):
         return fd
 
     assert table().check_invariance() == []
-    assert ("w1", "Xp", "Xm") in broken().check_invariance()
+    assert broken().check_invariance()[0] == ("w1", "Xp", "Xm")
     monkeypatch.setattr(commutants, "u3a_table", broken)
     assert cli.main(["--out", str(tmp_path), "properties"]) == 1
     data = json.loads((tmp_path / "report-properties.json").read_text())
     by_id = {c["id"]: c for c in data["checks"]}
     assert by_id["invariant-u3a"]["status"] == "fail"
-    assert by_id["invariant-u3a"]["computed"] == "false"
+    assert by_id["invariant-u3a"]["computed"] == "false: (w1, Xp, Xm)"
     assert by_id["positive-u3a"]["status"] == "pass"
     for label in ("g2a", "g3a", "u6a"):
         assert by_id["invariant-%s" % label]["status"] == "pass"
