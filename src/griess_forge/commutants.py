@@ -41,14 +41,15 @@ products that are pivot columns of one rref over the basis so far and
 the round's products, fd_from_elements tests independence by rank, and
 coordinates (the products in fd_from_elements, FDAlgebra.coordinates)
 come from one linalg.row_span_coords batch.  One closure routine,
-span_closure, and one extraction, fd_from_elements, serve a W2Algebra
-and an FDAlgebra alike, through the ambient's product, form and
-signed_coords.  A weight-two element keeps its integer components
-from its first product or form (``w2``), so fd_from_elements converts
-each element once for all its products and forms.  nine_orbit_algebra
-and u3a_griess close twisted Ising vectors in coordinates over the 3A
-commutant, whose exact table was solved on the lattice, so products and
-forms there are the coordinates of the lattice ones.
+span_closure, one extraction, fd_from_elements, and one Virasoro check,
+w2.virasoro_check, serve a W2Algebra and an FDAlgebra alike, through the
+ambient's product, form and signed_coords.  A weight-two element keeps
+its integer components from its first product or form (``w2``), so
+fd_from_elements converts each element once for all its products and
+forms.  nine_orbit_algebra and u3a_griess close twisted Ising vectors in
+coordinates over the 3A commutant, whose exact table was solved on the
+lattice, so products and forms there are the coordinates of the lattice
+ones.
 
 node_case, e8_side and nine_orbit_algebra build their objects once per
 process (per node for node_case) and hand every caller the same ones, so
@@ -64,7 +65,8 @@ from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, Sublattice)
 from .linalg import inverse, mat_mul, rank, row_span_coords, rref, transpose
-from .w2 import W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter
+from .w2 import (W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter,
+                 virasoro_check)
 
 F = Fraction
 _F0 = Fraction(0)
@@ -175,16 +177,10 @@ class FDAlgebra:
                     t3 += d
         return _zdiv((t0, t1, t2, t3), su * sv * sg)
 
-    # the ambient protocol of span_closure and fd_from_elements
+    # the protocol of span_closure, fd_from_elements and virasoro_check
     product = product_vec
     form = form_vec
     signed_coords = staticmethod(list)
-
-    def is_virasoro(self, u):
-        sq = self.product_vec(u, u)
-        two_u = [2 * t for t in u]
-        ok = any(u) and all(a == b for a, b in zip(sq, two_u))
-        return ok, 2 * self.form_vec(u, u)
 
     def coordinates(self, elems):
         """Coordinates over the embedding of elements of the ambient space,
@@ -269,7 +265,7 @@ def fd_from_elements(alg, elems, names, frame_size=None):
     fd = FDAlgebra(names, mult, gram, space=alg, embedding=elems)
     if frame_size is not None:
         for name in names[:frame_size]:
-            if not fd.is_virasoro(fd.element(name))[0]:
+            if not virasoro_check(fd, fd.element(name))[0]:
                 raise AssertionError("frame member %s is not Virasoro" % name)
         total = [F(int(k < frame_size)) for k in range(dim)]
         for name in names:
@@ -395,7 +391,7 @@ class NodeCase:
 
 def _frame_vectors(alg, components):
     """tilde_omega over the scaled roots of each (rows, kind, n) component."""
-    return [tilde_omega(alg, alg.scaled_roots(rows), _COXETER[kind](n))
+    return [tilde_omega(alg.scaled_roots(rows), _COXETER[kind](n))
             for rows, kind, n in components]
 
 
@@ -435,7 +431,7 @@ def tilde_v_pair(case):
     closed-form coefficients over the node basis (_closed_form_v).
     """
     alg = case.alg
-    v = tilde_omega(alg, alg.vectors4, 12)
+    v = tilde_omega(alg.vectors4, 12)
     return v, case.rho.apply(v)
 
 
@@ -486,7 +482,7 @@ class E8Side:
         self.q_sub = annihilator(e8, self.e6_sub)
         if self.q_sub.rank != 2:
             raise AssertionError("annihilator of E6 is not rank 2")
-        self.ehat = tilde_omega(self.alg, self.alg.vectors4, 30)
+        self.ehat = tilde_omega(self.alg.vectors4, 30)
         # the frame of the A2 + E6 split
         self.omega_q, self.omega_e6 = _frame_vectors(
             self.alg, [(self.q_sub.basis, "A", 2), (self.e6_sub.basis, "E", 6)])

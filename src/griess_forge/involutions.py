@@ -2,15 +2,16 @@
 
 A map is a square matrix over Q or Q(z) whose columns are the images of
 the basis of a finite-dimensional algebra (or of the theta-even basis of
-a weight-two algebra, through the adapter).  tau-involutions negate the
-1/16 eigenspace of the adjoint action of a central-charge-1/2 Virasoro
-vector; sigma-involutions of c = 6/7 sigma-type vectors negate the
-parity-odd sectors.  One table, _KINDS, gives each kind its central
+a weight-two algebra, through the adapter W2Space, which answers an
+FDAlgebra's product, form and signed_coords).  tau-involutions negate
+the 1/16 eigenspace of the adjoint action of a central-charge-1/2
+Virasoro vector; sigma-involutions of c = 6/7 sigma-type vectors negate
+the parity-odd sectors.  One table, _KINDS, gives each kind its central
 charge, its allowed and negated weights and its scan bound, and
 tau_involution, sigma_involution and transposition_scan all read it.
 
 Each check runs once per map.  The constructor checks that the vector is
-Virasoro of the kind's charge (one is_virasoro call) and that its
+Virasoro of the kind's charge (one w2.virasoro_check call) and that its
 spectrum lies in the allowed weights; it does not check the map it
 returns.  The automorphism check runs in the caller that uses the map:
 transposition_scan checks every map it builds, and the involutions suites
@@ -81,17 +82,17 @@ class W2Space:
         self.dim = alg.dim
 
     def product_vec(self, u, v):
-        a = self.alg.from_class_coords(u)
-        b = self.alg.from_class_coords(v)
-        return self.alg.product_coords(a, b)
+        alg = self.alg
+        return alg.product_coords(alg.from_class_coords(u), alg.from_class_coords(v))
 
     def form_vec(self, u, v):
-        a = self.alg.from_class_coords(u)
-        b = self.alg.from_class_coords(v)
-        return self.alg.form(a, b)
+        alg = self.alg
+        return alg.form(alg.from_class_coords(u), alg.from_class_coords(v))
 
-    def is_virasoro(self, u):
-        return virasoro_check(self.alg, self.alg.from_class_coords(u))
+    # the protocol of w2.virasoro_check, as on an FDAlgebra
+    product = product_vec
+    form = form_vec
+    signed_coords = staticmethod(list)
 
     def element_vec(self, w2elem):
         return self.alg.class_coords(w2elem)
@@ -121,7 +122,7 @@ def ad_spectrum(space, v):
     if the eigenspaces do not fill the space (reporting the residual
     dimension), or if the eigenvalue-2 space is not the line through v.
     """
-    ok, c = space.is_virasoro(v)
+    ok, c = virasoro_check(space, v)
     if not ok:
         raise ValueError("ad_spectrum needs a Virasoro vector")
     return _spectrum(space, v, c)
@@ -209,7 +210,7 @@ def eigenspace_rows(eigen, values):
     return rows
 
 
-def _signed_map(space, eigen, minus_values):
+def _signed_map(eigen, minus_values):
     """B D B^-1, with B the eigenbasis as columns and D the sign of each
     column's weight: -1 on minus_values, 1 elsewhere."""
     cols, signs = [], []
@@ -235,7 +236,7 @@ def _sector_involution(space, v, kind):
     Virasoro of the kind's charge with its spectrum in the allowed weights;
     the map is not checked to be an automorphism here."""
     charge, allowed, minus, _bound = _KINDS[kind]
-    ok, c = space.is_virasoro(v)
+    ok, c = virasoro_check(space, v)
     if not ok or c != charge:
         raise ValueError("%s needs a Virasoro vector of central charge %s"
                          % (kind, charge))
@@ -243,7 +244,7 @@ def _sector_involution(space, v, kind):
     if not set(eigen) <= allowed:
         raise ValueError("adjoint spectrum %s is not of %s type"
                          % (sorted(eigen), kind))
-    return _signed_map(space, eigen, minus)
+    return _signed_map(eigen, minus)
 
 
 def is_automorphism(space, mat):

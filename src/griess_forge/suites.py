@@ -28,29 +28,32 @@ def suite_charges():
              ("E", 8, F(1, 2))]
     for kind, n, want in cases:
         alg = root_algebra(kind, n)
-        w = tilde_omega(alg, alg.vectors4, alg.lattice.coxeter)
-        ok, c = virasoro_check(alg, w)
+        w = tilde_omega(alg.vectors4, alg.lattice.coxeter)
         rep.add("charge-%s%d" % (kind, n),
                 "central charge of the distinguished Virasoro vector of %s%d"
                 % (kind, n),
-                "tilde-omega central charge table",
-                fmt(want) + " (Virasoro)",
-                fmt(c) + (" (Virasoro)" if ok else " (not Virasoro)"))
+                "tilde-omega central charge table", _charge(True, want),
+                _charge(*virasoro_check(alg, w)))
     return rep
 
 
+def _charge(ok, c):
+    """"c (Virasoro)" or "c (not Virasoro)", from virasoro_check's answer."""
+    return fmt(c) + (" (Virasoro)" if ok else " (not Virasoro)")
+
+
 def suite_ising():
-    from .w2 import root_algebra, tilde_omega, conformal_vector
+    from .w2 import root_algebra, tilde_omega, conformal_vector, virasoro_check
     rep = Report("ising")
     alg = root_algebra("E", 8)
     rep.add("dim", "dimension of the doubled-E8 even weight-two space",
             "36 Heisenberg pairs + 120 exponential classes", 156, alg.dim)
-    e = tilde_omega(alg, alg.vectors4, 30)
-    sq = alg.product(e, e)
+    e = tilde_omega(alg.vectors4, 30)
+    ok, c = virasoro_check(alg, e)
     rep.add("ising-idempotent", "e . e = 2 e for the special Ising vector",
-            "Virasoro axiom", "true", sq == e.scale(F(2)))
+            "Virasoro axiom", "true", ok)
     rep.add("ising-norm", "<e, e> for the special Ising vector",
-            "central charge 1/2", F(1, 4), alg.form(e, e))
+            "central charge 1/2", F(1, 4), c / 2)
     w = conformal_vector(alg)
     rep.add("conformal-action", "the conformal vector acts as 2 on e",
             "weight-two grading", "true", alg.product(w, e) == e.scale(F(2)))
@@ -79,6 +82,7 @@ def suite_commutant(node):
     from .commutants import (node_case, g2a_table, g3a_table, tilde_v_pair,
                              orthogonal_complement_virasoro,
                              weight2_dimension_census, _closed_form_v)
+    from .w2 import virasoro_check
     rep = Report("commutant-%s" % node)
     case = node_case(node)
     fd = case.fd
@@ -90,10 +94,9 @@ def suite_commutant(node):
     elif node == "3A":
         _table_checks(rep, fd, g3a_table(), "g3a")
     else:
-        ok, c = fd.is_virasoro(fd.element("w1"))
         rep.add("1a-charge", "the one-dimensional commutant is Virasoro of charge 6/7",
                 "distinguished vector", "6/7 (Virasoro)",
-                fmt(c) + (" (Virasoro)" if ok else " (not Virasoro)"))
+                _charge(*virasoro_check(fd, fd.element("w1"))))
     v, vp = tilde_v_pair(case)
     want = {"1A": F(3, 7), "2A": F(1, 49), "3A": F(3, 196)}[node]
     rep.add("vv-pairing", "<v, v'> for the distinguished pair",
@@ -102,10 +105,9 @@ def suite_commutant(node):
             "coefficient identities", "true", _closed_form_v(case) == v)
     if node == "2A":
         u = orthogonal_complement_virasoro(case)
-        ok, c = fd.is_virasoro(u)
+        ok, c = virasoro_check(fd, u)
         rep.add("complement-charge", "complement Virasoro vector charge",
-                "orthogonal frame pair", F(25, 28),
-                c if ok else fmt(c) + " (not Virasoro)")
+                "orthogonal frame pair", F(25, 28), c if ok else _charge(ok, c))
         vc, = fd.coordinates([v])
         rep.add("complement-orthogonal", "<v, u> = 0", "orthogonal frame pair",
                 0, fd.form_vec(vc, u))
@@ -115,6 +117,7 @@ def suite_commutant(node):
 def suite_u3a(from_orbit=False):
     from .commutants import u3a_griess, u3a_table
     from .involutions import ad_spectrum
+    from .w2 import virasoro_check
     rep = Report("u3a" + ("-orbit" if from_orbit else ""))
     fd = u3a_table()
     rep.add("table-xpxm", "X+ . X- in the table algebra", "four-dim table",
@@ -137,17 +140,15 @@ def suite_u3a(from_orbit=False):
         e_vecs.append([F(5, 32), F(7, 16), zi * F(1, 32),
                        zi.conjugate() * F(1, 32)])
     for i, ev in enumerate(e_vecs):
-        ok, c = fd.is_virasoro(ev)
         rep.add("e%d-ising" % i, "e%d is an Ising vector" % i,
                 "three Ising vectors", "1/2 (Virasoro)",
-                fmt(c) + (" (Virasoro)" if ok else " (not Virasoro)"))
+                _charge(*virasoro_check(fd, ev)))
     rep.add("e0-e1-pairing", "<e0, e1>", "Ising pair inner product",
             F(13, 1024), fd.form_vec(e_vecs[0], e_vecs[1]))
     x0 = [F(1, 16), F(7, 8), -F(1, 48), -F(1, 48)]
-    ok, c = fd.is_virasoro(x0)
     rep.add("x0-charge", "x0 is a c = 4/5 Virasoro vector",
             "non-extendable charge-4/5 vectors", "4/5 (Virasoro)",
-            fmt(c) + (" (Virasoro)" if ok else " (not Virasoro)"))
+            _charge(*virasoro_check(fd, x0)))
     eig = ad_spectrum(fd, x0)
     rep.add("x0-thirteen-eighths", "13/8 is an adjoint eigenvalue of x0",
             "adjoint spectrum", "true", F(13, 8) in eig)
@@ -220,7 +221,7 @@ def suite_e8_orbit():
     rep.add("pairwise-orders", "off-diagonal tau pair orders",
             "pairwise scan", [3], off)
     rep.add("sakuma-bound", "no pair order exceeds 6", "six-transposition bound",
-            "true", "false: (%d, %d, %d)" % violations[0] if violations else "true")
+            "true", _first_witness(violations))
     n, _ = group_closure([maps[0], maps[1], maps[3]])
     rep.add("group-order-exact", "the computed group order", "closure size",
             18, n)
@@ -281,6 +282,13 @@ def suite_codes():
             "block inclusion", "true",
             all((0, 0, 0, 0) + c + c in g for c in tetracode_slope().words()))
     return rep
+
+
+def _first_witness(witnesses):
+    """"true" without a failure witness, else "false: " and the first."""
+    for w in witnesses:
+        return "false: %s" % (w,)
+    return "true"
 
 
 def _all_hold(record):
@@ -356,17 +364,20 @@ def suite_properties():
     # the ordered basis products, each taken once and converted once for
     # the forms below
     table = [[alg.product(a, b) for b in basis] for a in basis]
-    comm = all(table[i][j] == table[j][i] for i in range(n) for j in range(n))
     rep.add("commutative", "basis products commute (doubled A2 space)",
-            "theta-even product", "true", comm)
-    inv = all(alg.form(table[i][j], basis[k]) == alg.form(basis[j], table[i][k])
-              for i in range(n) for j in range(n) for k in range(n))
+            "theta-even product", "true",
+            _first_witness((i, j) for i in range(n) for j in range(n)
+                           if table[i][j] != table[j][i]))
     rep.add("invariant", "form invariance on basis triples (doubled A2 space)",
-            "associativity of the form", "true", inv)
+            "associativity of the form", "true",
+            _first_witness((i, j, k) for i in range(n) for j in range(n)
+                           for k in range(n) if alg.form(table[i][j], basis[k])
+                           != alg.form(basis[j], table[i][k])))
     w = conformal_vector(alg)
     rep.add("conformal", "conformal vector acts as 2 on every basis element",
             "grading axiom", "true",
-            all(alg.product(w, b) == b.scale(F(2)) for b in basis))
+            _first_witness(k for k, b in enumerate(basis)
+                           if alg.product(w, b) != b.scale(F(2))))
     gram = [[alg.form(a, b) for b in basis] for a in basis]
     rep.add("positive-definite", "the form Gram matrix is positive definite",
             "exact pivot test", "true", is_positive_definite(gram))
@@ -391,18 +402,10 @@ def suite_properties():
                 "positive definiteness of the %s Hermitian form" % label,
                 "exact pivot test", "true", is_positive_definite(herm))
     rng = random.Random(11)
-    norton_ok = True
-    for _ in range(120):
-        a = _random_even(alg, rng)
-        b = _random_even(alg, rng)
-        ab = alg.product(a, b)
-        lhs = alg.form(alg.product(a, a), alg.product(b, b))
-        mid = alg.form(ab, ab)
-        if not (lhs >= mid >= 0):
-            norton_ok = False
-            break
     rep.add("norton", "product-form inequality on 120 random rational pairs",
-            "positivity sampling", "true", norton_ok)
+            "positivity sampling", "true",
+            _first_witness(k for k in range(120) if not _norton(
+                alg, _random_even(alg, rng), _random_even(alg, rng))))
     # eigenspace completeness for the analyzed vector: the eigenspaces of
     # ad(v) over the candidate weights of its unitary series, each kernel
     # taken on the whole algebra, so a shortfall is a count, not a raise
@@ -421,6 +424,12 @@ def suite_properties():
     rep.add("eigen-complete", "adjoint eigenspaces fill the 3A node algebra",
             "semisimplicity", fd.dim, filled)
     return rep
+
+
+def _norton(alg, a, b):
+    """Norton's inequality <a.a, b.b> >= <a.b, a.b> >= 0."""
+    ab = alg.product(a, b)
+    return alg.form(alg.product(a, a), alg.product(b, b)) >= alg.form(ab, ab) >= 0
 
 
 def _random_even(alg, rng):

@@ -135,12 +135,6 @@ class W2Element:
         return (self.heis == other.heis and self.exps == other.exps
                 and self.d2 == other.d2)
 
-    def __hash__(self):
-        raise TypeError("W2Element is not hashable")
-
-    def is_zero(self):
-        return not self.heis and not self.exps and not self.d2
-
     def theta(self):
         """The lift of the -1 isometry: e^beta -> e^-beta, b(-2) -> -b(-2)."""
         return W2Element(dict(self.heis),
@@ -505,7 +499,7 @@ def conformal_vector(alg):
     return W2Element(heis)
 
 
-def sub_conformal_vector(alg, roots, coxeter):
+def sub_conformal_vector(roots, coxeter):
     """Conformal vector of an orthogonal root-sublattice component, from the
     root-sum expression: (1/8h) * sum over scaled roots of beta(-1)^2.
 
@@ -522,25 +516,23 @@ def sub_conformal_vector(alg, roots, coxeter):
                       for (i, j), t in sums.items()})
 
 
-def tilde_omega(alg, roots, coxeter):
+def tilde_omega(roots, coxeter):
     """The distinguished Virasoro vector of a root sublattice:
     2/(h+2) times its conformal vector plus 1/(h+2) times the sum of the
     exponentials of its scaled roots."""
-    w = sub_conformal_vector(alg, roots, coxeter).scale(Fraction(2, coxeter + 2))
+    w = sub_conformal_vector(roots, coxeter).scale(Fraction(2, coxeter + 2))
     ec = Fraction(1, coxeter + 2)
     exps = {beta: ec for beta in roots}
     return w + W2Element(exps=exps)
 
 
 def virasoro_check(alg, v):
-    """(is_virasoro, central_charge): v . v = 2 v and c = 2 <v, v>.
-
-    The zero vector is not a Virasoro vector.
-    """
-    sq = alg.product(v, v)
-    ok = (not v.is_zero()) and sq == v.scale(Fraction(2))
-    c = 2 * alg.form(v, v)
-    return ok, c
+    """(is_virasoro, central_charge): v . v = 2 v and c = 2 <v, v>, in any
+    algebra with product, form and signed_coords (a W2Algebra, FDAlgebra
+    or W2Space).  The zero vector is not a Virasoro vector."""
+    s = alg.signed_coords(v)
+    ok = any(s) and alg.signed_coords(alg.product(v, v)) == [2 * t for t in s]
+    return ok, 2 * alg.form(v, v)
 
 
 def coset_sum(alg, classify, cls):

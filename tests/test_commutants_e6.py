@@ -57,7 +57,7 @@ def commutant_kernel_dimension(case):
     rows = []
     for e in case.fd.embedding:
         even = (e + e.theta()).scale(F(1, 2))
-        if not even.is_zero():
+        if even != W2Element():
             rows.append(sp.element_vec(even))
     if rank(rows) != len(ker):
         raise AssertionError("even commutant dimension %d, kernel dimension %d"
@@ -130,7 +130,7 @@ def test_3a_frame_charges(case_3a):
 def test_1a_griess_is_tilde_omega(case_1a):
     fd = case_1a.fd
     assert fd.dim == 1
-    ok, c = fd.is_virasoro(fd.element("w1"))
+    ok, c = virasoro_check(fd, fd.element("w1"))
     assert ok and c == F(6, 7)
 
 
@@ -188,13 +188,31 @@ def test_rho_2a_involution(case_2a):
 def test_orthogonal_complement(case_2a):
     fd = case_2a.fd
     u = orthogonal_complement_virasoro(case_2a)
-    ok, c = fd.is_virasoro(u)
+    ok, c = virasoro_check(fd, u)
     assert ok and c == F(25, 28)
     v, _ = tilde_v_pair(case_2a)
     v_fd = fd.combo(w1=F(2, 7), w2=F(4, 7), X=F(1, 14))
     assert fd.form_vec(v_fd, u) == 0
     total = [a + b for a, b in zip(v_fd, u)]
     assert total == fd.combo(w1=1, w2=1)
+
+
+def test_virasoro_check_answers_alike_in_three_representations(case_2a):
+    # one element, as a W2Element of the lattice algebra, in class
+    # coordinates of its W2Space and in coordinates of the node algebra
+    fd, alg = case_2a.fd, case_2a.alg
+    space = W2Space(alg)
+    v, _vp = tilde_v_pair(case_2a)
+    cases = [(fd.embedding[fd.index("w1")], (True, F(1, 2))),
+             (fd.embedding[fd.index("w2")], (True, F(5, 4))),
+             (fd.embedding[fd.index("X")], (False, F(80))),
+             (v, (True, F(6, 7))),
+             (W2Element(), (False, F(0)))]
+    for elem, want in cases:
+        coords, = fd.coordinates([elem])
+        assert virasoro_check(alg, elem) == want
+        assert virasoro_check(space, space.element_vec(elem)) == want
+        assert virasoro_check(fd, coords) == want
 
 
 def test_2a_generated_by_pair(case_2a):

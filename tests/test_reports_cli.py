@@ -440,8 +440,8 @@ def test_cli_involutions_records_a_sigma_map_that_is_not_an_automorphism(
     from griess_forge import involutions
     signed = involutions._signed_map
 
-    def negated(space, eigen, minus):
-        return [[-x for x in row] for row in signed(space, eigen, minus)]
+    def negated(eigen, minus):
+        return [[-x for x in row] for row in signed(eigen, minus)]
 
     monkeypatch.setattr(involutions, "_signed_map", negated)
     assert cli.main(["--out", str(tmp_path), "involutions", "2A"]) == 1
@@ -736,6 +736,86 @@ def test_cli_properties_records_a_broken_invariance(tmp_path, monkeypatch):
     assert by_id["positive-u3a"]["status"] == "pass"
     for label in ("g2a", "g3a", "u6a"):
         assert by_id["invariant-%s" % label]["status"] == "pass"
+
+
+def _properties_with_bent_a2_product(tmp_path, monkeypatch, bend):
+    """report-all --skip-slow with every product a . b in the doubled A2
+    algebra replaced by bend(alg, a, b, a . b); asserts exit status 1 and
+    all reports written, and returns the properties checks by id."""
+    from griess_forge import w2
+    a2, product = w2.root_algebra("A", 2), w2.W2Algebra.product
+
+    def bent(self, a, b):
+        ab = product(self, a, b)
+        return bend(self, a, b, ab) if self is a2 else ab
+
+    monkeypatch.setattr(w2.W2Algebra, "product", bent)
+    assert cli.main(["--out", str(tmp_path), "report-all", "--skip-slow"]) == 1
+    written = sorted(p.name for p in tmp_path.glob("report-*.json"))
+    assert written == sorted("report-%s.json" % name for name in suites.SUITES)
+    data = json.loads((tmp_path / "report-properties.json").read_text())
+    return {c["id"]: c for c in data["checks"]}
+
+
+def test_cli_properties_names_the_first_pair_that_does_not_commute(
+        tmp_path, monkeypatch):
+    # e1 . e2 gains e0 but e2 . e1 does not
+    def bend(alg, a, b, ab):
+        hit = (a, b) == (alg.basis_element(1), alg.basis_element(2))
+        return ab + alg.basis_element(0) if hit else ab
+
+    by_id = _properties_with_bent_a2_product(tmp_path, monkeypatch, bend)
+    assert by_id["commutative"]["status"] == "fail"
+    assert by_id["commutative"]["computed"] == "false: (1, 2)"
+
+
+def test_cli_properties_names_the_first_triple_that_breaks_invariance(
+        tmp_path, monkeypatch):
+    # e1 . e2 = e2 . e1 gains e0: <e1 . e0, e2> = <e0, e1 . e2> fails first
+    def bend(alg, a, b, ab):
+        pair = [alg.basis_element(1), alg.basis_element(2)]
+        hit = [a, b] in (pair, pair[::-1])
+        return ab + alg.basis_element(0) if hit else ab
+
+    by_id = _properties_with_bent_a2_product(tmp_path, monkeypatch, bend)
+    assert by_id["commutative"]["status"] == "pass"
+    assert by_id["invariant"]["status"] == "fail"
+    assert by_id["invariant"]["computed"] == "false: (1, 0, 2)"
+
+
+def test_cli_properties_names_the_first_basis_element_off_grade(
+        tmp_path, monkeypatch):
+    # the conformal vector acts as 3 on e3
+    from griess_forge.w2 import conformal_vector
+
+    def bend(alg, a, b, ab):
+        hit = b == alg.basis_element(3) and a == conformal_vector(alg)
+        return ab + b if hit else ab
+
+    by_id = _properties_with_bent_a2_product(tmp_path, monkeypatch, bend)
+    assert by_id["conformal"]["status"] == "fail"
+    assert by_id["conformal"]["computed"] == "false: 3"
+
+
+def test_cli_properties_names_the_first_sample_that_breaks_norton(
+        tmp_path, monkeypatch):
+    # a . a = 0 for the first element of sample 7 puts <a.a, b.b> = 0
+    # below <a.b, a.b>
+    from griess_forge.w2 import W2Element
+    draws, even = [], suites._random_even
+
+    def drawn(alg, rng):
+        draws.append(even(alg, rng))
+        return draws[-1]
+
+    def bend(alg, a, b, ab):
+        hit = a is b and len(draws) > 14 and a is draws[14]
+        return W2Element() if hit else ab
+
+    monkeypatch.setattr(suites, "_random_even", drawn)
+    by_id = _properties_with_bent_a2_product(tmp_path, monkeypatch, bend)
+    assert by_id["norton"]["status"] == "fail"
+    assert by_id["norton"]["computed"] == "false: 7"
 
 
 def test_cli_report_all_records_a_suite_exception(tmp_path, monkeypatch):
