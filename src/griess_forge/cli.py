@@ -11,7 +11,11 @@ import os
 import re
 import sys
 
-from .report import Report, fmt, skipped
+from . import suites
+from .report import (Report, fd_to_json, fd_to_markdown, fmt, fusion_to_json,
+                     fusion_to_markdown, node_diagram, scan_to_json, skipped,
+                     to_json, w2_to_dict, wmodules_to_json,
+                     wmodules_to_markdown)
 from .suites import SUITES, run_suite
 
 
@@ -250,7 +254,6 @@ def _suite_cmd(names, export=None):
 def _export_tables(args):
     if args.export_tables:
         from .commutants import node_case, tilde_v_pair
-        from .report import fd_to_json, fd_to_markdown, to_json, w2_to_dict
         case, node = node_case(args.node), args.node
         v, vp = tilde_v_pair(case)
         pair = {"v": w2_to_dict(case.alg, v)}
@@ -263,9 +266,7 @@ def _export_tables(args):
 
 def _export_scan(args):
     if args.node == "e8-orbit":
-        from .report import scan_to_json
-        from .suites import nine_orbit_scan
-        _fd12, _dim, orders, violations, _maps = nine_orbit_scan()
+        _fd12, _dim, orders, violations, _maps = suites.nine_orbit_scan()
         _write(args.out, "scan-e8-orbit.json", scan_to_json(orders, violations))
 
 
@@ -273,8 +274,6 @@ def _export_minimal(args):
     if args.export_tables:
         from .minimal import (all_labels, fusion, highest_weight,
                               w_module_classification)
-        from .report import (fusion_to_json, fusion_to_markdown,
-                             wmodules_to_json, wmodules_to_markdown)
         for m in (3, 4):
             hw = {a: highest_weight(m, *a) for a in all_labels(m)}
             table = {(a, b): fusion(m, a, b) for a in hw for b in hw}
@@ -287,14 +286,12 @@ def _export_minimal(args):
 
 def cmd_diagram(args):
     from .commutants import node_case, tilde_v_pair
-    from .report import node_diagram
-    from .suites import rho_orders
     nodes = {1: "1A", 2: "2A", 3: "3A"}
     pairings, products, marks = {}, {}, {}
     for mark, node in nodes.items():
         case = node_case(node)
         pairings[mark] = fmt(case.alg.form(*tilde_v_pair(case)))
-        _rho, product_order, rho_order = rho_orders(node)
+        _rho, product_order, rho_order = suites.rho_orders(node)
         products[mark], marks[mark] = fmt(product_order), fmt(rho_order)
     print("pairings of the distinguished vector with its character twist:")
     print(node_diagram(pairings))

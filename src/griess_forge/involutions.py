@@ -43,15 +43,16 @@ A C = C Abar, and every eigenvector of A for another weight m lies in
 im S = im C, so ker(A - m) = C ker(Abar - m) whether or not A is
 semisimple.  On the 156-dim space the spectrum of e-hat takes one kernel
 of rank 36 and kernels of size 36, 36 and 1 where it took four of size
-156.  Each lifted eigenspace is brought to the basis kernel(A - m) gives
-by one reduced row echelon form of its column-reversed vectors, so the
-bases are the ones the full shifts give.
+156.  A lifted eigenspace is kept in the basis the deflation finds; the
+maps B D B^-1 do not depend on it.  eigenspaces does not ask that the
+eigenspaces fill the space; _spectrum, which the involutions and
+ad_spectrum read, raises when they do not.
 """
 
 from fractions import Fraction
 
 from .exact import _ZRow
-from .linalg import (identity, mat_mul, mat_vec, kernel, inverse, rref,
+from .linalg import (identity, mat_mul, mat_vec, kernel, inverse,
                      row_span_coords, transpose, _zmat, _zmat_entries,
                      _zmat_identity, _zmat_mul)
 from .minimal import charge_to_m, highest_weight, all_labels, sigma_type_set
@@ -81,13 +82,16 @@ class W2Space:
         self.alg = alg
         self.dim = alg.dim
 
+    # a repeated operand, as in v.v, is converted once
     def product_vec(self, u, v):
         alg = self.alg
-        return alg.product_coords(alg.from_class_coords(u), alg.from_class_coords(v))
+        a = alg.from_class_coords(u)
+        return alg.product_coords(a, a if v is u else alg.from_class_coords(v))
 
     def form_vec(self, u, v):
         alg = self.alg
-        return alg.form(alg.from_class_coords(u), alg.from_class_coords(v))
+        a = alg.from_class_coords(u)
+        return alg.form(a, a if v is u else alg.from_class_coords(v))
 
     # the protocol of w2.virasoro_check, as on an FDAlgebra
     product = product_vec
@@ -137,9 +141,14 @@ def series_weights(c):
 
 
 def _spectrum(space, v, c):
-    """ad_spectrum for a vector already known to be Virasoro of charge c."""
+    """ad_spectrum for a vector already known to be Virasoro of charge c;
+    raises unless the eigenspaces fill the space."""
     hset = series_weights(c)
     eigen = eigenspaces(ad_matrix(space, v), sorted({F(2)} | hset))
+    filled = sum(map(len, eigen.values()))
+    if filled != space.dim:
+        raise ValueError("adjoint action is not semisimple over the candidate "
+                         "list: eigenspaces fill %d of %d" % (filled, space.dim))
     if F(2) not in hset and F(2) in eigen and len(eigen[F(2)]) != 1:
         raise ValueError("eigenvalue-2 space has dimension %d"
                          % len(eigen[F(2)]))
@@ -147,8 +156,9 @@ def _spectrum(space, v, c):
 
 
 def eigenspaces(mat, candidates):
-    """{weight: kernel basis of mat - weight} over the distinct candidates
-    with a nonzero kernel; raises unless the eigenspaces fill the space.
+    """{weight: basis of the kernel of mat - weight} over the distinct
+    candidates with a nonzero kernel.  The eigenspaces need not fill the
+    space; _spectrum checks that they do.
 
     Each candidate's kernel is taken on the quotient left by the earlier
     ones.  For A, a candidate l and S = A - l with reduced row echelon form
@@ -158,15 +168,12 @@ def eigenspaces(mat, candidates):
     no semisimplicity assumed; the loop goes on with Abar, of size rank S,
     and composes the C's into the lift to the space.  R and P are read off
     the kernel basis, which is the identity on the free columns.  A lifted
-    eigenspace is brought to the basis kernel(A - m) would give by one
-    reduced row echelon form of its column-reversed vectors.
+    eigenspace is kept in the basis C ker(Abar - m) gives.
     """
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate weights must be distinct")
     lift = None         # the space itself until the first deflation
     eigen = {}
-    total = 0
-    n = len(mat)
     for lam in candidates:
         r = len(mat)
         shifted = [row[:] for row in mat]
@@ -175,9 +182,7 @@ def eigenspaces(mat, candidates):
         basis = kernel(shifted)
         if not basis:
             continue
-        eigen[lam] = basis if lift is None else _canonical(
-            mat_mul(basis, transpose(lift)))
-        total += len(basis)
+        eigen[lam] = basis if lift is None else mat_mul(basis, transpose(lift))
         if len(basis) == r:
             break       # the rest of the space is this eigenspace
         # R, P and C from the kernel basis: the entry of basis vector j at
@@ -189,18 +194,7 @@ def eigenspaces(mat, candidates):
         cmat = [[row[p] for p in piv] for row in shifted]
         mat = mat_mul(red, [[row[p] for p in piv] for row in mat])
         lift = cmat if lift is None else mat_mul(lift, cmat)
-    if total != n:
-        raise ValueError("adjoint action is not semisimple over the candidate "
-                         "list: eigenspaces fill %d of %d" % (total, n))
     return eigen
-
-
-def _canonical(vectors):
-    """The basis of the span of the vectors that kernel would return: the
-    identity on the last nonzero positions, from one reduced row echelon
-    form of the column-reversed vectors."""
-    rows, _piv = rref([v[::-1] for v in vectors])
-    return [row[::-1] for row in reversed(rows)]
 
 
 def eigenspace_rows(eigen, values):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exact import zeta
-from .report import Report, fmt
+from .report import Report, fmt, skipped
 
 F = Fraction
 
@@ -325,7 +325,6 @@ def suite_leech(skip_slow=False):
     rep.add("embedding-record", "all embedding checks hold",
             "doubled-E8 triple embedding", "true", _all_hold(emb))
     if skip_slow:
-        from .report import skipped
         rep.checks.append(skipped("leech-minimal",
                                   "minimal vector count (skipped)",
                                   "norm-4 enumeration"))
@@ -406,21 +405,18 @@ def suite_properties():
             "positivity sampling", "true",
             _first_witness(k for k in range(120) if not _norton(
                 alg, _random_even(alg, rng), _random_even(alg, rng))))
-    # eigenspace completeness for the analyzed vector: the eigenspaces of
-    # ad(v) over the candidate weights of its unitary series, each kernel
-    # taken on the whole algebra, so a shortfall is a count, not a raise
+    # eigenspace completeness for the analyzed vector: the dimensions of
+    # the eigenspaces of ad(v) over the candidate weights of its unitary
+    # series, which eigenspaces returns without asking that they fill the
+    # algebra, so a shortfall is a count, not a raise
     from .commutants import tilde_v_pair
-    from .involutions import ad_matrix, series_weights
-    from .linalg import kernel
+    from .involutions import ad_matrix, eigenspaces, series_weights
     case = node_case("3A")
     fd = case.fd
     v, _vp = tilde_v_pair(case)
     vc, = fd.coordinates([v])
     weights = {F(2)} | series_weights(2 * fd.form_vec(vc, vc))
-    ad = ad_matrix(fd, vc)
-    filled = sum(len(kernel([[x - lam if i == j else x for j, x in enumerate(row)]
-                             for i, row in enumerate(ad)]))
-                 for lam in weights)
+    filled = sum(map(len, eigenspaces(ad_matrix(fd, vc), sorted(weights)).values()))
     rep.add("eigen-complete", "adjoint eigenspaces fill the 3A node algebra",
             "semisimplicity", fd.dim, filled)
     return rep

@@ -551,18 +551,6 @@ def coset_sum(alg, classify, cls):
     return W2Element(exps=exps)
 
 
-def _times_zpow(v, m):
-    """v * z^m for an int, Fraction or CycNum v, summed from the rows of
-    exact._ZPOW."""
-    out = [_F0] * 4
-    for t, c in enumerate(v.co if type(v) is CycNum else (v,)):
-        if c:
-            for n, r in enumerate(_ZPOW[(t + m) % 12]):
-                if r:
-                    out[n] += r * c
-    return CycNum._raw(tuple(out))
-
-
 class CosetCharacter:
     """A root-of-unity character of lattice/sublattice acting on exponentials.
 
@@ -573,15 +561,13 @@ class CosetCharacter:
     power derive share the table.
     """
 
-    def __init__(self, alg, sub_rows, weights=None):
+    def __init__(self, alg, sub_rows):
         self.alg = alg
         sub = Sublattice(alg.lattice, sub_rows)
         moduli, classify = quotient_structure(sub)
         self.moduli = moduli
         self.classify = classify
-        if weights is None:
-            weights = tuple(1 for _ in moduli)
-        self.weights = tuple(weights)
+        self.weights = (1,) * len(moduli)
         self.exponent = lcm(*moduli)
         self._classes = {}
 
@@ -612,7 +598,7 @@ class CosetCharacter:
         exps = {}
         for beta, v in elem.exps.items():
             m = step * self.exponent_of(beta)
-            exps[beta] = _times_zpow(v, m) if m else v
+            exps[beta] = v * zeta(12, m) if m else v
         return W2Element(dict(elem.heis), exps, dict(elem.d2))
 
     def with_weights(self, weights):
