@@ -142,14 +142,22 @@ def _box_count(lat, norm):
                if lat.norm(x) == norm)
 
 
+# the code command lists all 3^k words of a code of dimension k
+_MAX_CODE_DIM = 12
+
+
 def _load_code(path):
     from .codes import TernaryCode
     fields = _parse_kv_file(path, {"generators"})
     if "length" not in fields or "generators" not in fields:
         raise ValueError("code file needs a length line and a generators block")
     code = TernaryCode(_int_value(fields, "length"), fields["generators"])
-    if code.dimension() == 0:
+    k = code.dimension()
+    if k == 0:
         raise ValueError("the code has no nonzero word, so it has no minimum weight")
+    if k > _MAX_CODE_DIM:
+        raise ValueError("the code has dimension %d, above the bound %d (3^%d words)"
+                         % (k, _MAX_CODE_DIM, _MAX_CODE_DIM))
     return code
 
 

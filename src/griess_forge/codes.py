@@ -98,10 +98,6 @@ class TernaryCode:
         gens = self.generators
         return all(_dot(g, h) == 0 for g in gens for h in gens)
 
-    def is_closed(self):
-        ws = set(self.words())
-        return all(_add(a, b) in ws for a in ws for b in ws)
-
 
 def tetracode():
     """The tetracode in the coset-labelling coordinates (rows (1,1,1,0), (1,-1,0,1))."""

@@ -37,9 +37,9 @@ scaled form, so a vector used many times is scaled once), sums int tuples
 and divides each output entry once, to a Fraction when it is rational and
 a CycNum otherwise.  This module does no elimination of its own; the
 ``linalg`` core does it all.  Each round of span_closure keeps the
-products that are pivot columns of one rref over the basis so far and
-the round's products, fd_from_elements tests independence by rank, and
-coordinates (the products in fd_from_elements, FDAlgebra.coordinates)
+products that are pivot columns (one linalg.pivots) of the basis so far
+and the round's products side by side, fd_from_elements tests
+independence by rank, and coordinates (the products in fd_from_elements, FDAlgebra.coordinates)
 come from one linalg.row_span_coords batch.  One closure routine,
 span_closure, one extraction, fd_from_elements, and one Virasoro check,
 w2.virasoro_check, serve a W2Algebra and an FDAlgebra alike, through the
@@ -64,7 +64,7 @@ from itertools import islice
 from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, Sublattice)
-from .linalg import inverse, mat_mul, rank, row_span_coords, rref, transpose
+from .linalg import inverse, mat_mul, pivots, rank, row_span_coords, transpose
 from .w2 import (W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter,
                  virasoro_check)
 
@@ -216,7 +216,7 @@ def span_closure(alg, gens):
     of basis elements: the independent generators first, then, round by
     round, whichever products escape the span so far, in the order the
     products are taken.  Each round keeps the candidates that are pivot
-    columns of one rref over the basis and the candidates.  Each product
+    columns of the basis and the candidates side by side.  Each product
     of basis elements is computed exactly once.
     """
     elems, rows, done = [], [], set()
@@ -224,7 +224,7 @@ def span_closure(alg, gens):
     while new:
         cand = [alg.signed_coords(p) for p in new]
         n = len(rows)
-        _r, piv = rref(transpose(rows + cand))
+        piv = pivots(transpose(rows + cand))
         elems += [new[k - n] for k in piv[n:]]
         rows += [cand[k - n] for k in piv[n:]]
         if len(elems) > 64:

@@ -62,9 +62,8 @@ F = Fraction
 
 __all__ = [
     "W2Space", "ad_matrix", "ad_spectrum", "series_weights", "eigenspaces",
-    "tau_involution",
-    "sigma_involution", "is_automorphism", "map_order", "transposition_scan",
-    "group_closure", "restrict_map", "eigenspace_rows",
+    "tau_involution", "sigma_involution", "is_automorphism", "map_order",
+    "transposition_scan", "group_closure", "restrict_map",
 ]
 
 # kind: (central charge, allowed weights, negated weights, scan bound)
@@ -195,13 +194,6 @@ def eigenspaces(mat, candidates):
         mat = mat_mul(red, [[row[p] for p in piv] for row in mat])
         lift = cmat if lift is None else mat_mul(lift, cmat)
     return eigen
-
-
-def eigenspace_rows(eigen, values):
-    rows = []
-    for lam in values:
-        rows.extend(eigen.get(lam, []))
-    return rows
 
 
 def _signed_map(eigen, minus_values):

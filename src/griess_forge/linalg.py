@@ -3,15 +3,18 @@
 Matrices are lists of rows; entries are int, Fraction or CycNum, mixed
 freely (the operators promote).
 
-Every elimination over Q or Q(z) in the package (rref, kernel, rank,
-solve_matrix and row_span_coords, inverse, det) runs through one
-fraction-free core: ``_echelon`` eliminates forward and ``_reduce``
-clears above the pivots where a basis, solution or inverse is asked for.
-``rref`` returns the reduced row echelon form, its nonzero rows divided by
-their pivots, with the pivot columns.  ``kernel`` reads its basis, the one
-that is the identity on the free columns, off the integer rows
-``_reduce`` leaves: one Fraction (minus the entry over the pivot) for each
-nonzero entry of a pivot row at a free column.
+Every elimination over Q or Q(z) in the package (pivots and rank,
+kernel, solve_matrix, row_span_coords and inverse, det) runs through one
+fraction-free core: ``_echelon`` eliminates forward and returns the pivot
+columns, which ``pivots`` hands out, and ``_reduce`` clears above the
+pivots where a basis or solution is asked for.  One solve, ``_solve``,
+eliminates [A | RHS] once and reads each right-hand column off the
+reduced rows, or None for a column that is nonzero past the pivots;
+``solve_matrix`` wants every column, ``row_span_coords`` takes them one
+by one, and ``inverse`` solves against the identity.  ``kernel`` reads
+its basis, the one that is the identity on the free columns, off the
+integer rows ``_reduce`` leaves: one Fraction (minus the entry over the
+pivot) for each nonzero entry of a pivot row at a free column.
 Each row is scaled by the lcm of its denominators into integers: plain
 ints when every entry is rational, and elements of Z[z] (4-tuples in the
 basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1) otherwise.  Rows are read
@@ -46,9 +49,8 @@ from .exact import CycNum, _cyc_content, _cyc_row, _zcofactor, _zdiv, _zmul
 from .intmat import int_positive_definite
 
 __all__ = [
-    "identity", "zeros", "transpose", "mat_mul", "mat_vec",
-    "solve_matrix", "rref", "kernel", "rank", "inverse", "det", "mat_pow",
-    "row_span_coords",
+    "identity", "transpose", "mat_mul", "mat_vec", "solve_matrix",
+    "pivots", "kernel", "rank", "inverse", "det", "row_span_coords",
 ]
 
 _F0 = Fraction(0)
@@ -57,10 +59,6 @@ _F1 = Fraction(1)
 
 def identity(n):
     return [[_F1 if i == j else _F0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m, n):
-    return [[_F0] * n for _ in range(m)]
 
 
 def transpose(a):
@@ -95,17 +93,6 @@ def mat_vec(a, v):
     """The product a v, each entry summed over the support of v."""
     support = [(j, y) for j, y in enumerate(v) if y]
     return [sum((row[j] * y for j, y in support if row[j]), _F0) for row in a]
-
-
-def mat_pow(a, n):
-    out = identity(len(a))
-    base = [row[:] for row in a]
-    while n:
-        if n & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return out
 
 
 # -- integer matrices -------------------------------------------------------------
@@ -328,12 +315,25 @@ def _prepare(a, rhs=None, log=None):
             return rows, cyc
 
 
-def _quotients(row, p, cyc):
-    """The entries of an integer row divided by the integer p; over Z[z] a
-    Fraction for each rational entry and a CycNum otherwise."""
-    if not cyc:
-        return [Fraction(x, p) if x else _F0 for x in row]
-    return [_zdiv(x, p) if x else _F0 for x in row]
+def _solve(a, rhs):
+    """For each column b of RHS, the solution x of A x = b whose free
+    variables are zero, or None when b is not in the column space of A.
+    One elimination of [A | RHS] serves every column."""
+    n = len(a[0]) if a else 0
+    rows, cyc = _prepare(a, rhs)
+    piv = _echelon(rows, n, cyc)
+    # every row past the pivots is zero on the left, so a column that is
+    # nonzero there has no solution
+    bad = {j for row in rows[len(piv):] for j, y in enumerate(row[n:]) if y}
+    _reduce(rows, piv, cyc)
+    cols = [[_F0] * n for _ in (rhs[0] if rhs else ())]
+    div = _zdiv if cyc else Fraction
+    for row, c in zip(rows, piv):
+        p = _pivot(row, c, cyc)
+        for x, y in zip(cols, row[n:]):
+            if y:
+                x[c] = div(y, p)
+    return [None if j in bad else x for j, x in enumerate(cols)]
 
 
 def solve_matrix(a, rhs):
@@ -348,31 +348,17 @@ def solve_matrix(a, rhs):
                          % (m, len(rhs)))
     if any(len(row) != n for row in a):
         raise ValueError("ragged coefficient matrix")
-    rows, cyc = _prepare(a, rhs)
-    piv = _echelon(rows, n, cyc)
-    # every row past the pivots is zero on the left, so a nonzero
-    # right-hand side there means the system is inconsistent
-    for i in range(len(piv), m):
-        if any(rows[i][n:]):
-            return None
-    _reduce(rows, piv, cyc)
-    x = zeros(n, len(rhs[0]) if rhs else 0)
-    for row, c in zip(rows, piv):
-        x[c] = _quotients(row[n:], _pivot(row, c, cyc), cyc)
-    return x
+    cols = _solve(a, rhs)
+    if None in cols:
+        return None
+    return transpose(cols) if cols else [[] for _ in range(n)]
 
 
-def rref(a):
-    """(rows, piv): the nonzero rows of the reduced row echelon form of A,
-    each divided by its pivot, and their pivot columns in increasing order."""
-    n = len(a[0]) if a else 0
+def pivots(a):
+    """The pivot columns of A in increasing order: the columns that are
+    not combinations of the columns before them."""
     rows, cyc = _prepare(a)
-    piv = _echelon(rows, n, cyc)
-    if len(piv) == n:
-        return identity(n), piv     # every column is a pivot column
-    _reduce(rows, piv, cyc)
-    return [_quotients(row, _pivot(row, c, cyc), cyc)
-            for row, c in zip(rows, piv)], piv
+    return _echelon(rows, len(a[0]) if a else 0, cyc)
 
 
 def kernel(a):
@@ -403,20 +389,17 @@ def kernel(a):
 
 
 def rank(a):
-    n = len(a[0]) if a else 0
-    rows, cyc = _prepare(a)
-    return len(_echelon(rows, n, cyc))
+    return len(pivots(a))
 
 
 def inverse(a):
     n = len(a)
-    rows, cyc = _prepare(a, identity(n))
-    piv = _echelon(rows, n, cyc)
-    if len(piv) != n:
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    x = solve_matrix(a, identity(n))
+    if x is None:
         raise ValueError("matrix is singular")
-    _reduce(rows, piv, cyc)
-    return [_quotients(row[n:], _pivot(row, c, cyc), cyc)
-            for row, c in zip(rows, piv)]
+    return x
 
 
 def det(a):
@@ -454,16 +437,8 @@ def is_positive_definite(gram):
 
 def row_span_coords(rows, vectors):
     """The coordinates c of each vector v over the given rows, with
-    sum(c_i * rows_i) = v, or None for a vector outside their span.
-
-    One solve serves the whole batch; only when it fails is each vector
-    solved on its own, to tell which ones lie outside.
-    """
+    sum(c_i * rows_i) = v, or None for a vector outside their span; one
+    elimination serves the whole batch."""
     if not rows or not vectors:
         return [None if any(v) else [] for v in vectors]
-    a = transpose(rows)
-    x = solve_matrix(a, transpose(vectors))
-    if x is not None:
-        return transpose(x)
-    return [None if x is None else [t for t, in x]
-            for x in (solve_matrix(a, [[t] for t in v]) for v in vectors)]
+    return _solve(transpose(rows), transpose(vectors))

@@ -11,7 +11,7 @@ with the lattice involution X -> (X^T)^{-1}.
 from fractions import Fraction
 
 from .exact import CycNum, cyc, zeta, sqrt3
-from .linalg import mat_mul, identity, inverse, det, transpose, mat_pow
+from .linalg import mat_mul, identity, inverse, det, transpose
 
 __all__ = ["su3_data", "su3_identities", "theta_matrix_relations",
            "conj_transpose", "is_unitary"]
@@ -41,6 +41,7 @@ def su3_identities():
     Returns {name: bool}; everything must hold exactly.
     """
     tau, s, r = su3_data()
+    s2 = mat_mul(s, s)
     # the displayed normalization of s is unitary with det(s) = -i (a
     # primitive fourth root, consistent with s^4 = 1); rescaling it into
     # the special unitary group would destroy s = s^T and s^4 = 1, so the
@@ -53,9 +54,9 @@ def su3_identities():
         "s unitary": is_unitary(s),
         "tau unitary": is_unitary(tau),
         "s^{-1} tau s = r": mat_mul(inverse(s), mat_mul(tau, s)) == r,
-        "tau^3 = 1": mat_pow(tau, 3) == identity(3),
+        "tau^3 = 1": mat_mul(tau, mat_mul(tau, tau)) == identity(3),
         "s symmetric": transpose(s) == s,
-        "s^4 = 1": mat_pow(s, 4) == identity(3),
+        "s^4 = 1": mat_mul(s2, s2) == identity(3),
     }
 
 
@@ -80,12 +81,12 @@ def theta_matrix_relations():
     record = {
         "theta is an involution on s": theta(theta(s)) == s,
         "theta is an involution on tau": theta(theta(tau)) == tau,
-        "theta(s) = s^3": theta(s) == mat_pow(s, 3),
+        "theta(s) = s^3": theta(s) == mat_mul(s, mat_mul(s, s)),
         "theta(tau) = tau": theta(tau) == tau,
         "theta(r) = conj(r)": theta(r) == [[cyc(x).conjugate() for x in row]
                                            for row in r],
         # in the group generated by s and theta one has theta s theta = theta(s),
         # so theta s theta s^{-1} = s^2 reduces to theta(s) s^{-1} = s^2
-        "theta(s) s^{-1} = s^2": mat_mul(theta(s), inverse(s)) == mat_pow(s, 2),
+        "theta(s) s^{-1} = s^2": mat_mul(theta(s), inverse(s)) == mat_mul(s, s),
     }
     return record

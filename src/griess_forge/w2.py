@@ -69,7 +69,7 @@ every caller the same object, which callers therefore treat as read-only.
 from copy import copy
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
 from .exact import CycNum, _ZPOW, _zdiv, zeta
@@ -557,8 +557,8 @@ class CosetCharacter:
     chi(e^beta) = zeta^k(beta) with zeta of the quotient exponent; fixes the
     Heisenberg part.  This is an automorphism of the signed weight-two
     space (and of the full lattice algebra it shadows).  Each vector is
-    classified once per quotient: the characters that with_weights and
-    power derive share the table.
+    classified once per quotient: the characters that with_weights
+    derives share the table.
     """
 
     def __init__(self, alg, sub_rows):
@@ -581,15 +581,6 @@ class CosetCharacter:
             e += c * w * (self.exponent // m)
         return e % self.exponent
 
-    def value(self, beta):
-        return zeta(self.exponent, self.exponent_of(beta))
-
-    def order(self):
-        g = self.exponent
-        for w, m in zip(self.weights, self.moduli):
-            g = gcd(g, (w * (self.exponent // m)) % self.exponent)
-        return self.exponent // g if g else 1
-
     def apply(self, elem):
         if elem.exps and 12 % self.exponent:
             raise ValueError("unsupported cyclotomic level %r: must divide 12"
@@ -607,6 +598,3 @@ class CosetCharacter:
         out = copy(self)
         out.weights = tuple(weights)
         return out
-
-    def power(self, k):
-        return self.with_weights(w * k for w in self.weights)

@@ -32,7 +32,6 @@ def test_golay_is_self_dual_golay():
     assert g.dimension() == 6
     assert g.minimum_weight() == 6
     assert g.is_self_dual()
-    assert g.is_closed()
 
 
 def test_golay_weight_enumerator():

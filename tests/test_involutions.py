@@ -12,7 +12,6 @@ from griess_forge.exact import CycNum, _ZRow, zeta
 from griess_forge.involutions import (
     ad_spectrum, ad_matrix, eigenspaces, tau_involution, sigma_involution,
     is_automorphism, map_order, transposition_scan, group_closure, restrict_map,
-    eigenspace_rows,
 )
 from griess_forge.linalg import (det, identity, inverse, mat_mul, mat_vec, rank,
                                  row_span_coords, kernel, solve_matrix, transpose)
@@ -360,7 +359,7 @@ def c67_slice(orbit_data):
     c = 6/7 vectors live: its rows over fd12 and its own FDAlgebra."""
     fd12 = orbit_data[0]
     wq, = fd12.coordinates([e8_side().omega_q])
-    ker5 = eigenspace_rows(ad_spectrum(fd12, wq), [F(0)])
+    ker5 = ad_spectrum(fd12, wq)[F(0)]
     assert len(ker5) == 5
     return ker5, fd_from_elements(fd12, ker5, ["k%d" % i for i in range(1, 6)])
 
@@ -369,7 +368,7 @@ def _eta_orbit(eta, chi):
     """The eta-orbit of chi(ehat) and its derived c = 6/7 vector."""
     side = e8_side()
     e = chi.apply(side.ehat)
-    es = [e, eta.apply(e), eta.power(2).apply(e)]
+    es = [e, eta.apply(e), eta.with_weights([2 * w for w in eta.weights]).apply(e)]
     total = es[0] + es[1] + es[2]
     return es, (total - side.omega_q.scale(F(15, 32))).scale(F(16, 21))
 

@@ -46,18 +46,16 @@ def test_mat_mul_on_empty_shapes():
     assert la.mat_mul([[zeta(12)], [1]], [[]]) == [[], []]
 
 
-def test_rref_rows_and_pivots():
+def test_pivots_and_rank():
     a = [[0, 2, 4, 2], [0, 1, 2, 3], [0, 3, 6, 5]]
-    rows, piv = la.rref(a)
-    assert piv == [1, 3]
-    assert rows == [[0, 1, 2, 0], [0, 0, 0, 1]]
-    assert la.rref([[0, 0]]) == ([], [])
-    # every column a pivot column: the identity, also from a tall matrix
-    assert la.rref([[2, 1], [1, 1], [3, 2]]) == ([[1, 0], [0, 1]], [0, 1])
-    assert la.rref([]) == ([], [])
+    assert la.pivots(a) == [1, 3] == ref_rref(a, 4)[1]
+    assert la.rank(a) == 2
+    assert la.pivots([[0, 0]]) == []
+    # every column a pivot column, also of a tall matrix
+    assert la.pivots([[2, 1], [1, 1], [3, 2]]) == [0, 1]
+    assert la.pivots([]) == [] and la.rank([]) == 0
     z = zeta(12)
-    rows, piv = la.rref([[z, z * z], [1, z]])
-    assert piv == [0] and rows == [[1, z]]
+    assert la.pivots([[z, z * z], [1, z]]) == [0]
 
 
 def test_solve_over_cyclotomic():
@@ -75,6 +73,16 @@ def test_inverse_and_det():
     assert la.det(a) == 1
 
 
+def test_inverse_rejects_singular_and_non_square_matrices():
+    z = zeta(12)
+    for a in ([[F(1), F(2)], [F(2), F(4)]], [[z, z * z], [1, z]], [[0, 0], [0, z]]):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            la.inverse(a)
+    for a in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            la.inverse(a)
+
+
 def test_solution_substitutes_back():
     a = [[F(2), F(0), F(1)], [F(0), F(1), F(1)]]
     b = [F(3), F(2)]
@@ -90,8 +98,8 @@ def test_row_span_coords():
 
 
 def test_row_span_coords_of_a_mixed_batch():
-    # the batch solve fails on the outside vector; each vector is then
-    # solved on its own, and the inside one keeps its coordinates
+    # one elimination serves the batch: the outside vector is None, and
+    # the inside one keeps its coordinates wherever it stands
     rows = [[F(1), F(0), F(1)], [F(0), F(2), zeta(12)]]
     inside = [F(2), F(6), 2 + 3 * zeta(12)]
     assert la.row_span_coords(rows, [inside, [F(0), F(0), F(1)]]) == [[2, 3], None]
@@ -232,7 +240,8 @@ def matrices(draw, entry, max_rows=7, max_cols=7, square=False):
 
 def _check_against_reference(a, rhs):
     assert la.kernel(a) == ref_kernel(a)
-    assert la.rank(a) == len(ref_rref(a, len(a[0]))[1])
+    piv = ref_rref(a, len(a[0]))[1]
+    assert la.pivots(a) == piv and la.rank(a) == len(piv)
     assert la.solve_matrix(a, rhs) == ref_solve_matrix(a, rhs)
 
 
@@ -282,6 +291,27 @@ def test_inconsistent_system_has_no_solution(a, data):
     assert la.row_span_coords(la.transpose(a), [[r[0] for r in rhs]]) == [None]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([_rational, _cyclotomic]), st.data())
+def test_row_span_coords_of_mixed_batches_match_one_solve_each(entry, data):
+    # rows with a dependent one, so some coordinates are free, and vectors
+    # inside their span (combinations of the rows) and mostly outside it
+    rows = data.draw(matrices(entry, max_rows=4, max_cols=5))
+    cs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    rows.append([sum((c * r[j] for c, r in zip(cs, rows)), F(0))
+                 for j in range(len(rows[0]))])
+    vectors = []
+    for inside in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        cs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        vectors.append([sum((c * r[j] for c, r in zip(cs, rows)), F(0))
+                        for j in range(len(rows[0]))] if inside else
+                       data.draw(st.lists(entry, min_size=len(rows[0]),
+                                          max_size=len(rows[0]))))
+    want = [ref_solve_matrix(la.transpose(rows), [[t] for t in v]) for v in vectors]
+    assert la.row_span_coords(rows, vectors) == [
+        None if x is None else [t for t, in x] for x in want]
+
+
 def test_det_over_cyclotomic_field():
     z = zeta(12)
     a = [[z, F(1), F(0)], [F(2), z * z, F(1, 3)], [F(0), F(5), z ** 3]]
@@ -302,8 +332,7 @@ def test_a_last_irrational_row_gives_the_reference_answer(a, z, data):
     # over Z[z], and det's log holds the scales of that pass only
     n = len(a)
     a[-1][data.draw(st.integers(0, n - 1))] = z
-    red, piv, _ = ref_rref(a, n)
-    assert la.rref(a) == (red[:len(piv)], piv)
+    assert la.pivots(a) == ref_rref(a, n)[1]
     assert la.kernel(a) == ref_kernel(a)
     assert la.det(a) == ref_det(a)
     rhs = data.draw(st.lists(st.lists(_rational, min_size=2, max_size=2),

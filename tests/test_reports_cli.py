@@ -257,6 +257,21 @@ def test_cli_zero_code_exits_2(tmp_path):
     assert not (tmp_path / "report-code.json").exists()
 
 
+def test_cli_code_above_the_dimension_bound_exits_2(tmp_path, capsys):
+    # 13 independent generators of length 26: 3^13 words, never listed
+    rows = ["%s" % " ".join("1" if j in (i, i + 13) else "0" for j in range(26))
+            for i in range(13)]
+    spec = tmp_path / "big.txt"
+    spec.write_text("length: 26\ngenerators:\n%s\n" % "\n".join(rows))
+    assert cli.main(["--out", str(tmp_path), "code", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "dimension 13" in err and "bound 12" in err
+    assert not (tmp_path / "report-code.json").exists()
+    spec.write_text("length: 4\ngenerators:\n1 1 1 0\n1 -1 0 1\n")
+    assert cli.main(["--out", str(tmp_path), "code", str(spec)]) == 0
+
+
 def test_cli_missing_code_file_exits_2(tmp_path):
     r = _cli("--out", str(tmp_path), "code", str(tmp_path / "missing.txt"))
     assert r.returncode == 2
