@@ -30,26 +30,28 @@ data so every computed algebra can be compared entry by entry.
 
 The finite-dimensional layer computes over Z[z12] integers, in the row
 format that ``exact`` owns.  On its first product or form an FDAlgebra
-scales all its structure constants by one rational, and its form by
-another, into Z[z] 4-tuples, and keeps only the nonzero entries.  A
-product or form then scales each operand once (an ``exact._ZRow`` keeps its
-scaled form, so a vector used many times is scaled once), sums int tuples
-and divides each output entry once, to a Fraction when it is rational and
-a CycNum otherwise.  This module does no elimination of its own; the
-``linalg`` core does it all.  Each round of span_closure keeps the
-products that are pivot columns (one linalg.pivots) of the basis so far
-and the round's products side by side, fd_from_elements tests
-independence by rank, and coordinates (the products in fd_from_elements, FDAlgebra.coordinates)
-come from one linalg.row_span_coords batch.  One closure routine,
-span_closure, one extraction, fd_from_elements, and one Virasoro check,
-w2.virasoro_check, serve a W2Algebra and an FDAlgebra alike, through the
-ambient's product, form and signed_coords.  A weight-two element keeps
-its integer components from its first product or form (``w2``), so
-fd_from_elements converts each element once for all its products and
-forms.  nine_orbit_algebra and u3a_griess close twisted Ising vectors in
-coordinates over the 3A commutant, whose exact table was solved on the
-lattice, so products and forms there are the coordinates of the lattice
-ones.
+reads its structure constants and its form, each through
+``linalg._zmat`` with one rational scale, into one sparse table format:
+cell [i][j] holds the nonzero (k, x) of its Z[z] outputs, and a form
+cell its single output at k = 0.  One walk serves product and form: it
+scales each operand once (an ``exact._ZRow`` keeps its scaled form, so a
+vector used many times is scaled once), sums u_i v_j times each cell in
+int tuples and divides each output entry once, to a Fraction when it is
+rational and a CycNum otherwise.  This module does no elimination of its
+own; the ``linalg`` core does it all.  Each round of span_closure keeps
+the products that are pivot columns (one linalg.pivots) of the basis so
+far and the round's products side by side, fd_from_elements tests
+independence by rank, and coordinates (the products in fd_from_elements,
+FDAlgebra.coordinates) come from one linalg.row_span_coords batch.  One
+closure routine, span_closure, one extraction, fd_from_elements, and one
+Virasoro check, w2.virasoro_check, serve a W2Algebra and an FDAlgebra
+alike, through the ambient's product, form and signed_coords.  A
+weight-two element keeps its integer components from its first product
+or form (``w2``), so fd_from_elements converts each element once for all
+its products and forms.  nine_orbit_algebra and u3a_griess close twisted
+Ising vectors in coordinates over the 3A commutant, whose exact table
+was solved on the lattice, so products and forms there are the
+coordinates of the lattice ones.
 
 node_case, e8_side and nine_orbit_algebra build their objects once per
 process (per node for node_case) and hand every caller the same ones, so
@@ -59,12 +61,12 @@ each call and may be changed by their caller.
 
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 
 from .exact import _cyc_row, _zdiv, _zmul, zeta
 from .lattices import (_COXETER, affine_e6, annihilator, build_root_lattice,
                        punctured_components, Sublattice)
-from .linalg import inverse, mat_mul, pivots, rank, row_span_coords, transpose
+from .linalg import (_zmat, inverse, mat_mul, pivots, rank, row_span_coords,
+                     transpose)
 from .w2 import (W2Element, root_algebra, tilde_omega, coset_sum, CosetCharacter,
                  virasoro_check)
 
@@ -108,9 +110,7 @@ class FDAlgebra:
         return self.names.index(name)
 
     def element(self, name):
-        v = [F(0)] * self.dim
-        v[self.index(name)] = F(1)
-        return v
+        return self.combo(**{name: F(1)})
 
     def combo(self, **coeffs):
         v = [F(0)] * self.dim
@@ -119,35 +119,32 @@ class FDAlgebra:
         return v
 
     def _ztables(self):
-        """(mult, sm, gram, sg): the structure constants times sm and the
-        form times sg over Z[z], nonzero entries only, as mult[i][j] a tuple
-        of (k, x) and gram[i] a tuple of (j, x).  Built on the first product
-        or form, from mult and gram as they are then."""
+        """(mult, gram) as two (cells, s) tables over Z[z] in one format:
+        cell [i][j] is the tuple of the nonzero (k, x), x the output k times
+        s, and a form cell holds its single output at k = 0.  Built on the
+        first product or form, from mult and gram as they are then."""
         if self._zt is None:
-            n = self.dim
-            ints, sm = _cyc_row([c for row in self.mult for cell in row for c in cell])
-            it = iter(ints)
-            mult = [[tuple((k, x) for k, x in enumerate(islice(it, n)) if x)
-                     for _j in range(n)] for _i in range(n)]
-            ints, sg = _cyc_row([c for row in self.gram for c in row])
-            it = iter(ints)
-            gram = [tuple((j, x) for j, x in enumerate(islice(it, n)) if x)
-                    for _i in range(n)]
-            self._zt = mult, sm, gram, sg
+            n, self._zt = self.dim, []
+            for cells in ([cell for row in self.mult for cell in row],
+                          [[c] for row in self.gram for c in row]):
+                rows, s = _zmat(cells)
+                rows = [tuple((k, x) for k, x in enumerate(row) if x) for row in rows]
+                self._zt.append(([rows[i * n:(i + 1) * n] for i in range(n)], s))
         return self._zt
 
-    def product_vec(self, u, v):
-        mult, sm, _gram, _sg = self._ztables()
+    def _walk(self, table, u, v):
+        """The dim outputs of the sum of u_i v_j times cell [i][j] of a
+        (cells, s) table from _ztables; a form reads output 0."""
+        cells, s = table
         uz, su = _cyc_row(u)
         vz, sv = _cyc_row(v)
         vnz = [(j, y) for j, y in enumerate(vz) if y]
         acc = [None] * self.dim
-        for i, x in enumerate(uz):
+        for x, row in zip(uz, cells):
             if not x:
                 continue
-            cells = mult[i]
             for j, y in vnz:
-                cell = cells[j]
+                cell = row[j]
                 if cell:
                     p = _zmul(x, y)
                     for k, t in cell:
@@ -155,27 +152,15 @@ class FDAlgebra:
                         w = acc[k]
                         acc[k] = q if w is None else (w[0] + q[0], w[1] + q[1],
                                                       w[2] + q[2], w[3] + q[3])
-        den = su * sv * sm
+        den = su * sv * s
         return [_zdiv(w, den) if w and (w[0] or w[1] or w[2] or w[3]) else _F0
                 for w in acc]
 
+    def product_vec(self, u, v):
+        return self._walk(self._ztables()[0], u, v)
+
     def form_vec(self, u, v):
-        _mult, _sm, gram, sg = self._ztables()
-        uz, su = _cyc_row(u)
-        vz, sv = _cyc_row(v)
-        t0 = t1 = t2 = t3 = 0
-        for i, x in enumerate(uz):
-            if not x:
-                continue
-            for j, g in gram[i]:
-                y = vz[j]
-                if y:
-                    a, b, c, d = _zmul(_zmul(x, y), g)
-                    t0 += a
-                    t1 += b
-                    t2 += c
-                    t3 += d
-        return _zdiv((t0, t1, t2, t3), su * sv * sg)
+        return self._walk(self._ztables()[1], u, v)[0]
 
     # the protocol of span_closure, fd_from_elements and virasoro_check
     product = product_vec

@@ -36,11 +36,20 @@ def int_matvec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def _square(a):
+    """The size n of the n x n matrix a; raises for any other shape."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    return n
+
+
 def int_det(a):
     """|det a|, the product of the pivots of hnf(a); the sign is not kept.
 
     It is 0 when hnf(a) has fewer rows than a, and 1 for a 0 x 0 matrix.
     """
+    _square(a)
     h = hnf(a)
     return prod(row[i] for i, row in enumerate(h)) if len(h) == len(a) else 0
 
@@ -53,6 +62,7 @@ def int_positive_definite(a):
     when every pivot is positive (Sylvester's criterion).  The pass stops
     at the first pivot that is not.
     """
+    _square(a)
     m = [list(row) for row in a]
     prev = 1
     while m:

@@ -335,7 +335,8 @@ def restrict_map(space, mat, rows):
     """
     imgs = [mat_vec(mat, row) for row in rows]
     coords = row_span_coords(rows, imgs)
-    # the solve zero-fills free variables, so the coordinates are checked
+    # an image outside the span already gives None; the back-check is an
+    # independent exact re-check of the coordinates the solve returns
     if None in coords or mat_mul(coords, rows) != imgs:
         raise ValueError("map does not preserve the subspace")
     return transpose(coords)

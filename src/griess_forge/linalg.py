@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import CycNum, _cyc_content, _cyc_row, _zcofactor, _zdiv, _zmul
-from .intmat import int_positive_definite
+from .intmat import _square, int_positive_definite
 
 __all__ = [
     "identity", "transpose", "mat_mul", "mat_vec", "solve_matrix",
@@ -393,17 +393,14 @@ def rank(a):
 
 
 def inverse(a):
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    x = solve_matrix(a, identity(n))
+    x = solve_matrix(a, identity(_square(a)))
     if x is None:
         raise ValueError("matrix is singular")
     return x
 
 
 def det(a):
-    n = len(a)
+    n = _square(a)
     log = []
     rows, cyc = _prepare(a, log=log)
     if len(_echelon(rows, n, cyc, log)) != n:
@@ -426,8 +423,8 @@ def is_positive_definite(gram):
     def conv(x):
         return x.rational_part() if hasattr(x, "rational_part") else Fraction(x)
 
+    n = _square(gram)
     a = [[conv(x) for x in row] for row in gram]
-    n = len(a)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         return False
     d = lcm(*[x.denominator for row in a for x in row])

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from griess_forge.exact import CycNum, zeta
 from griess_forge import linalg as la
-from griess_forge.intmat import hnf, snf_with_transform, int_matmul, int_det
+from griess_forge.intmat import (hnf, snf_with_transform, int_matmul, int_det,
+                                 int_positive_definite)
 from griess_forge.lattices import IntegralLattice
 
 
@@ -81,6 +82,23 @@ def test_inverse_rejects_singular_and_non_square_matrices():
     for a in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
         with pytest.raises(ValueError, match="matrix is not square"):
             la.inverse(a)
+
+
+def _non_square(x):
+    """A wide, a tall and a ragged matrix with entries built from x."""
+    return ([[2 * x, x, 0 * x], [x, 2 * x, 0 * x]],
+            [[x, 2 * x], [3 * x, 4 * x], [5 * x, 6 * x]], [[2 * x, x], [x]])
+
+
+@pytest.mark.parametrize("x", [1, F(1, 2), zeta(12)], ids=["Z", "Q", "Q(z)"])
+def test_square_routines_reject_non_square_matrices(x):
+    routines = [la.det, la.is_positive_definite]
+    if x == 1:
+        routines += [int_det, int_positive_definite]
+    for f in routines:
+        for a in _non_square(x):
+            with pytest.raises(ValueError, match="matrix is not square"):
+                f(a)
 
 
 def test_solution_substitutes_back():
